@@ -6,11 +6,12 @@ Interference-limited coverage has the uniform shape
 
 where B is the MGF exponent bracket (exact Kummer form or the two-piece
 approximation) and p_active is the idle-mode thinning factor (1 = fully
-loaded). Ergodic peak rate is int_0^inf Pcov(w)/(1+w) dw, evaluated by
-quadrature (the authority) and by closed forms: a general-beta expression
-for the fully loaded case and tabulated expressions for beta = 3, 4 under
-partial load. The tabulated forms are audited against quadrature on first
-use and quarantined wholesale if any grid point deviates beyond 1e-4.
+loaded). Ergodic peak rate is int_0^inf Pcov(w)/(1+w) dw, evaluated by a
+fixed Gauss-Legendre rule in log w (the authority) and by closed forms: a
+general-beta expression for the fully loaded case and tabulated expressions
+for beta = 3, 4 under partial load. The tabulated forms are audited against
+quadrature on first use and quarantined wholesale if any grid point
+deviates beyond 1e-4.
 
 Rates are in nats/s/Hz.
 """
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
 from scipy.integrate import quad
 
 from .mgf import (
@@ -29,18 +31,11 @@ from .mgf import (
     MgfMode,
     MgfQuery,
     NetworkParams,
+    bracket,
     mgf_thinned,
     solve_c,
-    two_piece_bracket,
 )
-from .specfun import (
-    DEFAULT_POLICY,
-    FnEvalPolicy,
-    NonConvergenceError,
-    gamma_fn,
-    gauss_2f1,
-    kummer_1f1_neg,
-)
+from .specfun import NonConvergenceError, gamma_fn, gauss_2f1
 
 __all__ = [
     "CoverageCurve",
@@ -71,8 +66,18 @@ _LOAD_SHAPE = 3.5
 
 # rate integral: truncate where the provable tail bound drops below this
 _TAIL_BUDGET = 1e-10
+# and start at this w; the integrand is below 1, so the mass skipped is below it
+_W_MIN = 1e-12
 # reported absolute quadrature error beyond this is treated as failure
 _QUAD_ERR_LIMIT = 1e-8
+
+# rate rule: Gauss-Legendre nodes on [-1, 1], computed once, placed on equal
+# panels in v = log w no wider than _PANEL_WIDTH. The coverage pole nearest
+# the origin, at w ~ -(beta-2)/(2 p_active), sits at Im v = pi in v, so the
+# panels converge geometrically even for beta near 2, where a few linear
+# panels on [0, c] do not.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PANEL_WIDTH = 4.0
 
 # interference-free regime guard: coverage -> 1 makes the rate integral diverge
 _MIN_P_ACTIVE = 1e-6
@@ -94,6 +99,10 @@ class PcovKind(Enum):
     APPROX = "Approx"
 
 
+# bracket() kind behind each coverage kind
+_BRACKET_KIND = {PcovKind.EXACT: "exact", PcovKind.APPROX: "two_piece"}
+
+
 class RateMethod(Enum):
     CLOSED_FORM_GENERAL = "ClosedFormGeneral"
     CLOSED_FORM_TABLE1 = "ClosedFormTable1"
@@ -105,9 +114,11 @@ class RateMethod(Enum):
 class RateResult:
     """Ergodic rate value (nats/s/Hz) with provenance.
 
-    stderr is meaningful for Monte Carlo estimates only and stays 0
-    otherwise. no_interference flags the degenerate vanishing-load regime
-    where the value is a sentinel, not a rate.
+    stderr is the one error field: the standard error of a Monte Carlo
+    estimate, or the achieved absolute error bound of a quadrature value
+    (the coarse-vs-fine rule difference plus the truncated tail and head).
+    Closed forms leave it 0. no_interference flags the degenerate
+    vanishing-load regime where the value is a sentinel, not a rate.
     """
 
     value: float
@@ -201,48 +212,50 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must lie in (2, 5], got {beta}")
 
 
-def _check_gamma(gamma: float) -> None:
-    if gamma < 0.0:
+def _check_gamma(gamma) -> None:
+    if np.any(np.asarray(gamma) < 0.0):
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
 
 
-def pcov_exact_full(gamma: float, beta: float, policy: FnEvalPolicy = DEFAULT_POLICY) -> float:
+def pcov_exact_full(gamma, beta: float) -> float | np.ndarray:
     """Fully loaded interference-limited coverage, exact Kummer form.
 
     Independent of density, transmit power, and path-loss prefactor; those
-    all cancel between signal and interference.
+    all cancel between signal and interference. gamma may be an array.
     """
     _check_beta(beta)
     _check_gamma(gamma)
-    return 1.0 / kummer_1f1_neg(2.0 / beta, gamma, policy)
+    return 1.0 / (1.0 - bracket(beta, gamma, "exact"))
 
 
-def pcov_approx_full(gamma: float, beta: float, c: IntersectionConstant | None = None) -> float:
+def pcov_approx_full(gamma, beta: float, c: IntersectionConstant | None = None) -> float | np.ndarray:
     """Fully loaded coverage through the two-piece bracket approximation."""
     _check_beta(beta)
     _check_gamma(gamma)
     if c is None:
         c = solve_c(beta)
-    return 1.0 / (1.0 - two_piece_bracket(beta, gamma, c.c_exact))
+    return 1.0 / (1.0 - bracket(beta, gamma, "two_piece", c.c_exact))
 
 
 def pcov_partial_load(
-    gamma: float,
+    gamma,
     beta: float,
     p_active: float,
     c: IntersectionConstant | None = None,
-    policy: FnEvalPolicy = DEFAULT_POLICY,
-) -> tuple[float, float]:
-    """Idle-mode coverage (exact, approx) with interferers thinned by p_active."""
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Idle-mode coverage (exact, approx) with interferers thinned by p_active.
+
+    gamma may be an array of thresholds; both coverages then come back as
+    arrays of its shape.
+    """
     _check_beta(beta)
     _check_gamma(gamma)
     if not 0.0 < p_active <= 1.0:
         raise ValueError(f"p_active must lie in (0, 1], got {p_active}")
     if c is None:
         c = solve_c(beta)
-    d = 2.0 / beta
-    exact = 1.0 / (1.0 + (kummer_1f1_neg(d, gamma, policy) - 1.0) * p_active)
-    approx = 1.0 / (1.0 - two_piece_bracket(beta, gamma, c.c_exact) * p_active)
+    exact = 1.0 / (1.0 - bracket(beta, gamma, "exact") * p_active)
+    approx = 1.0 / (1.0 - bracket(beta, gamma, "two_piece", c.c_exact) * p_active)
     return exact, approx
 
 
@@ -262,7 +275,7 @@ def pcov_general(gamma: float, p: NetworkParams, p_active: float = 1.0) -> float
     d = p.delta
     # the interference MGF argument x = gamma at every l0, so the exponent
     # bracket is one fixed number; used only to size the integration window
-    denom = 1.0 + (kummer_1f1_neg(d, gamma) - 1.0) * p_active
+    denom = 1.0 - bracket(p.beta, gamma, "exact") * p_active
     # integrand decays like exp(-pi lambda (l0/kappa)^d * denom); cut at 40 e-folds
     l0_max = p.kappa * (40.0 / (math.pi * p.lambda_bs * denom)) ** (1.0 / d)
 
@@ -285,18 +298,11 @@ def coverage_curve(
     c: IntersectionConstant | None = None,
 ) -> CoverageCurve:
     """Sample exact and approximate coverage along a linear gamma grid."""
-    if c is None:
-        c = solve_c(beta)
-    exact = []
-    approx = []
-    for g in gamma_grid:
-        e, a = pcov_partial_load(g, beta, p_active, c)
-        exact.append(e)
-        approx.append(a)
+    exact, approx = pcov_partial_load(np.asarray(gamma_grid, dtype=float), beta, p_active, c)
     return CoverageCurve(
         gamma_grid=tuple(float(g) for g in gamma_grid),
-        pcov_exact=tuple(exact),
-        pcov_approx=tuple(approx),
+        pcov_exact=tuple(exact.tolist()),
+        pcov_approx=tuple(approx.tolist()),
         p_active=p_active,
     )
 
@@ -327,65 +333,80 @@ def _w_max(beta: float, p_active: float) -> float:
     return (1.0 / (_TAIL_BUDGET * p_active * gamma_fn(1.0 - d) * d)) ** (1.0 / d)
 
 
+def _panels(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # nodes and weights of n equal Gauss-Legendre panels covering [lo, hi]
+    half = 0.5 * (hi - lo) / n
+    mids = lo + half * np.arange(1.0, 2.0 * n, 2.0)
+    return (mids[:, None] + half * _GL_NODES).ravel(), np.tile(half * _GL_WEIGHTS, n)
+
+
 def _rate_integral(
     beta: float,
-    p_active: float,
+    p_active: np.ndarray,
     pcov_kind: PcovKind,
     c_value: float,
-    policy: FnEvalPolicy = DEFAULT_POLICY,
-) -> tuple[float, float]:
-    """Peak-rate integral int_0^W Pcov(w)/(1+w) dw with provable tail cutoff."""
-    d = 2.0 / beta
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peak-rate integral int_0^W Pcov(w)/(1+w) dw for every entry of p_active.
 
-    if pcov_kind is PcovKind.EXACT:
-        def cov(w: float) -> float:
-            return 1.0 / (1.0 + (kummer_1f1_neg(d, w, policy) - 1.0) * p_active)
-    else:
-        def cov(w: float) -> float:
-            return 1.0 / (1.0 - two_piece_bracket(beta, w, c_value) * p_active)
-
-    def integrand(w: float) -> float:
-        return cov(w) / (1.0 + w)
-
-    w_hi = _w_max(beta, p_active)
-    low, err_low = quad(integrand, 0.0, c_value, epsabs=1e-11, epsrel=1e-11, limit=200)
-    # the upper piece spans many decades (W can reach ~1e28); integrate in log space
-    high, err_high = quad(
-        lambda v: integrand(math.exp(v)) * math.exp(v),
-        math.log(c_value),
-        math.log(w_hi),
-        epsabs=1e-10,
-        epsrel=1e-10,
-        limit=400,
-    )
-    err = err_low + err_high + _TAIL_BUDGET
-    if err > _QUAD_ERR_LIMIT:
+    The integral runs in v = log w over two pieces split at the branch point
+    (where the two-piece bracket has a kink): [w_min, c] and [c, W], with W
+    sized for the smallest p_active so that one node set serves them all.
+    The bracket does not depend on p_active, so one bracket() call feeds the
+    whole vector. Each piece is summed over n panels and over 2n; the finer
+    sum is the value and the coarse-fine gap, plus the mass cut off below
+    w_min and beyond W, the reported error bound.
+    """
+    v_c = math.log(c_value)
+    v_max = math.log(_w_max(beta, float(p_active.min())))
+    rules = []
+    for lo, hi in ((math.log(_W_MIN), v_c), (v_c, v_max)):
+        n = math.ceil((hi - lo) / _PANEL_WIDTH)
+        rules += [_panels(lo, hi, n), _panels(lo, hi, 2 * n)]
+    v = np.concatenate([nodes for nodes, _ in rules])
+    w = np.exp(v)
+    b = bracket(beta, w, _BRACKET_KIND[pcov_kind], c_value)
+    # Pcov(w)/(1+w) dw = Pcov(w)/(1+1/w) dv
+    f = np.concatenate([q for _, q in rules]) / ((1.0 - p_active[:, None] * b) * (1.0 + 1.0 / w))
+    starts = np.cumsum([0] + [nodes.size for nodes, _ in rules[:-1]])
+    low_coarse, low, high_coarse, high = np.add.reduceat(f, starts, axis=1).T
+    err = np.abs(low - low_coarse) + np.abs(high - high_coarse) + _TAIL_BUDGET + _W_MIN
+    worst = float(err.max())
+    if worst > _QUAD_ERR_LIMIT:
         raise NonConvergenceError(
-            f"rate quadrature achieved only {err:.2e} absolute error (target {_QUAD_ERR_LIMIT:g})"
+            f"rate quadrature achieved only {worst:.2e} absolute error (target {_QUAD_ERR_LIMIT:g})"
         )
     return low + high, err
 
 
 def rate_quadrature(
     beta: float,
-    p_active: float = 1.0,
+    p_active=1.0,
     pcov_kind: PcovKind = PcovKind.EXACT,
     c: IntersectionConstant | None = None,
-    policy: FnEvalPolicy = DEFAULT_POLICY,
-) -> RateResult:
-    """Ergodic peak rate by adaptive quadrature. Authority for all closed forms."""
+) -> RateResult | list[RateResult]:
+    """Ergodic peak rate by the fixed log-space quadrature. Authority for all closed forms.
+
+    p_active may also be a sequence; the result is then a list with one
+    RateResult per entry, all from a single bracket evaluation. stderr
+    carries the achieved absolute error bound.
+    """
     _check_beta(beta)
-    if p_active < _MIN_P_ACTIVE:
+    pa = np.asarray(p_active, dtype=float)
+    if not np.all(pa >= _MIN_P_ACTIVE):
         raise ValueError(
-            f"p_active={p_active} below {_MIN_P_ACTIVE}: coverage tends to 1 and the "
+            f"p_active={np.min(pa)} below {_MIN_P_ACTIVE}: coverage tends to 1 and the "
             "rate integral diverges (no-interference regime)"
         )
-    if p_active > 1.0:
-        raise ValueError(f"p_active must lie in [{_MIN_P_ACTIVE}, 1], got {p_active}")
+    if not np.all(pa <= 1.0):
+        raise ValueError(f"p_active must lie in [{_MIN_P_ACTIVE}, 1], got {np.max(pa)}")
     if c is None:
         c = solve_c(beta)
-    value, _ = _rate_integral(beta, p_active, pcov_kind, c.c_exact, policy)
-    return RateResult(value=value, method=RateMethod.QUADRATURE)
+    values, errs = _rate_integral(beta, pa.ravel(), pcov_kind, c.c_exact)
+    results = [
+        RateResult(value=v, method=RateMethod.QUADRATURE, stderr=e)
+        for v, e in zip(values.tolist(), errs.tolist())
+    ]
+    return results if pa.ndim else results[0]
 
 
 def rate_closed_general(beta: float, c: IntersectionConstant | None = None) -> RateResult:
@@ -401,8 +422,7 @@ def rate_closed_general(beta: float, c: IntersectionConstant | None = None) -> R
     if c is None:
         c = solve_c(beta)
     if abs(beta - _SINGULAR_BETA) < _SINGULAR_HALFWIDTH:
-        value, _ = _rate_integral(beta, 1.0, PcovKind.APPROX, c.c_exact)
-        return RateResult(value=value, method=RateMethod.QUADRATURE)
+        return rate_quadrature(beta, 1.0, PcovKind.APPROX, c)
     cv = c.c_exact
     d = 2.0 / beta
     big_a = 2.0 * beta - 2.0
@@ -504,21 +524,22 @@ def table1_audit(beta: float) -> TabulatedRateAudit:
     form = _TABULATED_FORMS[beta]
     c_tab = _TABULATED_C[beta]
     checked: list[float] = []
+    closed: list[float] = []
     skipped: list[float] = []
-    max_mismatch = 0.0
-    worst: float | None = None
     for pa in _AUDIT_GRID:
         try:
-            closed = form(pa)
+            closed.append(form(pa))
         except (ValueError, ZeroDivisionError):
             skipped.append(pa)
             continue
-        reference, _ = _rate_integral(beta, pa, PcovKind.APPROX, c_tab)
-        mismatch = abs(closed - reference)
         checked.append(pa)
-        if mismatch > max_mismatch:
-            max_mismatch = mismatch
-            worst = pa
+    max_mismatch = 0.0
+    worst: float | None = None
+    if checked:
+        reference, _ = _rate_integral(beta, np.array(checked), PcovKind.APPROX, c_tab)
+        mismatch = np.abs(np.array(closed) - reference)
+        k = int(np.argmax(mismatch))
+        max_mismatch, worst = float(mismatch[k]), checked[k]
     quarantined = (not checked) or max_mismatch > _AUDIT_MISMATCH_LIMIT
     if quarantined:
         message = (
@@ -591,4 +612,6 @@ def rate_actual(beta: float, lambda_ue: float, lambda_bs: float) -> RateResult:
         peak = rate_peak_partial_load(beta, lm.p_active)
     else:
         peak = rate_quadrature(beta, lm.p_active, PcovKind.APPROX)
-    return RateResult(value=peak.value * lm.p_selection, method=peak.method)
+    return RateResult(
+        value=peak.value * lm.p_selection, method=peak.method, stderr=peak.stderr * lm.p_selection
+    )

@@ -27,7 +27,6 @@ from .analytics import (
     PcovKind,
     load_model,
     pcov_partial_load,
-    rate_actual,
     rate_closed_general,
     rate_peak_partial_load,
     rate_quadrature,
@@ -378,12 +377,12 @@ def _run_coverage(spec: ExperimentSpec) -> int:
     if spec.with_mc:
         header += ["pcov_mc", "pcov_mc_stderr"]
     rows = []
+    grid = np.asarray(spec.grid)
     for beta in spec.betas:
-        c = solve_c(beta)
+        exact, approx = pcov_partial_load(grid, beta, 1.0, solve_c(beta))
         mc = _mc_coverage(spec, beta, 0.0, idle=False) if spec.with_mc else None
-        for i, g in enumerate(spec.grid):
-            exact, approx = pcov_partial_load(g, beta, 1.0, c)
-            row = [beta, g, _linear_to_db(g) if g > 0 else float("-inf"), exact, approx]
+        for i, (g, e, a) in enumerate(zip(spec.grid, exact.tolist(), approx.tolist())):
+            row = [beta, g, _linear_to_db(g) if g > 0 else float("-inf"), e, a]
             if mc is not None:
                 row += [float(mc[0][i]), float(mc[1][i])]
             rows.append(row)
@@ -397,8 +396,9 @@ def _run_rate_vs_beta(spec: ExperimentSpec) -> int:
         header += ["rate_mc", "rate_mc_stderr"]
     rows = []
     for beta in spec.betas:
-        exact = rate_quadrature(beta, 1.0, PcovKind.EXACT)
-        closed = rate_closed_general(beta)
+        c = solve_c(beta)
+        exact = rate_quadrature(beta, 1.0, PcovKind.EXACT, c)
+        closed = rate_closed_general(beta, c)
         row = [beta, exact.value, closed.value, closed.method.value]
         if spec.with_mc:
             p = NetworkParams(
@@ -418,22 +418,23 @@ def _run_coverage_partial_load(spec: ExperimentSpec) -> int:
     if spec.with_mc:
         header += ["pcov_mc", "pcov_mc_stderr"]
     rows = []
+    grid = np.asarray(spec.grid)
     for beta in spec.betas:
         c = solve_c(beta)
         for ratio in spec.ratios:
             if ratio <= 0.0:
                 raise ConfigError(f"grid.ratios must be positive, got {ratio}")
             lm = load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs)
+            exact, approx = pcov_partial_load(grid, beta, lm.p_active, c)
             mc = (
                 _mc_coverage(spec, beta, ratio * spec.params.lambda_bs, idle=True)
                 if spec.with_mc
                 else None
             )
-            for i, g in enumerate(spec.grid):
-                exact, approx = pcov_partial_load(g, beta, lm.p_active, c)
+            for i, (g, e, a) in enumerate(zip(spec.grid, exact.tolist(), approx.tolist())):
                 row = [
                     beta, ratio, lm.p_active, g,
-                    _linear_to_db(g) if g > 0 else float("-inf"), exact, approx,
+                    _linear_to_db(g) if g > 0 else float("-inf"), e, a,
                 ]
                 if mc is not None:
                     row += [float(mc[0][i]), float(mc[1][i])]
@@ -452,22 +453,25 @@ def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> int:
         header += ["rate_mc", "rate_mc_stderr"]
     rows = []
     for beta in spec.betas:
+        c = solve_c(beta)
+        loads = []
         for ratio in spec.ratios:
             if ratio <= 0.0:
                 raise ConfigError(f"grid.ratios must be positive, got {ratio}")
-            lm = load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs)
-            ref_peak = rate_quadrature(beta, lm.p_active, PcovKind.EXACT).value
-            if beta in (3.0, 4.0):
-                closed_peak = rate_peak_partial_load(beta, lm.p_active)
-            else:
-                closed_peak = rate_quadrature(beta, lm.p_active, PcovKind.APPROX)
-            if actual:
-                ref = ref_peak * lm.p_selection
-                closed = rate_actual(beta, ratio * spec.params.lambda_bs, spec.params.lambda_bs)
-            else:
-                ref = ref_peak
-                closed = closed_peak
-            row = [beta, ratio, lm.p_active, lm.p_selection, ref, closed.value, closed.method.value]
+            loads.append(load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs))
+        p_active = [lm.p_active for lm in loads]
+        ref_peaks = rate_quadrature(beta, p_active, PcovKind.EXACT, c)
+        if beta in (3.0, 4.0):
+            closed_peaks = [rate_peak_partial_load(beta, pa, c) for pa in p_active]
+        else:
+            closed_peaks = rate_quadrature(beta, p_active, PcovKind.APPROX, c)
+        for ratio, lm, ref, closed in zip(spec.ratios, loads, ref_peaks, closed_peaks):
+            # the actual rate is the peak rate times the selection probability
+            share = lm.p_selection if actual else 1.0
+            row = [
+                beta, ratio, lm.p_active, lm.p_selection,
+                ref.value * share, closed.value * share, closed.method.value,
+            ]
             if spec.with_mc:
                 p = NetworkParams(
                     lambda_bs=spec.params.lambda_bs, lambda_ue=ratio * spec.params.lambda_bs,
@@ -485,16 +489,18 @@ def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> int:
 def _run_mgf_profile(spec: ExperimentSpec) -> int:
     header = ["beta", "c_exact", "c_fit", "x", "mgf_exact", "mgf_approx", "rel_error"]
     rows = []
+    xs = np.asarray(spec.grid)
     for beta in spec.betas:
         p = NetworkParams(
             lambda_bs=spec.params.lambda_bs, beta=beta,
             kappa=spec.params.kappa, p_tx=spec.params.p_tx,
         )
         c = solve_c(beta)
-        for x in spec.grid:
-            me = mgf_exact(MgfQuery(s=x, l0=1.0), p)
-            ma = mgf_approx(MgfQuery(s=x, l0=1.0, mode=MgfMode.APPROX_TWO_TERM), p, c)
-            rows.append([beta, c.c_exact, c.c_fit, x, me, ma, abs(ma - me) / me])
+        me = mgf_exact(MgfQuery(s=xs, l0=1.0), p)
+        ma = mgf_approx(MgfQuery(s=xs, l0=1.0, mode=MgfMode.APPROX_TWO_TERM), p, c)
+        rel = np.abs(ma - me) / me
+        for x, e, a, r in zip(spec.grid, me.tolist(), ma.tolist(), rel.tolist()):
+            rows.append([beta, c.c_exact, c.c_fit, x, e, a, r])
     _write_csv(spec.output_path, header, rows)
     return 0
 

@@ -9,7 +9,9 @@ where the bracket B depends only on the dimensionless argument x and on
 beta. This module evaluates B exactly (Kummer function), as a two-piece
 closed-form approximation joined at the intersection constant c, as an
 n-term truncated series, with Rayleigh fading marks on the interferers,
-and with idle-mode thinning of the interferer density.
+and with idle-mode thinning of the interferer density. The exact and
+two-piece forms go through one array function, bracket(), which coverage,
+rate and every MGF of those two kinds share.
 """
 
 from __future__ import annotations
@@ -19,15 +21,16 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import gammainc
 
 from .specfun import (
     DEFAULT_POLICY,
     FnEvalPolicy,
     NonConvergenceError,
     gamma_fn,
-    kummer_1f1_neg,
 )
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "MgfMode",
     "MgfQuery",
     "NetworkParams",
+    "bracket",
     "exponent_prefactor",
     "mgf_approx",
     "mgf_exact",
@@ -44,7 +48,6 @@ __all__ = [
     "mgf_thinned",
     "solve_c",
     "taylor_bracket",
-    "two_piece_bracket",
 ]
 
 # fitted form of the intersection constant: c ~= slope*ln(beta - shift) + offset
@@ -111,17 +114,19 @@ class MgfQuery:
 
     s is the transform argument (>= 0; coverage only ever queries the
     half-line), l0 the conditioning serving-link path loss. n_terms rides
-    along for APPROX_TAYLOR queries and p_active for THINNED ones.
+    along for APPROX_TAYLOR queries and p_active for THINNED ones. In the
+    EXACT, APPROX_TWO_TERM and THINNED modes s may also be an array of
+    arguments; the MGF then comes back as an array of the same shape.
     """
 
-    s: float
+    s: float | np.ndarray
     l0: float
     mode: MgfMode = MgfMode.EXACT
     n_terms: int | None = None
     p_active: float | None = None
 
     def __post_init__(self) -> None:
-        if self.s < 0.0:
+        if np.any(np.asarray(self.s) < 0.0):
             raise ValueError(f"s must be nonnegative, got {self.s}")
         if not self.l0 > 0.0:
             raise ValueError(f"l0 must be positive, got {self.l0}")
@@ -136,7 +141,7 @@ class MgfQuery:
             if not 0.0 < self.p_active <= 1.0:
                 raise ValueError(f"p_active must lie in (0, 1], got {self.p_active}")
 
-    def scaled_arg(self, p: NetworkParams) -> float:
+    def scaled_arg(self, p: NetworkParams) -> float | np.ndarray:
         """Dimensionless bracket argument x = s * p_tx / l0."""
         return self.s * p.p_tx / self.l0
 
@@ -166,10 +171,10 @@ def exponent_prefactor(p: NetworkParams, l0: float) -> float:
     return math.pi * p.lambda_bs * (l0 / p.kappa) ** p.delta
 
 
-def taylor_bracket(beta: float, x: float, n_terms: int) -> float:
+def taylor_bracket(beta: float, x: float | np.ndarray, n_terms: int) -> float | np.ndarray:
     """First n_terms of the small-argument series of the exponent bracket.
 
-    B_n(x) = sum_{k=1}^{n} 2 (-x)^k / (k! (k beta - 2)).
+    B_n(x) = sum_{k=1}^{n} 2 (-x)^k / (k! (k beta - 2)), elementwise on arrays.
     """
     total = 0.0
     term = 2.0
@@ -179,17 +184,40 @@ def taylor_bracket(beta: float, x: float, n_terms: int) -> float:
     return total
 
 
-def upper_bracket(beta: float, x: float) -> float:
+def upper_bracket(beta: float, x: float | np.ndarray) -> float | np.ndarray:
     """Large-argument closed form of the bracket: 1 - x^(2/beta) Gamma(1-2/beta)."""
     d = 2.0 / beta
     return 1.0 - x**d * gamma_fn(1.0 - d)
 
 
-def two_piece_bracket(beta: float, x: float, c_value: float) -> float:
-    """Two-term series below the branch point c_value, closed form above."""
-    if x <= c_value:
-        return taylor_bracket(beta, x, 2)
-    return upper_bracket(beta, x)
+def bracket(beta: float, x, kind: str = "exact", c_value: float | None = None) -> float | np.ndarray:
+    """Exponent bracket B(x) for every argument x >= 0 of an array (or a scalar).
+
+    kind "exact": B = 1 - 1F1(-d, 1-d, -x) with d = 2/beta, evaluated through
+    the cancellation-free identity
+
+        1F1(-d, 1-d, -x) = exp(-x) + x^d Gamma(1-d) P(1-d, x),
+
+    P the regularized lower incomplete gamma function (DLMF §8, §13).
+    kind "two_piece": the two-term series up to the branch point c_value
+    (the solved root for beta when None), the closed form 1 - x^d Gamma(1-d)
+    beyond it. Fully loaded coverage is 1/(1 - B(gamma)).
+    """
+    _check_beta(beta)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise ValueError(f"bracket arguments must be nonnegative, got {x}")
+    d = 2.0 / beta
+    if kind == "exact":
+        return 1.0 - (np.exp(-x) + x**d * gammainc(1.0 - d, x) * gamma_fn(1.0 - d))
+    if kind == "two_piece":
+        if c_value is None:
+            c_value = solve_c(beta).c_exact
+        # each branch only sees arguments on its own side, so the series
+        # never squares a huge argument; [()] turns a 0-d result into a scalar
+        lower = taylor_bracket(beta, np.minimum(x, c_value), 2)
+        return np.where(x <= c_value, lower, upper_bracket(beta, np.maximum(x, c_value)))[()]
+    raise ValueError(f"bracket kind must be 'exact' or 'two_piece', got {kind!r}")
 
 
 def _bracket_gap(beta: float, c: float) -> float:
@@ -197,7 +225,9 @@ def _bracket_gap(beta: float, c: float) -> float:
     return taylor_bracket(beta, c, 2) - upper_bracket(beta, c)
 
 
-@lru_cache(maxsize=None)
+# bounded: a long-lived process that sweeps fresh betas would otherwise grow
+# the cache without limit
+@lru_cache(maxsize=256)
 def solve_c(beta: float) -> IntersectionConstant:
     """Solve for the branch point where the two bracket pieces cross.
 
@@ -224,25 +254,23 @@ def _require_mode(q: MgfQuery, mode: MgfMode, op: str) -> None:
         raise ValueError(f"{op} requires a query with mode={mode.value}, got {q.mode.value}")
 
 
-def mgf_exact(q: MgfQuery, p: NetworkParams, policy: FnEvalPolicy = DEFAULT_POLICY) -> float:
+def mgf_exact(q: MgfQuery, p: NetworkParams) -> float | np.ndarray:
     """Exact interference MGF, exponent bracket 1 - 1F1(-2/beta, 1-2/beta, -x)."""
     _require_mode(q, MgfMode.EXACT, "mgf_exact")
-    x = q.scaled_arg(p)
-    bracket = 1.0 - kummer_1f1_neg(p.delta, x, policy)
-    return math.exp(exponent_prefactor(p, q.l0) * bracket)
+    return np.exp(exponent_prefactor(p, q.l0) * bracket(p.beta, q.scaled_arg(p), "exact"))
 
 
 def mgf_approx(
     q: MgfQuery,
     p: NetworkParams,
     c: IntersectionConstant | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Two-piece closed-form MGF approximation joined at the branch point."""
     _require_mode(q, MgfMode.APPROX_TWO_TERM, "mgf_approx")
     if c is None:
         c = solve_c(p.beta)
-    x = q.scaled_arg(p)
-    return math.exp(exponent_prefactor(p, q.l0) * two_piece_bracket(p.beta, x, c.c_exact))
+    b = bracket(p.beta, q.scaled_arg(p), "two_piece", c.c_exact)
+    return np.exp(exponent_prefactor(p, q.l0) * b)
 
 
 def mgf_taylor_full(
@@ -279,17 +307,17 @@ def mgf_taylor_full(
                 f"(noise ~{peak * _EPS:.1e} > {policy.abs_tol:g})"
             )
 
-    bracket = taylor_bracket(p.beta, x, n_terms)
+    series = taylor_bracket(p.beta, x, n_terms)
     if x > c.c_exact:
         # alternating series: the magnitude of the last retained term bounds
         # the truncation error once terms decay
         last = 2.0 * x**n_terms / (math.factorial(n_terms) * (n_terms * p.beta - 2.0))
-        if last > policy.abs_tol * max(1.0, abs(bracket)):
+        if last > policy.abs_tol * max(1.0, abs(series)):
             raise NonConvergenceError(
                 f"series branch forced beyond the branch point c={c.c_exact:.6f} with "
                 f"unconverged truncation (x={x:.4g}, last-term bound {last:.2e})"
             )
-    return math.exp(exponent_prefactor(p, q.l0) * bracket)
+    return np.exp(exponent_prefactor(p, q.l0) * series)
 
 
 def mgf_thinned(
@@ -298,8 +326,7 @@ def mgf_thinned(
     p_active: float | None = None,
     c: IntersectionConstant | None = None,
     base_mode: MgfMode = MgfMode.APPROX_TWO_TERM,
-    policy: FnEvalPolicy = DEFAULT_POLICY,
-) -> float:
+) -> float | np.ndarray:
     """Idle-mode-thinned MGF: interferer density scaled by p_active.
 
     Thinning only rescales the exponent prefactor (lambda_bs -> lambda_bs *
@@ -315,16 +342,15 @@ def mgf_thinned(
         raise ValueError(f"query carries p_active={q.p_active} but {p_active} was requested")
     if not 0.0 < p_active <= 1.0:
         raise ValueError(f"p_active must lie in (0, 1], got {p_active}")
-    x = q.scaled_arg(p)
     if base_mode is MgfMode.EXACT:
-        bracket = 1.0 - kummer_1f1_neg(p.delta, x, policy)
+        b = bracket(p.beta, q.scaled_arg(p), "exact")
     elif base_mode is MgfMode.APPROX_TWO_TERM:
         if c is None:
             c = solve_c(p.beta)
-        bracket = two_piece_bracket(p.beta, x, c.c_exact)
+        b = bracket(p.beta, q.scaled_arg(p), "two_piece", c.c_exact)
     else:
         raise ValueError(f"base_mode must be EXACT or APPROX_TWO_TERM, got {base_mode.value}")
-    return math.exp(p_active * exponent_prefactor(p, q.l0) * bracket)
+    return np.exp(p_active * exponent_prefactor(p, q.l0) * b)
 
 
 def _marked_inner(y: float, delta: float) -> float:

@@ -1,4 +1,10 @@
-"""Special-function kernel for the coverage/rate analytics.
+"""Scalar special-function kernels.
+
+The analytics evaluate the Kummer function through the array bracket in
+ppcell.mgf (scipy.special's incomplete gamma). The scalar Kummer, incomplete
+gamma and raw-series routines here are kept as the independent reference
+the tests hold that bracket against; gamma_fn and gauss_2f1 also serve the
+closed-form rate.
 
 Scalar float64 routines only. The interference MGF needs the Kummer
 confluent hypergeometric function 1F1(-d, 1-d, -x) with d = 2/beta in (0,1),

@@ -7,9 +7,11 @@ against the closed forms it is supposed to integrate.
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ppcell import analytics
 from ppcell.analytics import (
     CoverageCurve,
     PathLossPdf,
@@ -30,7 +32,8 @@ from ppcell.analytics import (
     rate_quadrature,
     table1_audit,
 )
-from ppcell.mgf import NetworkParams
+from ppcell.mgf import NetworkParams, solve_c, taylor_bracket, upper_bracket
+from ppcell.specfun import NonConvergenceError, gamma_fn, kummer_1f1_neg
 
 PA_RATIO_1 = 0.585051349019134  # active probability at lambda_ue = lambda_bs
 
@@ -133,7 +136,8 @@ class TestRateQuadrature:
         for beta, want in ((3.0, 0.829489013005295), (4.0, 1.39142060867317), (5.0, 1.91684777490024)):
             r = rate_quadrature(beta)
             assert r.method is RateMethod.QUADRATURE
-            assert r.stderr == 0.0
+            # the achieved error bound rides in the shared error field
+            assert 0.0 < r.stderr <= 1e-8
             assert math.isclose(r.value, want, abs_tol=5e-9), beta
 
     def test_fully_loaded_approx_references(self):
@@ -156,6 +160,70 @@ class TestRateQuadrature:
             rate_quadrature(4.0, 5e-7)
         with pytest.raises(ValueError):
             rate_quadrature(4.0, 1.1)
+
+
+def adaptive_rate(beta, p_active, pcov_kind):
+    """Reference peak rate: scipy's adaptive quad over the scalar kernels.
+
+    Integrates up to the same tail cutoff W the rule uses for one p_active,
+    linearly on [0, c] and in log w on [c, W].
+    """
+    d = 2.0 / beta
+    c = solve_c(beta).c_exact
+
+    def bracket(w):
+        if pcov_kind is PcovKind.EXACT:
+            return 1.0 - kummer_1f1_neg(d, w)
+        return taylor_bracket(beta, w, 2) if w <= c else upper_bracket(beta, w)
+
+    def integrand(w):
+        return 1.0 / ((1.0 - p_active * bracket(w)) * (1.0 + w))
+
+    w_max = (1.0 / (1e-10 * p_active * gamma_fn(1.0 - d) * d)) ** (1.0 / d)
+    low, _ = quad(integrand, 0.0, c, epsabs=1e-14, epsrel=1e-13, limit=400)
+    high, _ = quad(
+        lambda v: integrand(math.exp(v)) * math.exp(v),
+        math.log(c), math.log(w_max), epsabs=1e-13, epsrel=1e-13, limit=800,
+    )
+    return low + high
+
+
+class TestRateRule:
+    BETAS = (2.01, 2.05, 2.1, 2.5, 3.0, 4.0, 4.3508, 5.0)
+    P_ACTIVE = (1.0, 0.5, 0.05, 1e-3, 1e-6)
+
+    def test_matches_adaptive_quadrature(self):
+        # includes beta=2.05, where the pole of the coverage at
+        # w ~ -(beta-2)/2 defeats a few linear panels on [0, c]
+        for beta in self.BETAS:
+            for kind in PcovKind:
+                for pa in self.P_ACTIVE:
+                    got = rate_quadrature(beta, pa, kind)
+                    want = adaptive_rate(beta, pa, kind)
+                    assert abs(got.value - want) <= 1e-10, (beta, kind, pa)
+                    assert 0.0 < got.stderr <= 1e-8, (beta, kind, pa)
+
+    def test_vector_p_active_one_result_each(self):
+        # one node set sized for the smallest p_active serves every entry;
+        # each value stays within the error bounds of its scalar twin
+        for kind in PcovKind:
+            results = rate_quadrature(3.0, list(self.P_ACTIVE), kind)
+            assert len(results) == len(self.P_ACTIVE)
+            for pa, r in zip(self.P_ACTIVE, results):
+                single = rate_quadrature(3.0, pa, kind)
+                assert r.method is RateMethod.QUADRATURE
+                assert abs(r.value - single.value) <= r.stderr + single.stderr, (kind, pa)
+        with pytest.raises(ValueError):
+            rate_quadrature(3.0, np.array([0.5, 0.0]))
+
+    def test_error_limit_still_enforced(self, monkeypatch):
+        # the reported bound never drops below the tail budget, so a limit
+        # beneath it must trip
+        monkeypatch.setattr(analytics, "_QUAD_ERR_LIMIT", 1e-11)
+        with pytest.raises(NonConvergenceError):
+            rate_quadrature(4.0)
+        with pytest.raises(NonConvergenceError):
+            rate_quadrature(4.0, [0.2, 0.9], PcovKind.APPROX)
 
 
 class TestRateClosedGeneral:

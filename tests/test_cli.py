@@ -11,6 +11,7 @@ import textwrap
 
 import pytest
 
+from ppcell.analytics import rate_actual
 from ppcell.cli import ConfigError, main, parse_config
 
 
@@ -203,6 +204,26 @@ class TestLoadCurvesCommand:
         assert float(rows[1][4]) == pytest.approx(1.08997304082152, rel=1e-10)
         assert float(rows[1][5]) == pytest.approx(1.09300799421746, rel=1e-10)
         assert rows[1][6] == "Quadrature"
+
+    def test_actual_rate_is_peak_times_selection(self, tmp_path, capsys):
+        grid = "[grid]\nbetas = 3.0 4.5\nratios = 0.5 2.0\n"
+        peak_cfg = write_cfg(tmp_path, grid, "peak.ini")
+        actual_cfg = write_cfg(tmp_path, "[experiment]\nkind = ActualRateVsRatio\n" + grid, "actual.ini")
+        assert main(["load-curves", "--config", peak_cfg]) == 0
+        peak = read_rows(capsys)[1:]
+        assert main(["load-curves", "--config", actual_cfg]) == 0
+        actual = read_rows(capsys)[1:]
+        assert len(peak) == len(actual) == 4
+        for p_row, a_row in zip(peak, actual):
+            assert p_row[:4] == a_row[:4]
+            share = float(p_row[3])
+            assert float(a_row[4]) == float(p_row[4]) * share
+            assert float(a_row[5]) == float(p_row[5]) * share
+            # same route as the library call, within its error bound
+            beta, ratio = float(a_row[0]), float(a_row[1])
+            lib = rate_actual(beta, ratio * 1.27e-6, 1.27e-6)
+            assert abs(float(a_row[5]) - lib.value) <= 2.0 * lib.stderr
+            assert a_row[6] == p_row[6] == lib.method.value
 
     def test_coverage_partial_load_kind(self, tmp_path, capsys):
         path = write_cfg(

@@ -7,6 +7,8 @@ double-quadrature marked MGF).
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from ppcell.mgf import (
@@ -14,6 +16,7 @@ from ppcell.mgf import (
     MgfMode,
     MgfQuery,
     NetworkParams,
+    bracket,
     exponent_prefactor,
     mgf_approx,
     mgf_exact,
@@ -23,10 +26,9 @@ from ppcell.mgf import (
     mgf_thinned,
     solve_c,
     taylor_bracket,
-    two_piece_bracket,
     upper_bracket,
 )
-from ppcell.specfun import NonConvergenceError
+from ppcell.specfun import NonConvergenceError, kummer_1f1_neg
 
 # unit exponent prefactor: pi * lambda * (l0/kappa)^delta = 1 at l0 = 1
 UNIT = {b: NetworkParams(lambda_bs=1.0 / math.pi, beta=b) for b in (3.0, 4.0, 5.0)}
@@ -137,14 +139,48 @@ class TestBrackets:
     def test_two_piece_selects_branch(self):
         beta = 4.0
         c = solve_c(beta).c_exact
-        assert two_piece_bracket(beta, c - 0.01, c) == taylor_bracket(beta, c - 0.01, 2)
-        assert two_piece_bracket(beta, c + 0.01, c) == upper_bracket(beta, c + 0.01)
+        assert bracket(beta, c - 0.01, "two_piece", c) == taylor_bracket(beta, c - 0.01, 2)
+        assert bracket(beta, c + 0.01, "two_piece", c) == upper_bracket(beta, c + 0.01)
 
     def test_taylor_two_terms_closed_form(self):
         # n=2: -2x/(beta-2) + x^2/(2 beta - 2)
         beta, x = 4.0, 0.7
         want = -2.0 * x / (beta - 2.0) + x * x / (2.0 * beta - 2.0)
         assert math.isclose(taylor_bracket(beta, x, 2), want, rel_tol=1e-15)
+
+    def test_exact_kind_against_mpmath_and_scalar_kernel(self):
+        # 1 - B(x) is the Kummer function 1F1(-d, 1-d, -x); mpmath at 30
+        # digits is the oracle, the scalar series/continued-fraction kernel
+        # the in-repo reference
+        mpmath.mp.dps = 30
+        xs = np.concatenate(([0.0], np.logspace(-8.0, 6.0, 57)))
+        for delta in np.linspace(0.4, 0.995, 12):
+            beta = 2.0 / delta
+            d = 2.0 / beta
+            kummer = 1.0 - bracket(beta, xs, "exact")
+            for x, got in zip(xs.tolist(), kummer.tolist()):
+                want = float(mpmath.hyp1f1(-mpmath.mpf(d), 1 - mpmath.mpf(d), -mpmath.mpf(x)))
+                assert math.isclose(got, want, rel_tol=1e-12), (delta, x)
+                assert math.isclose(got, kummer_1f1_neg(d, x), rel_tol=1e-12), (delta, x)
+
+    def test_two_piece_kind_elementwise(self):
+        beta = 3.0
+        c = solve_c(beta).c_exact
+        xs = np.array([0.0, 0.5, c, c + 1e-9, 3.0, 1e200])
+        got = bracket(beta, xs, "two_piece")
+        for x, b in zip(xs.tolist(), got.tolist()):
+            want = taylor_bracket(beta, x, 2) if x <= c else upper_bracket(beta, x)
+            assert math.isclose(b, want, rel_tol=1e-15), x
+
+    def test_shape_and_domain(self):
+        assert bracket(4.0, np.zeros((2, 3))).shape == (2, 3)
+        assert np.ndim(bracket(4.0, 1.0, "two_piece")) == 0
+        with pytest.raises(ValueError):
+            bracket(4.0, [1.0, -1e-3])
+        with pytest.raises(ValueError):
+            bracket(4.0, 1.0, "taylor")
+        with pytest.raises(ValueError):
+            bracket(2.0, 1.0)
 
 
 class TestMgfValues:
@@ -166,6 +202,17 @@ class TestMgfValues:
     def test_decreasing_in_s(self):
         vals = [mgf_exact(q_exact(x), UNIT[4.0]) for x in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_array_query_matches_pointwise(self):
+        p = UNIT[4.0]
+        xs = [0.0, 0.5, 1.0, 10.0]
+        exact = mgf_exact(MgfQuery(s=np.array(xs), l0=1.0), p)
+        approx = mgf_approx(MgfQuery(s=np.array(xs), l0=1.0, mode=MgfMode.APPROX_TWO_TERM), p)
+        for x, e, a in zip(xs, exact, approx):
+            assert math.isclose(e, mgf_exact(q_exact(x), p), rel_tol=1e-15)
+            assert math.isclose(a, mgf_approx(q_approx(x), p), rel_tol=1e-15)
+        with pytest.raises(ValueError):
+            MgfQuery(s=np.array([1.0, -1.0]), l0=1.0)
 
     def test_density_scaling(self):
         # log MGF is linear in lambda_bs
