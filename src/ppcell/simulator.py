@@ -12,13 +12,22 @@ fading, so results are bitwise identical for any jobs count and any subset
 of realizations. Draw order within a lane is fixed: geometry draws BS radii,
 BS angles, user count, user radii, user angles; fading draws the serving
 gain first, then interferer marks when enabled.
+
+A Deployment keeps those polar draws. Station j lies at distance
+window_radius * sqrt(bs_u[j]) from the origin, so the SIR takes its squared
+distances straight from window_radius**2 * bs_u and a fully loaded drop
+never evaluates a sine or cosine; Cartesian positions are built on first
+use, for user attachment. The draw order is the one above, so every random
+number matches earlier commits; SIR values may differ from theirs in the
+last bits, because R**2 * u replaces x**2 + y**2.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -68,13 +77,27 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class Deployment:
-    """One sampled network: positions in the plane, origin = tagged user."""
+    """One sampled network as polar draws, origin = tagged user.
 
-    bs_positions: np.ndarray
-    ue_positions: np.ndarray
+    Base station j sits at radius window_radius * sqrt(bs_u[j]) and angle
+    bs_theta[j]; users likewise with ue_u and ue_theta.
+    """
+
+    bs_u: np.ndarray
+    bs_theta: np.ndarray
+    ue_u: np.ndarray
+    ue_theta: np.ndarray
     active_mask: np.ndarray
     serving_index: int
     window_radius: float
+
+    @cached_property
+    def bs_positions(self) -> np.ndarray:
+        return _cartesian(self.bs_u, self.bs_theta, self.window_radius)
+
+    @cached_property
+    def ue_positions(self) -> np.ndarray:
+        return _cartesian(self.ue_u, self.ue_theta, self.window_radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +132,8 @@ def _lane_rng(seed: int, rid: int, lane: int) -> np.random.Generator:
     return np.random.default_rng([seed, rid, lane])
 
 
-def _uniform_disc(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
+def _cartesian(u: np.ndarray, theta: np.ndarray, radius: float) -> np.ndarray:
+    r = radius * np.sqrt(u)
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
@@ -119,25 +141,28 @@ def sample_deployment(p: NetworkParams, cfg: SimConfig, rid: int) -> Deployment:
     """Draw geometry for realization rid (lane 0 of the seed tree)."""
     rng = _lane_rng(cfg.seed, rid, 0)
     radius = math.sqrt(cfg.n_bs_target / (math.pi * p.lambda_bs))
-    bs = _uniform_disc(rng, cfg.n_bs_target, radius)
+    bs_u = rng.random(cfg.n_bs_target)
+    bs_theta = 2.0 * math.pi * rng.random(cfg.n_bs_target)
     if p.lambda_ue > 0.0:
         n_ue = int(rng.poisson(p.lambda_ue * math.pi * radius * radius))
     else:
         n_ue = 0
-    ue = _uniform_disc(rng, n_ue, radius)
-    serving = int(np.argmin(np.einsum("ij,ij->i", bs, bs)))
+    ue_u = rng.random(n_ue)
+    ue_theta = 2.0 * math.pi * rng.random(n_ue)
     return Deployment(
-        bs_positions=bs,
-        ue_positions=ue,
+        bs_u=bs_u,
+        bs_theta=bs_theta,
+        ue_u=ue_u,
+        ue_theta=ue_theta,
         active_mask=np.ones(cfg.n_bs_target, dtype=bool),
-        serving_index=serving,
+        serving_index=int(np.argmin(bs_u)),
         window_radius=radius,
     )
 
 
 def _ue_assignments(d: Deployment) -> np.ndarray:
     """Nearest-BS index for every sampled user (empty array when no users)."""
-    if d.ue_positions.shape[0] == 0:
+    if d.ue_u.size == 0:
         return np.zeros(0, dtype=np.int64)
     _, idx = cKDTree(d.bs_positions).query(d.ue_positions)
     return np.asarray(idx, dtype=np.int64)
@@ -147,16 +172,10 @@ def apply_idle_mode(d: Deployment, assignments: np.ndarray | None = None) -> Dep
     """Switch off base stations with no attached user; the serving one stays on."""
     if assignments is None:
         assignments = _ue_assignments(d)
-    mask = np.zeros(d.bs_positions.shape[0], dtype=bool)
+    mask = np.zeros(d.bs_u.size, dtype=bool)
     mask[assignments] = True
     mask[d.serving_index] = True
-    return Deployment(
-        bs_positions=d.bs_positions,
-        ue_positions=d.ue_positions,
-        active_mask=mask,
-        serving_index=d.serving_index,
-        window_radius=d.window_radius,
-    )
+    return replace(d, active_mask=mask)
 
 
 def sample_sir(d: Deployment, p: NetworkParams, cfg: SimConfig, rng: np.random.Generator) -> float:
@@ -165,7 +184,7 @@ def sample_sir(d: Deployment, p: NetworkParams, cfg: SimConfig, rng: np.random.G
     Returns inf when nothing interferes and there is no noise; callers count
     that as covered and keep it out of rate averages.
     """
-    sq = np.einsum("ij,ij->i", d.bs_positions, d.bs_positions)
+    sq = d.window_radius**2 * d.bs_u
     loss = p.kappa * sq ** (p.beta / 2.0)
     signal_gain = float(rng.exponential()) if cfg.rayleigh_on_serving else 1.0
     signal = p.p_tx * signal_gain / loss[d.serving_index]
@@ -261,7 +280,10 @@ def estimate_coverage(
     """
     grid = np.asarray(gamma_grid, dtype=np.float64)
     n = samples.sir_values.size
-    pcov = np.array([np.count_nonzero(samples.sir_values > g) / n for g in grid])
+    # count of draws > g = n - (count <= g); exact integers, so bitwise the
+    # same as counting per threshold
+    n_above = n - np.searchsorted(np.sort(samples.sir_values), grid, side="right")
+    pcov = n_above / n
     stderr = np.sqrt(pcov * (1.0 - pcov) / n)
     return pcov, stderr
 
@@ -306,7 +328,7 @@ def inactive_fraction_interior(d: Deployment, p: NetworkParams, margin_factor: f
     effect. Returns nan when the margin leaves no base stations.
     """
     margin = margin_factor / math.sqrt(p.lambda_bs)
-    dist = np.sqrt(np.einsum("ij,ij->i", d.bs_positions, d.bs_positions))
+    dist = d.window_radius * np.sqrt(d.bs_u)
     interior = dist <= d.window_radius - margin
     if not np.any(interior):
         return math.nan

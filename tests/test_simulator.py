@@ -79,6 +79,101 @@ class TestDeployment:
         assert not np.array_equal(a.bs_positions, b.bs_positions)
 
 
+def cartesian_reference(p: NetworkParams, cfg: SimConfig, rid: int, idle: bool) -> dict:
+    """One realization the Cartesian way: positions, norms, brute-force attachment.
+
+    Redraws lane 0 in the documented order (BS radii, BS angles, user count,
+    user radii, user angles) and computes the SIR from x**2 + y**2.
+    """
+    rng = np.random.default_rng([cfg.seed, rid, 0])
+    radius = math.sqrt(cfg.n_bs_target / (math.pi * p.lambda_bs))
+
+    def disc(n: int) -> np.ndarray:
+        r = radius * np.sqrt(rng.random(n))
+        theta = 2.0 * math.pi * rng.random(n)
+        return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+
+    bs = disc(cfg.n_bs_target)
+    n_ue = int(rng.poisson(p.lambda_ue * math.pi * radius * radius)) if p.lambda_ue > 0.0 else 0
+    ue = disc(n_ue)
+    sq = np.einsum("ij,ij->i", bs, bs)
+    serving = int(np.argmin(sq))
+    diff = ue[:, None, :] - bs[None, :, :]
+    nearest = np.argmin(np.einsum("ubk,ubk->ub", diff, diff), axis=1)
+    mask = np.ones(cfg.n_bs_target, dtype=bool)
+    if idle:
+        mask[:] = False
+        mask[nearest] = True
+        mask[serving] = True
+    fading = np.random.default_rng([cfg.seed, rid, 1])
+    loss = p.kappa * sq ** (p.beta / 2.0)
+    gain = float(fading.exponential()) if cfg.rayleigh_on_serving else 1.0
+    interferer = mask.copy()
+    interferer[serving] = False
+    loss_i = loss[interferer]
+    marks = fading.exponential(size=loss_i.size) if cfg.fading_on_interferers and loss_i.size else 1.0
+    denom = float(np.sum(p.p_tx * marks / loss_i)) + p.sigma_n2
+    return {
+        "bs": bs,
+        "ue": ue,
+        "serving": serving,
+        "n_users": int(np.count_nonzero(nearest == serving)) + 1,
+        "n_active": int(np.count_nonzero(mask)),
+        "sir": math.inf if denom == 0.0 else p.p_tx * gain / loss[serving] / denom,
+        "dist": np.sqrt(sq),
+    }
+
+
+POLAR_CASES = [
+    (NetworkParams(lambda_bs=1.0, beta=3.0), False, False),
+    (NetworkParams(lambda_bs=1.0, beta=4.0), False, True),
+    # noise breaks the SIR's invariance to a common distance scale
+    (NetworkParams(lambda_bs=0.5, beta=3.0, sigma_n2=0.5), False, False),
+    (NetworkParams(lambda_bs=2.0, beta=3.5, lambda_ue=2.0), False, False),
+    (NetworkParams(lambda_bs=1.0, beta=4.0, lambda_ue=1.0), True, False),
+    (NetworkParams(lambda_bs=1.0, beta=3.0, lambda_ue=0.3), True, True),
+]
+
+
+class TestPolarDeployment:
+    """The radial shortcut against the Cartesian route it replaces."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    @pytest.mark.parametrize(("p", "idle", "marks"), POLAR_CASES)
+    def test_run_matches_cartesian_reference(self, p, idle, marks, seed):
+        cfg = SimConfig(n_bs_target=96, n_realizations=12, seed=seed, fading_on_interferers=marks)
+        s = run_simulation(p, cfg, idle_mode=idle)
+        ref = [cartesian_reference(p, cfg, rid, idle) for rid in range(cfg.n_realizations)]
+        assert np.array_equal(s.n_users_in_cell, [r["n_users"] for r in ref])
+        assert np.array_equal(s.n_active_bs, [r["n_active"] for r in ref])
+        want = np.array([r["sir"] for r in ref])
+        fin = np.isfinite(want)
+        assert np.array_equal(np.isfinite(s.sir_values), fin)
+        assert np.all(np.abs(s.sir_values[fin] - want[fin]) <= 1e-14 * want[fin])
+
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    @pytest.mark.parametrize(("p", "idle"), [case[:2] for case in POLAR_CASES])
+    def test_positions_are_the_cartesian_draws(self, p, idle, seed):
+        cfg = SimConfig(n_bs_target=96, n_realizations=1, seed=seed)
+        for rid in (0, 3):
+            d = sample_deployment(p, cfg, rid)
+            ref = cartesian_reference(p, cfg, rid, idle)
+            assert d.serving_index == ref["serving"]
+            if idle:
+                d = apply_idle_mode(d)
+                margin = 1.5 / math.sqrt(p.lambda_bs)
+                interior = ref["dist"] <= d.window_radius - margin
+                assert inactive_fraction_interior(d, p) == float(np.mean(~d.active_mask[interior]))
+            # bitwise the arrays the Cartesian sampler drew, built on first use
+            assert np.array_equal(d.bs_positions, ref["bs"])
+            assert np.array_equal(d.ue_positions, ref["ue"])
+
+    def test_positions_cached(self):
+        d = sample_deployment(P_LOADED, small_cfg(1), 4)
+        assert d.bs_positions is d.bs_positions
+        assert d.ue_positions is d.ue_positions
+
+
 class TestIdleMode:
     def test_mask_matches_brute_force(self):
         d = sample_deployment(P_LOADED, small_cfg(1), 7)
@@ -104,31 +199,34 @@ class TestIdleMode:
     def test_geometry_untouched(self):
         d = sample_deployment(P_LOADED, small_cfg(1), 1)
         masked = apply_idle_mode(d)
-        assert masked.bs_positions is d.bs_positions
+        for name in ("bs_u", "bs_theta", "ue_u", "ue_theta"):
+            assert getattr(masked, name) is getattr(d, name)
         assert masked.serving_index == d.serving_index
+        assert masked.window_radius == d.window_radius
+
+
+def two_station_deployment() -> Deployment:
+    # stations at (1, 0) and (3, 0) in a radius-5 window; only the first is on
+    return Deployment(
+        bs_u=np.array([(1.0 / 5.0) ** 2, (3.0 / 5.0) ** 2]),
+        bs_theta=np.zeros(2),
+        ue_u=np.zeros(0),
+        ue_theta=np.zeros(0),
+        active_mask=np.array([True, False]),
+        serving_index=0,
+        window_radius=5.0,
+    )
 
 
 class TestSampleSir:
     def test_no_interferers_and_no_noise_is_inf(self):
-        d = Deployment(
-            bs_positions=np.array([[1.0, 0.0], [3.0, 0.0]]),
-            ue_positions=np.zeros((0, 2)),
-            active_mask=np.array([True, False]),
-            serving_index=0,
-            window_radius=5.0,
-        )
+        d = two_station_deployment()
         cfg = SimConfig(n_bs_target=50, n_realizations=1, rayleigh_on_serving=False)
         sir = sample_sir(d, P_FULL, cfg, np.random.default_rng(0))
         assert math.isinf(sir)
 
     def test_noise_keeps_it_finite(self):
-        d = Deployment(
-            bs_positions=np.array([[1.0, 0.0], [3.0, 0.0]]),
-            ue_positions=np.zeros((0, 2)),
-            active_mask=np.array([True, False]),
-            serving_index=0,
-            window_radius=5.0,
-        )
+        d = two_station_deployment()
         cfg = SimConfig(n_bs_target=50, n_realizations=1, rayleigh_on_serving=False)
         noisy = NetworkParams(lambda_bs=1.0, beta=4.0, sigma_n2=0.5)
         assert sample_sir(d, noisy, cfg, np.random.default_rng(0)) == pytest.approx(2.0)
@@ -212,6 +310,34 @@ class TestEstimators:
         assert pcov[0] == pytest.approx(50 / 150)
         assert pcov[1] == pytest.approx(1.0)
         assert stderr[1] == 0.0
+
+    def test_coverage_threshold_is_strict(self):
+        s = SirSampleSet(
+            sir_values=np.array([2.0, 1.0, np.inf, 2.0]),
+            n_users_in_cell=np.ones(4, dtype=np.int64),
+            n_active_bs=np.ones(4, dtype=np.int64),
+            realization_ids=np.arange(4),
+        )
+        pcov, _ = estimate_coverage(s, [1.0, 2.0, np.inf, 0.0])
+        assert np.array_equal(pcov, [0.75, 0.25, 0.0, 1.0])
+
+    def test_coverage_matches_per_threshold_count(self):
+        rng = np.random.default_rng(11)
+        sir = np.concatenate([rng.exponential(size=300), np.full(9, np.inf), [0.5, 0.5, 2.0]])
+        rng.shuffle(sir)
+        s = SirSampleSet(
+            sir_values=sir,
+            n_users_in_cell=np.ones(sir.size, dtype=np.int64),
+            n_active_bs=np.ones(sir.size, dtype=np.int64),
+            realization_ids=np.arange(sir.size),
+        )
+        # thresholds equal to draws, zero, inf, and fresh values, unsorted
+        grid = np.concatenate([[0.5, 0.0, 2.0, np.inf], sir[:25], rng.exponential(size=25)])
+        pcov, stderr = estimate_coverage(s, grid)
+        n = sir.size
+        want = np.array([np.count_nonzero(sir > g) / n for g in grid])
+        assert np.array_equal(pcov, want)
+        assert np.array_equal(stderr, np.sqrt(want * (1.0 - want) / n))
 
     def test_rates_exclude_inf(self):
         peak, actual = estimate_rates(self.mixed_samples())

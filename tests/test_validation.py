@@ -1,0 +1,43 @@
+"""Vectorized validation checks against the scalar scans they replaced.
+
+Each reference walks its grid one point at a time and keeps the first
+strict maximum; the array check must print the same message byte for byte.
+"""
+
+import math
+
+import numpy as np
+
+from ppcell.analytics import pcov_approx_full, pcov_exact_full
+from ppcell.mgf import MgfMode, MgfQuery, NetworkParams, mgf_approx, mgf_exact, solve_c
+from ppcell.validation import _BETA_GRID, check_coverage_overlap, check_mgf_tightness
+
+
+def test_mgf_tightness_matches_scalar_scan():
+    worst, worst_at = 0.0, (0.0, 0.0)
+    for beta in _BETA_GRID:
+        p = NetworkParams(lambda_bs=1.0 / math.pi, beta=beta)
+        c = solve_c(beta)
+        for x in np.concatenate((np.linspace(0.0, 20.0, 401), [c.c_exact])):
+            x = float(x)
+            me = mgf_exact(MgfQuery(s=x, l0=1.0), p)
+            ma = mgf_approx(MgfQuery(s=x, l0=1.0, mode=MgfMode.APPROX_TWO_TERM), p, c)
+            rel = abs(ma - me) / me
+            if rel > worst:
+                worst, worst_at = rel, (beta, x)
+    want = f"max relative MGF error {worst:.3e} at beta={worst_at[0]:g}, x={worst_at[1]:.4f} (gate 0.02)"
+    passed, msg = check_mgf_tightness()
+    assert not passed
+    assert msg.startswith(want + ";"), msg
+
+
+def test_coverage_overlap_matches_scalar_scan():
+    worst, worst_at = 0.0, (0.0, 0.0)
+    for beta in _BETA_GRID:
+        for gdb in np.linspace(-10.0, 30.0, 41):
+            g = 10.0 ** (float(gdb) / 10.0)
+            diff = abs(pcov_approx_full(g, beta) - pcov_exact_full(g, beta))
+            if diff > worst:
+                worst, worst_at = diff, (beta, float(gdb))
+    want = f"max |pcov_approx - pcov_exact| = {worst:.4f} at beta={worst_at[0]:g}, gamma={worst_at[1]:g} dB (gate 0.02)"
+    assert check_coverage_overlap() == (True, want)
