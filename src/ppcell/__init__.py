@@ -6,35 +6,20 @@ and ergodic rate (fully loaded and idle-mode-thinned), and ships a Monte
 Carlo simulator that every analytical expression is validated against.
 
 All internal quantities are linear (no dB) and rates are in nats/s/Hz.
+The MGF function itself is ppcell.mgf.mgf; it is not re-exported here,
+where its name would shadow the ppcell.mgf module.
 """
 
-from .specfun import (
-    DEFAULT_POLICY,
-    FnEvalPolicy,
-    NonConvergenceError,
-    gamma_fn,
-    gauss_2f1,
-    kummer_1f1_neg,
-    kummer_1f1_neg_series,
-    lower_inc_gamma,
-)
 from .mgf import (
     IntersectionConstant,
-    MgfMode,
-    MgfQuery,
     NetworkParams,
-    mgf_approx,
-    mgf_exact,
-    mgf_fixed_mark,
-    mgf_rayleigh_marked,
+    NonConvergenceError,
     mgf_taylor_full,
-    mgf_thinned,
     solve_c,
 )
 from .analytics import (
     CoverageCurve,
     LoadModel,
-    PathLossPdf,
     PcovKind,
     RateMethod,
     RateResult,
@@ -43,10 +28,8 @@ from .analytics import (
     load_model,
     pathloss_cdf,
     pathloss_pdf,
-    pcov_approx_full,
-    pcov_exact_full,
+    pcov,
     pcov_general,
-    pcov_partial_load,
     rate_actual,
     rate_closed_general,
     rate_peak_partial_load,

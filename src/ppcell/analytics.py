@@ -4,9 +4,11 @@ Interference-limited coverage has the uniform shape
 
     Pcov(gamma) = 1 / (1 - B(gamma) * p_active),
 
-where B is the MGF exponent bracket (exact Kummer form or the two-piece
-approximation) and p_active is the idle-mode thinning factor (1 = fully
-loaded). Ergodic peak rate is int_0^inf Pcov(w)/(1+w) dw, evaluated by a
+where B is the MGF exponent bracket of ppcell.mgf (exact Kummer form or the
+two-piece approximation) and p_active is the idle-mode thinning factor
+(1 = fully loaded); pcov() is that formula. pcov_general() integrates the
+MGF over the serving path-loss density instead, which also covers noise.
+Ergodic peak rate is int_0^inf Pcov(w)/(1+w) dw, evaluated by a
 fixed Gauss-Legendre rule in log w (the authority) and by closed forms: a
 general-beta expression for the fully loaded case and tabulated expressions
 for beta = 3, 4 under partial load. The tabulated forms are audited against
@@ -25,22 +27,21 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from .mgf import (
-    IntersectionConstant,
-    MgfMode,
-    MgfQuery,
     NetworkParams,
+    NonConvergenceError,
+    _check_beta,
+    _check_p_active,
     bracket,
-    mgf_thinned,
+    exponent_prefactor,
     solve_c,
 )
-from .specfun import NonConvergenceError, gamma_fn, gauss_2f1
 
 __all__ = [
     "CoverageCurve",
     "LoadModel",
-    "PathLossPdf",
     "PcovKind",
     "RateMethod",
     "RateResult",
@@ -49,10 +50,8 @@ __all__ = [
     "load_model",
     "pathloss_cdf",
     "pathloss_pdf",
-    "pcov_approx_full",
-    "pcov_exact_full",
+    "pcov",
     "pcov_general",
-    "pcov_partial_load",
     "rate_actual",
     "rate_closed_general",
     "rate_peak_partial_load",
@@ -164,99 +163,32 @@ class CoverageCurve:
                     raise ValueError(f"{name} is not nonincreasing along the grid")
 
 
-@dataclass(frozen=True)
-class PathLossPdf:
-    """Distribution of the serving-link (nearest-BS) path loss."""
-
-    lambda_bs: float
-    beta: float
-    kappa: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.lambda_bs > 0.0:
-            raise ValueError(f"lambda_bs must be positive, got {self.lambda_bs}")
-        if not 2.0 < self.beta <= 5.0:
-            raise ValueError(f"beta must lie in (2, 5], got {self.beta}")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-
-    @classmethod
-    def from_params(cls, p: NetworkParams) -> "PathLossPdf":
-        return cls(lambda_bs=p.lambda_bs, beta=p.beta, kappa=p.kappa)
-
-    def pdf(self, y: float) -> float:
-        if not y > 0.0:
-            raise ValueError(f"path loss must be positive, got {y}")
-        d = 2.0 / self.beta
-        scale = math.pi * self.lambda_bs * (y / self.kappa) ** d
-        return (2.0 * math.pi * self.lambda_bs / self.beta) * (1.0 / self.kappa) ** d * y ** (d - 1.0) * math.exp(-scale)
-
-    def cdf(self, y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        d = 2.0 / self.beta
-        return 1.0 - math.exp(-math.pi * self.lambda_bs * (y / self.kappa) ** d)
+def pathloss_pdf(y, p: NetworkParams) -> float | np.ndarray:
+    """Density of the nearest-BS path loss at every y > 0 of an array (or a scalar)."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(y > 0.0):
+        raise ValueError(f"path loss must be positive, got {y}")
+    d = p.delta
+    scale = math.pi * p.lambda_bs * (y / p.kappa) ** d
+    return (2.0 * math.pi * p.lambda_bs / p.beta) * (1.0 / p.kappa) ** d * y ** (d - 1.0) * np.exp(-scale)
 
 
-def pathloss_pdf(y: float, p: NetworkParams) -> float:
-    """Density of the nearest-BS path loss at y."""
-    return PathLossPdf.from_params(p).pdf(y)
+def pathloss_cdf(y, p: NetworkParams) -> float | np.ndarray:
+    """Distribution function of the nearest-BS path loss; 0 for y <= 0."""
+    y = np.maximum(np.asarray(y, dtype=float), 0.0)
+    return 1.0 - np.exp(-math.pi * p.lambda_bs * (y / p.kappa) ** p.delta)
 
 
-def pathloss_cdf(y: float, p: NetworkParams) -> float:
-    return PathLossPdf.from_params(p).cdf(y)
+def pcov(gamma, beta: float, kind: str = "exact", p_active: float = 1.0) -> float | np.ndarray:
+    """Interference-limited coverage 1/(1 - p_active * B(gamma)) at every threshold.
 
-
-def _check_beta(beta: float) -> None:
-    if not 2.0 < beta <= 5.0:
-        raise ValueError(f"beta must lie in (2, 5], got {beta}")
-
-
-def _check_gamma(gamma) -> None:
-    if np.any(np.asarray(gamma) < 0.0):
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-
-
-def pcov_exact_full(gamma, beta: float) -> float | np.ndarray:
-    """Fully loaded interference-limited coverage, exact Kummer form.
-
-    Independent of density, transmit power, and path-loss prefactor; those
-    all cancel between signal and interference. gamma may be an array.
+    kind is the bracket kind ("exact" or "two_piece"); p_active thins the
+    interferers (1 = fully loaded). Independent of density, transmit power
+    and path-loss prefactor; those all cancel between signal and
+    interference. gamma may be an array; bracket() rejects negative ones.
     """
-    _check_beta(beta)
-    _check_gamma(gamma)
-    return 1.0 / (1.0 - bracket(beta, gamma, "exact"))
-
-
-def pcov_approx_full(gamma, beta: float, c: IntersectionConstant | None = None) -> float | np.ndarray:
-    """Fully loaded coverage through the two-piece bracket approximation."""
-    _check_beta(beta)
-    _check_gamma(gamma)
-    if c is None:
-        c = solve_c(beta)
-    return 1.0 / (1.0 - bracket(beta, gamma, "two_piece", c.c_exact))
-
-
-def pcov_partial_load(
-    gamma,
-    beta: float,
-    p_active: float,
-    c: IntersectionConstant | None = None,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Idle-mode coverage (exact, approx) with interferers thinned by p_active.
-
-    gamma may be an array of thresholds; both coverages then come back as
-    arrays of its shape.
-    """
-    _check_beta(beta)
-    _check_gamma(gamma)
-    if not 0.0 < p_active <= 1.0:
-        raise ValueError(f"p_active must lie in (0, 1], got {p_active}")
-    if c is None:
-        c = solve_c(beta)
-    exact = 1.0 / (1.0 - bracket(beta, gamma, "exact") * p_active)
-    approx = 1.0 / (1.0 - bracket(beta, gamma, "two_piece", c.c_exact) * p_active)
-    return exact, approx
+    _check_p_active(p_active)
+    return 1.0 / (1.0 - bracket(beta, gamma, kind) * p_active)
 
 
 def pcov_general(gamma: float, p: NetworkParams, p_active: float = 1.0) -> float:
@@ -266,24 +198,19 @@ def pcov_general(gamma: float, p: NetworkParams, p_active: float = 1.0) -> float
     the density really cancels out (evaluate at two lambda_bs and compare),
     and the noise-included case sigma_n2 > 0, which has no closed form here.
     """
-    _check_gamma(gamma)
-    if not 0.0 < p_active <= 1.0:
-        raise ValueError(f"p_active must lie in (0, 1], got {p_active}")
+    _check_p_active(p_active)
     if gamma == 0.0:
         return 1.0
-    dist = PathLossPdf.from_params(p)
-    d = p.delta
-    # the interference MGF argument x = gamma at every l0, so the exponent
-    # bracket is one fixed number; used only to size the integration window
-    denom = 1.0 - bracket(p.beta, gamma, "exact") * p_active
-    # integrand decays like exp(-pi lambda (l0/kappa)^d * denom); cut at 40 e-folds
-    l0_max = p.kappa * (40.0 / (math.pi * p.lambda_bs * denom)) ** (1.0 / d)
+    # the interference MGF at s = gamma*l0/p_tx has bracket argument
+    # x = s*p_tx/l0 = gamma at every l0, so the bracket is one fixed number
+    b = float(bracket(p.beta, gamma, "exact"))
+    # integrand decays like exp(-pi lambda (l0/kappa)^d * (1 - p_active*b)); cut at 40 e-folds
+    l0_max = p.kappa * (40.0 / (math.pi * p.lambda_bs * (1.0 - b * p_active))) ** (1.0 / p.delta)
 
     def integrand(l0: float) -> float:
-        q = MgfQuery(s=gamma * l0 / p.p_tx, l0=l0, mode=MgfMode.THINNED, p_active=p_active)
-        mgf_val = mgf_thinned(q, p, base_mode=MgfMode.EXACT)
+        mgf_val = math.exp(p_active * exponent_prefactor(p, l0) * b)
         noise = math.exp(-gamma * l0 * p.sigma_n2 / p.p_tx) if p.sigma_n2 > 0.0 else 1.0
-        return noise * mgf_val * dist.pdf(l0)
+        return noise * mgf_val * float(pathloss_pdf(l0, p))
 
     val, err = quad(integrand, 0.0, l0_max, epsabs=1e-10, epsrel=1e-10, limit=200)
     if err > _QUAD_ERR_LIMIT:
@@ -295,10 +222,10 @@ def coverage_curve(
     beta: float,
     gamma_grid: tuple[float, ...] | list[float],
     p_active: float = 1.0,
-    c: IntersectionConstant | None = None,
 ) -> CoverageCurve:
     """Sample exact and approximate coverage along a linear gamma grid."""
-    exact, approx = pcov_partial_load(np.asarray(gamma_grid, dtype=float), beta, p_active, c)
+    grid = np.asarray(gamma_grid, dtype=float)
+    exact, approx = pcov(grid, beta, "exact", p_active), pcov(grid, beta, "two_piece", p_active)
     return CoverageCurve(
         gamma_grid=tuple(float(g) for g in gamma_grid),
         pcov_exact=tuple(exact.tolist()),
@@ -330,7 +257,7 @@ def _w_max(beta: float, p_active: float) -> float:
     # tail of the rate integrand is bounded by 1/(p_active Gamma(1-d) w^d (1+w));
     # beyond W the remaining mass is <= W^(-d) / (p_active Gamma(1-d) d)
     d = 2.0 / beta
-    return (1.0 / (_TAIL_BUDGET * p_active * gamma_fn(1.0 - d) * d)) ** (1.0 / d)
+    return (1.0 / (_TAIL_BUDGET * p_active * math.gamma(1.0 - d) * d)) ** (1.0 / d)
 
 
 def _panels(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +309,6 @@ def rate_quadrature(
     beta: float,
     p_active=1.0,
     pcov_kind: PcovKind = PcovKind.EXACT,
-    c: IntersectionConstant | None = None,
 ) -> RateResult | list[RateResult]:
     """Ergodic peak rate by the fixed log-space quadrature. Authority for all closed forms.
 
@@ -399,9 +325,7 @@ def rate_quadrature(
         )
     if not np.all(pa <= 1.0):
         raise ValueError(f"p_active must lie in [{_MIN_P_ACTIVE}, 1], got {np.max(pa)}")
-    if c is None:
-        c = solve_c(beta)
-    values, errs = _rate_integral(beta, pa.ravel(), pcov_kind, c.c_exact)
+    values, errs = _rate_integral(beta, pa.ravel(), pcov_kind, solve_c(beta).c_exact)
     results = [
         RateResult(value=v, method=RateMethod.QUADRATURE, stderr=e)
         for v, e in zip(values.tolist(), errs.tolist())
@@ -409,7 +333,7 @@ def rate_quadrature(
     return results if pa.ndim else results[0]
 
 
-def rate_closed_general(beta: float, c: IntersectionConstant | None = None) -> RateResult:
+def rate_closed_general(beta: float) -> RateResult:
     """Fully loaded peak rate in closed form, valid for any beta in (2, 5].
 
     The expression integrates the two-piece coverage exactly; it shares a
@@ -419,11 +343,9 @@ def rate_closed_general(beta: float, c: IntersectionConstant | None = None) -> R
     method field of the result reports.
     """
     _check_beta(beta)
-    if c is None:
-        c = solve_c(beta)
     if abs(beta - _SINGULAR_BETA) < _SINGULAR_HALFWIDTH:
-        return rate_quadrature(beta, 1.0, PcovKind.APPROX, c)
-    cv = c.c_exact
+        return rate_quadrature(beta, 1.0, PcovKind.APPROX)
+    cv = solve_c(beta).c_exact
     d = 2.0 / beta
     big_a = 2.0 * beta - 2.0
     ratio_ab = big_a / (beta - 2.0)
@@ -436,7 +358,7 @@ def rate_closed_general(beta: float, c: IntersectionConstant | None = None) -> R
         (cv - alpha - ratio_ab) / (-alpha - ratio_ab)
     )
     t3 = (beta - 2.0) / quad_factor * math.log(cv + 1.0)
-    tail = beta * cv ** (-d) / (2.0 * gamma_fn(1.0 - d)) * gauss_2f1(1.0, d, 1.0 + d, -1.0 / cv)
+    tail = beta * cv ** (-d) / (2.0 * math.gamma(1.0 - d)) * hyp2f1(1.0, d, 1.0 + d, -1.0 / cv)
     return RateResult(value=big_a * (t1 + t2 + t3) + tail, method=RateMethod.CLOSED_FORM_GENERAL)
 
 
@@ -461,7 +383,7 @@ def _tabulated_peak_rate_beta4(pa: float) -> float:
 
 def _tabulated_peak_rate_beta3(pa: float) -> float:
     c = _TABULATED_C[3.0]
-    g3 = gamma_fn(1.0 / 3.0)
+    g3 = math.gamma(1.0 / 3.0)
     b = 2.0 * math.sqrt(4.0 + 1.0 / pa)
     cr = c ** (1.0 / 3.0)
     t1 = (-4.0 / pa) * (
@@ -565,11 +487,7 @@ def table1_audit(beta: float) -> TabulatedRateAudit:
     )
 
 
-def rate_peak_partial_load(
-    beta: float,
-    p_active: float,
-    c: IntersectionConstant | None = None,
-) -> RateResult:
+def rate_peak_partial_load(beta: float, p_active: float) -> RateResult:
     """Idle-mode peak rate for beta in {3, 4} via the tabulated closed forms.
 
     Falls back to quadrature when the form is quarantined by its audit, when
@@ -582,15 +500,15 @@ def rate_peak_partial_load(
     if not _MIN_P_ACTIVE <= p_active <= 1.0:
         raise ValueError(f"p_active must lie in [{_MIN_P_ACTIVE}, 1], got {p_active}")
     if p_active >= 1.0 - 1e-9:
-        return rate_closed_general(beta, c)
+        return rate_closed_general(beta)
     audit = table1_audit(beta)
     if audit.quarantined:
-        return rate_quadrature(beta, p_active, PcovKind.APPROX, c)
+        return rate_quadrature(beta, p_active, PcovKind.APPROX)
     try:
         return RateResult(value=_TABULATED_FORMS[beta](p_active), method=RateMethod.CLOSED_FORM_TABLE1)
     except (ValueError, ZeroDivisionError):
         # log argument crossed zero (or a partial-fraction pole); per-point fallback
-        return rate_quadrature(beta, p_active, PcovKind.APPROX, c)
+        return rate_quadrature(beta, p_active, PcovKind.APPROX)
 
 
 def rate_actual(beta: float, lambda_ue: float, lambda_bs: float) -> RateResult:

@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,15 +27,14 @@ import numpy as np
 from .analytics import (
     PcovKind,
     load_model,
-    pcov_partial_load,
+    pcov,
     rate_closed_general,
     rate_peak_partial_load,
     rate_quadrature,
 )
-from .mgf import MgfMode, MgfQuery, NetworkParams, mgf_approx, mgf_exact, solve_c
+from .mgf import NetworkParams, NonConvergenceError, mgf, solve_c
 from .simulator import SimConfig, estimate_coverage, estimate_rates, run_simulation
-from .specfun import NonConvergenceError
-from .validation import run_all
+from .validation import _LAMBDA_REF, _RATIO_GRID, _db_to_linear, run_all
 
 __all__ = ["ExperimentKind", "ExperimentSpec", "main", "parse_config", "run_experiment"]
 
@@ -85,6 +85,9 @@ class ExperimentSpec:
                 raise ConfigError(f"grid must be strictly increasing, got {a} before {b}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be positive, got {self.jobs}")
+        for ratio in self.ratios:
+            if ratio <= 0.0:
+                raise ConfigError(f"grid.ratios must be positive, got {ratio}")
 
 
 _ALLOWED_KEYS = {
@@ -117,14 +120,6 @@ _KINDS_BY_COMMAND = {
     "simulate": (ExperimentKind.RAW_SAMPLES,),
     "validate": (ExperimentKind.VALIDATE,),
 }
-
-_DEFAULT_RATIOS = (0.17, 4.34, 8.51, 11.11)
-_DEFAULT_LAMBDA = 1.27e-6
-
-
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
 
 def _linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
@@ -195,7 +190,7 @@ def _get_list(cfg: dict, section: str, key: str) -> tuple[float, ...] | None:
         raise ConfigError(f"{section}.{key} must be a list of numbers, got {raw!r}")
 
 
-def _network_from_config(cfg: dict, default_lambda: float = _DEFAULT_LAMBDA) -> NetworkParams:
+def _network_from_config(cfg: dict, default_lambda: float = _LAMBDA_REF) -> NetworkParams:
     try:
         return NetworkParams(
             lambda_bs=_get_float(cfg, "network", "lambda_bs", default_lambda),
@@ -308,7 +303,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if kind is ExperimentKind.COVERAGE_PARTIAL_LOAD:
         params = _network_from_config(cfg)
         grid, in_db = _gamma_grid(cfg, args.db)
-        ratios = _get_list(cfg, "grid", "ratios") or _DEFAULT_RATIOS
+        ratios = _get_list(cfg, "grid", "ratios") or _RATIO_GRID
         betas = _beta_axis(cfg, (params.beta,))
         return ExperimentSpec(
             kind=kind, params=params, grid=grid, sim=sim, output_path=output,
@@ -316,7 +311,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         )
     if kind in (ExperimentKind.PEAK_RATE_VS_RATIO, ExperimentKind.ACTUAL_RATE_VS_RATIO):
         params = _network_from_config(cfg)
-        ratios = _get_list(cfg, "grid", "ratios") or _DEFAULT_RATIOS
+        ratios = _get_list(cfg, "grid", "ratios") or _RATIO_GRID
         betas = _beta_axis(cfg, (3.0, 4.0, 5.0))
         return ExperimentSpec(
             kind=kind, params=params, grid=ratios, sim=sim, output_path=output,
@@ -379,7 +374,7 @@ def _run_coverage(spec: ExperimentSpec) -> int:
     rows = []
     grid = np.asarray(spec.grid)
     for beta in spec.betas:
-        exact, approx = pcov_partial_load(grid, beta, 1.0, solve_c(beta))
+        exact, approx = pcov(grid, beta, "exact"), pcov(grid, beta, "two_piece")
         mc = _mc_coverage(spec, beta, 0.0, idle=False) if spec.with_mc else None
         for i, (g, e, a) in enumerate(zip(spec.grid, exact.tolist(), approx.tolist())):
             row = [beta, g, _linear_to_db(g) if g > 0 else float("-inf"), e, a]
@@ -396,9 +391,8 @@ def _run_rate_vs_beta(spec: ExperimentSpec) -> int:
         header += ["rate_mc", "rate_mc_stderr"]
     rows = []
     for beta in spec.betas:
-        c = solve_c(beta)
-        exact = rate_quadrature(beta, 1.0, PcovKind.EXACT, c)
-        closed = rate_closed_general(beta, c)
+        exact = rate_quadrature(beta, 1.0, PcovKind.EXACT)
+        closed = rate_closed_general(beta)
         row = [beta, exact.value, closed.value, closed.method.value]
         if spec.with_mc:
             p = NetworkParams(
@@ -420,12 +414,10 @@ def _run_coverage_partial_load(spec: ExperimentSpec) -> int:
     rows = []
     grid = np.asarray(spec.grid)
     for beta in spec.betas:
-        c = solve_c(beta)
         for ratio in spec.ratios:
-            if ratio <= 0.0:
-                raise ConfigError(f"grid.ratios must be positive, got {ratio}")
             lm = load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs)
-            exact, approx = pcov_partial_load(grid, beta, lm.p_active, c)
+            exact = pcov(grid, beta, "exact", lm.p_active)
+            approx = pcov(grid, beta, "two_piece", lm.p_active)
             mc = (
                 _mc_coverage(spec, beta, ratio * spec.params.lambda_bs, idle=True)
                 if spec.with_mc
@@ -453,18 +445,13 @@ def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> int:
         header += ["rate_mc", "rate_mc_stderr"]
     rows = []
     for beta in spec.betas:
-        c = solve_c(beta)
-        loads = []
-        for ratio in spec.ratios:
-            if ratio <= 0.0:
-                raise ConfigError(f"grid.ratios must be positive, got {ratio}")
-            loads.append(load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs))
+        loads = [load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs) for ratio in spec.ratios]
         p_active = [lm.p_active for lm in loads]
-        ref_peaks = rate_quadrature(beta, p_active, PcovKind.EXACT, c)
+        ref_peaks = rate_quadrature(beta, p_active, PcovKind.EXACT)
         if beta in (3.0, 4.0):
-            closed_peaks = [rate_peak_partial_load(beta, pa, c) for pa in p_active]
+            closed_peaks = [rate_peak_partial_load(beta, pa) for pa in p_active]
         else:
-            closed_peaks = rate_quadrature(beta, p_active, PcovKind.APPROX, c)
+            closed_peaks = rate_quadrature(beta, p_active, PcovKind.APPROX)
         for ratio, lm, ref, closed in zip(spec.ratios, loads, ref_peaks, closed_peaks):
             # the actual rate is the peak rate times the selection probability
             share = lm.p_selection if actual else 1.0
@@ -496,8 +483,8 @@ def _run_mgf_profile(spec: ExperimentSpec) -> int:
             kappa=spec.params.kappa, p_tx=spec.params.p_tx,
         )
         c = solve_c(beta)
-        me = mgf_exact(MgfQuery(s=xs, l0=1.0), p)
-        ma = mgf_approx(MgfQuery(s=xs, l0=1.0, mode=MgfMode.APPROX_TWO_TERM), p, c)
+        me = mgf(xs, 1.0, p, "exact")
+        ma = mgf(xs, 1.0, p, "two_piece")
         rel = np.abs(ma - me) / me
         for x, e, a, r in zip(spec.grid, me.tolist(), ma.tolist(), rel.tolist()):
             rows.append([beta, c.c_exact, c.c_fit, x, e, a, r])
@@ -530,23 +517,21 @@ def _run_validate(spec: ExperimentSpec) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+_RUNNERS = {
+    ExperimentKind.COVERAGE_VS_GAMMA: _run_coverage,
+    ExperimentKind.RATE_VS_BETA: _run_rate_vs_beta,
+    ExperimentKind.COVERAGE_PARTIAL_LOAD: _run_coverage_partial_load,
+    ExperimentKind.PEAK_RATE_VS_RATIO: partial(_run_rate_vs_ratio, actual=False),
+    ExperimentKind.ACTUAL_RATE_VS_RATIO: partial(_run_rate_vs_ratio, actual=True),
+    ExperimentKind.MGF_PROFILE: _run_mgf_profile,
+    ExperimentKind.RAW_SAMPLES: _run_raw_samples,
+    ExperimentKind.VALIDATE: _run_validate,
+}
+
+
 def run_experiment(spec: ExperimentSpec) -> int:
     """Dispatch one resolved experiment; returns the process exit code."""
-    if spec.kind is ExperimentKind.COVERAGE_VS_GAMMA:
-        return _run_coverage(spec)
-    if spec.kind is ExperimentKind.RATE_VS_BETA:
-        return _run_rate_vs_beta(spec)
-    if spec.kind is ExperimentKind.COVERAGE_PARTIAL_LOAD:
-        return _run_coverage_partial_load(spec)
-    if spec.kind is ExperimentKind.PEAK_RATE_VS_RATIO:
-        return _run_rate_vs_ratio(spec, actual=False)
-    if spec.kind is ExperimentKind.ACTUAL_RATE_VS_RATIO:
-        return _run_rate_vs_ratio(spec, actual=True)
-    if spec.kind is ExperimentKind.MGF_PROFILE:
-        return _run_mgf_profile(spec)
-    if spec.kind is ExperimentKind.RAW_SAMPLES:
-        return _run_raw_samples(spec)
-    return _run_validate(spec)
+    return _RUNNERS[spec.kind](spec)
 
 
 def _build_parser() -> argparse.ArgumentParser:

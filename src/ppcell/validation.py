@@ -33,29 +33,16 @@ from .analytics import (
     coverage_curve,
     load_model,
     pathloss_cdf,
-    pcov_approx_full,
-    pcov_exact_full,
+    pcov,
     rate_closed_general,
     rate_peak_partial_load,
     rate_quadrature,
     table1_audit,
 )
-from .mgf import (
-    MgfMode,
-    MgfQuery,
-    NetworkParams,
-    mgf_approx,
-    mgf_exact,
-    mgf_fixed_mark,
-    mgf_rayleigh_marked,
-    mgf_taylor_full,
-    mgf_thinned,
-    solve_c,
-    taylor_bracket,
-    upper_bracket,
-)
+from .mgf import NetworkParams, mgf, mgf_taylor_full, solve_c, taylor_bracket, upper_bracket
 from .simulator import (
     SimConfig,
+    _cartesian,
     apply_idle_mode,
     estimate_coverage,
     estimate_rates,
@@ -125,8 +112,8 @@ def check_mgf_tightness(seed: int = 0, jobs: int = 1, quick: bool = False) -> tu
         p = NetworkParams(lambda_bs=1.0 / math.pi, beta=beta)
         c = solve_c(beta)
         xs = np.concatenate((np.linspace(0.0, 20.0, 401), [c.c_exact]))
-        me = mgf_exact(MgfQuery(s=xs, l0=1.0), p)
-        ma = mgf_approx(MgfQuery(s=xs, l0=1.0, mode=MgfMode.APPROX_TWO_TERM), p, c)
+        me = mgf(xs, 1.0, p, "exact")
+        ma = mgf(xs, 1.0, p, "two_piece")
         rel = np.abs(ma - me) / me
         k = int(np.argmax(rel))  # first maximum, as a strict > scan keeps
         if rel[k] > worst:
@@ -135,10 +122,8 @@ def check_mgf_tightness(seed: int = 0, jobs: int = 1, quick: bool = False) -> tu
     # must scale exactly linearly when lambda is scaled
     p1 = NetworkParams(lambda_bs=1.0 / math.pi, beta=3.5)
     p10 = NetworkParams(lambda_bs=10.0 / math.pi, beta=3.5)
-    q = MgfQuery(s=1.0, l0=1.0)
-    qa = MgfQuery(s=1.0, l0=1.0, mode=MgfMode.APPROX_TWO_TERM)
-    gap1 = math.log(mgf_approx(qa, p1) / mgf_exact(q, p1))
-    gap10 = math.log(mgf_approx(qa, p10) / mgf_exact(q, p10))
+    gap1 = math.log(mgf(1.0, 1.0, p1, "two_piece") / mgf(1.0, 1.0, p1))
+    gap10 = math.log(mgf(1.0, 1.0, p10, "two_piece") / mgf(1.0, 1.0, p10))
     scale_err = abs(gap10 - 10.0 * gap1)
     passed = worst <= tol and scale_err < 1e-12
     msg = (
@@ -156,7 +141,7 @@ def check_coverage_overlap(seed: int = 0, jobs: int = 1, quick: bool = False) ->
     worst_at = (0.0, 0.0)
     grid = _db_to_linear(grid_db)
     for beta in _BETA_GRID:
-        diff = np.abs(pcov_approx_full(grid, beta) - pcov_exact_full(grid, beta))
+        diff = np.abs(pcov(grid, beta, "two_piece") - pcov(grid, beta, "exact"))
         k = int(np.argmax(diff))  # first maximum, as a strict > scan keeps
         if diff[k] > worst:
             worst, worst_at = diff[k], (beta, float(grid_db[k]))
@@ -313,14 +298,11 @@ def check_mc_idle_mode(seed: int = 0, jobs: int = 1, quick: bool = False) -> tup
 def check_property_suite(seed: int = 0, jobs: int = 1, quick: bool = False) -> tuple[bool, str]:
     """Structural invariants: MGF(0)=1, coverage shape, seam continuity, KS fit, determinism."""
     p = NetworkParams(lambda_bs=1.0, beta=3.7)
-    # MGF at s=0 is exactly 1 in every mode
+    # MGF at s=0 is exactly 1 for every kind
     vals = (
-        mgf_exact(MgfQuery(s=0.0, l0=2.0), p),
-        mgf_approx(MgfQuery(s=0.0, l0=2.0, mode=MgfMode.APPROX_TWO_TERM), p),
-        mgf_taylor_full(MgfQuery(s=0.0, l0=2.0, mode=MgfMode.APPROX_TAYLOR, n_terms=6), p, n_terms=6),
-        mgf_thinned(MgfQuery(s=0.0, l0=2.0, mode=MgfMode.THINNED, p_active=0.4), p),
-        mgf_rayleigh_marked(MgfQuery(s=0.0, l0=2.0, mode=MgfMode.RAYLEIGH_MARKED), p),
-        mgf_fixed_mark(MgfQuery(s=0.0, l0=2.0, mode=MgfMode.RAYLEIGH_MARKED), p, mark=1.0),
+        *(mgf(0.0, 2.0, p, kind) for kind in ("exact", "two_piece", "rayleigh")),
+        mgf(0.0, 2.0, p, "two_piece", p_active=0.4),
+        mgf_taylor_full(0.0, 2.0, p, n_terms=6),
     )
     if any(abs(v - 1.0) > 1e-12 for v in vals):
         return False, f"MGF(0) != 1: got {vals}"
@@ -341,13 +323,16 @@ def check_property_suite(seed: int = 0, jobs: int = 1, quick: bool = False) -> t
     n_ks = 20000 if quick else 100000
     pk = NetworkParams(lambda_bs=1.0, beta=4.0)
     cfg = SimConfig(n_bs_target=128, n_realizations=1, seed=seed + 5150)
-    losses = np.empty(n_ks)
+    # only the serving station's polar draw is kept; its Cartesian position
+    # is built as Deployment.bs_positions builds every station's, so this
+    # route stays independent of the radial shortcut the SIR takes
+    polar = np.empty((n_ks, 2))
     for rid in range(n_ks):
         d = sample_deployment(pk, cfg, rid)
-        b = d.bs_positions[d.serving_index]
-        losses[rid] = pk.kappa * (b[0] * b[0] + b[1] * b[1]) ** (pk.beta / 2.0)
-    losses.sort()
-    cdf = np.array([pathloss_cdf(y, pk) for y in losses])
+        polar[rid] = d.bs_u[d.serving_index], d.bs_theta[d.serving_index]
+    b = _cartesian(polar[:, 0], polar[:, 1], d.window_radius)
+    losses = np.sort(pk.kappa * (b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1]) ** (pk.beta / 2.0))
+    cdf = pathloss_cdf(losses, pk)
     ranks = np.arange(1, n_ks + 1, dtype=np.float64)
     ks = float(max(np.max(cdf - (ranks - 1.0) / n_ks), np.max(ranks / n_ks - cdf)))
     if ks >= 0.01:

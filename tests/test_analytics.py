@@ -14,7 +14,6 @@ from scipy.integrate import quad
 from ppcell import analytics
 from ppcell.analytics import (
     CoverageCurve,
-    PathLossPdf,
     PcovKind,
     RateMethod,
     RateResult,
@@ -22,64 +21,74 @@ from ppcell.analytics import (
     load_model,
     pathloss_cdf,
     pathloss_pdf,
-    pcov_approx_full,
-    pcov_exact_full,
+    pcov,
     pcov_general,
-    pcov_partial_load,
     rate_actual,
     rate_closed_general,
     rate_peak_partial_load,
     rate_quadrature,
     table1_audit,
 )
-from ppcell.mgf import NetworkParams, solve_c, taylor_bracket, upper_bracket
-from ppcell.specfun import NonConvergenceError, gamma_fn, kummer_1f1_neg
+from ppcell.mgf import NetworkParams, NonConvergenceError, bracket, solve_c, taylor_bracket, upper_bracket
 
 PA_RATIO_1 = 0.585051349019134  # active probability at lambda_ue = lambda_bs
 
 
 class TestCoverageClosedForms:
     def test_exact_reference_values(self):
-        assert math.isclose(pcov_exact_full(1.0, 4.0), 0.537193186192758, rel_tol=1e-12)
-        assert math.isclose(pcov_exact_full(10.0, 4.0), 0.178412348154982, rel_tol=1e-12)
-        assert math.isclose(pcov_exact_full(1.0, 3.0), 0.358369891642279, rel_tol=1e-12)
-        assert math.isclose(pcov_exact_full(100.0, 5.0), 0.106426365952723, rel_tol=1e-12)
+        assert math.isclose(pcov(1.0, 4.0), 0.537193186192758, rel_tol=1e-12)
+        assert math.isclose(pcov(10.0, 4.0), 0.178412348154982, rel_tol=1e-12)
+        assert math.isclose(pcov(1.0, 3.0), 0.358369891642279, rel_tol=1e-12)
+        assert math.isclose(pcov(100.0, 5.0), 0.106426365952723, rel_tol=1e-12)
 
     def test_approx_reference_values(self):
         # at gamma=1 < c the approximation is the rational two-term form 6/11
-        assert math.isclose(pcov_approx_full(1.0, 4.0), 6.0 / 11.0, rel_tol=1e-14)
-        assert math.isclose(pcov_approx_full(10.0, 4.0), 0.178412411615277, rel_tol=1e-12)
+        assert math.isclose(pcov(1.0, 4.0, "two_piece"), 6.0 / 11.0, rel_tol=1e-14)
+        assert math.isclose(pcov(10.0, 4.0, "two_piece"), 0.178412411615277, rel_tol=1e-12)
 
     def test_zero_threshold(self):
-        assert pcov_exact_full(0.0, 4.0) == 1.0
-        assert pcov_approx_full(0.0, 4.0) == 1.0
+        assert pcov(0.0, 4.0) == 1.0
+        assert pcov(0.0, 4.0, "two_piece") == 1.0
 
     def test_partial_load_reference_values(self):
-        exact, approx = pcov_partial_load(1.0, 4.0, PA_RATIO_1)
-        assert math.isclose(exact, 0.664876841666406, rel_tol=1e-12)
-        assert math.isclose(approx, 0.672249568988246, rel_tol=1e-12)
+        assert math.isclose(pcov(1.0, 4.0, "exact", PA_RATIO_1), 0.664876841666406, rel_tol=1e-12)
+        assert math.isclose(pcov(1.0, 4.0, "two_piece", PA_RATIO_1), 0.672249568988246, rel_tol=1e-12)
 
     def test_partial_load_brackets_full_load(self):
         # thinning interferers can only improve coverage
-        full, _ = pcov_partial_load(1.0, 4.0, 1.0)
-        thin, _ = pcov_partial_load(1.0, 4.0, 0.3)
+        full = pcov(1.0, 4.0, p_active=1.0)
+        thin = pcov(1.0, 4.0, p_active=0.3)
         assert thin > full
-        assert full == pcov_exact_full(1.0, 4.0)
+        assert full == pcov(1.0, 4.0)
 
     def test_domains(self):
         with pytest.raises(ValueError):
-            pcov_exact_full(-0.1, 4.0)
+            pcov(-0.1, 4.0)
         with pytest.raises(ValueError):
-            pcov_exact_full(1.0, 2.0)
+            pcov(1.0, 2.0)
         with pytest.raises(ValueError):
-            pcov_partial_load(1.0, 4.0, 0.0)
+            pcov(1.0, 4.0, p_active=0.0)
+        with pytest.raises(ValueError):
+            pcov(1.0, 4.0, "Exact")
+        with pytest.raises(ValueError):
+            pcov_general(-0.1, NetworkParams(lambda_bs=1.0, beta=4.0))
 
 
 class TestCoverageIntegralRoute:
     def test_matches_closed_form(self):
         p = NetworkParams(lambda_bs=1.0, beta=4.0)
         got = pcov_general(1.0, p)
-        assert math.isclose(got, pcov_exact_full(1.0, 4.0), rel_tol=1e-10)
+        assert math.isclose(got, pcov(1.0, 4.0), rel_tol=1e-10)
+
+    def test_closed_form_matches_integral_route(self):
+        # pcov against quadrature over the serving path-loss density, across
+        # beta, threshold, load and a density and power the closed form never sees
+        for beta in (2.5, 3.0, 4.0, 5.0):
+            p = NetworkParams(lambda_bs=3.7e-6, beta=beta, kappa=2.0, p_tx=5.0)
+            for gamma in (0.05, 1.0, 10.0, 200.0):
+                for pa in (1.0, 0.4, 0.02):
+                    want = pcov_general(gamma, p, p_active=pa)
+                    assert math.isclose(pcov(gamma, beta, p_active=pa), want, rel_tol=1e-9), (beta, gamma, pa)
 
     def test_density_invariance(self):
         # the integral route carries lambda_bs explicitly; it must cancel
@@ -89,7 +98,7 @@ class TestCoverageIntegralRoute:
 
     def test_partial_load_route(self):
         p = NetworkParams(lambda_bs=1.0, beta=4.0)
-        want, _ = pcov_partial_load(1.0, 4.0, PA_RATIO_1)
+        want = pcov(1.0, 4.0, p_active=PA_RATIO_1)
         assert math.isclose(pcov_general(1.0, p, p_active=PA_RATIO_1), want, rel_tol=1e-10)
 
     def test_noise_lowers_coverage(self):
@@ -107,8 +116,7 @@ class TestCoverageCurve:
         grid = [0.1, 1.0, 10.0]
         curve = coverage_curve(4.0, grid, p_active=0.7)
         for g, e, a in zip(grid, curve.pcov_exact, curve.pcov_approx):
-            we, wa = pcov_partial_load(g, 4.0, 0.7)
-            assert e == we and a == wa
+            assert e == pcov(g, 4.0, "exact", 0.7) and a == pcov(g, 4.0, "two_piece", 0.7)
         assert curve.p_active == 0.7
         assert curve.gamma_grid == (0.1, 1.0, 10.0)
 
@@ -163,23 +171,24 @@ class TestRateQuadrature:
 
 
 def adaptive_rate(beta, p_active, pcov_kind):
-    """Reference peak rate: scipy's adaptive quad over the scalar kernels.
+    """Reference peak rate: scipy's adaptive quad over scalar brackets.
 
     Integrates up to the same tail cutoff W the rule uses for one p_active,
-    linearly on [0, c] and in log w on [c, W].
+    linearly on [0, c] and in log w on [c, W]. The brackets are held to
+    mpmath in test_mgf; here the integration rule is under test.
     """
     d = 2.0 / beta
     c = solve_c(beta).c_exact
 
-    def bracket(w):
+    def scalar_bracket(w):
         if pcov_kind is PcovKind.EXACT:
-            return 1.0 - kummer_1f1_neg(d, w)
+            return float(bracket(beta, w, "exact"))
         return taylor_bracket(beta, w, 2) if w <= c else upper_bracket(beta, w)
 
     def integrand(w):
-        return 1.0 / ((1.0 - p_active * bracket(w)) * (1.0 + w))
+        return 1.0 / ((1.0 - p_active * scalar_bracket(w)) * (1.0 + w))
 
-    w_max = (1.0 / (1e-10 * p_active * gamma_fn(1.0 - d) * d)) ** (1.0 / d)
+    w_max = (1.0 / (1e-10 * p_active * math.gamma(1.0 - d) * d)) ** (1.0 / d)
     low, _ = quad(integrand, 0.0, c, epsabs=1e-14, epsrel=1e-13, limit=400)
     high, _ = quad(
         lambda v: integrand(math.exp(v)) * math.exp(v),
@@ -407,9 +416,22 @@ class TestPathLoss:
             pathloss_pdf(0.0, self.P)
 
     def test_record_validation(self):
+        # the law's parameters arrive in NetworkParams, which refuses the
+        # values the density cannot take
         with pytest.raises(ValueError):
-            PathLossPdf(lambda_bs=0.0, beta=4.0)
+            pathloss_pdf(1.0, NetworkParams(lambda_bs=0.0, beta=4.0))
         with pytest.raises(ValueError):
-            PathLossPdf(lambda_bs=1.0, beta=2.0)
+            pathloss_cdf(1.0, NetworkParams(lambda_bs=1.0, beta=2.0))
         with pytest.raises(ValueError):
-            PathLossPdf(lambda_bs=1.0, beta=4.0, kappa=0.0)
+            pathloss_pdf(1.0, NetworkParams(lambda_bs=1.0, beta=4.0, kappa=0.0))
+
+    def test_array_matches_pointwise(self):
+        ys = np.array([-1.0, 0.0, 1e9, 1e10, 3e11, 1e30])
+        cdf = pathloss_cdf(ys, self.P)
+        for y, c in zip(ys.tolist(), cdf.tolist()):
+            assert c == pathloss_cdf(y, self.P), y
+        pdf = pathloss_pdf(ys[2:], self.P)
+        for y, f in zip(ys[2:].tolist(), pdf.tolist()):
+            assert f == pathloss_pdf(y, self.P), y
+        with pytest.raises(ValueError):
+            pathloss_pdf(np.array([1.0, 0.0]), self.P)

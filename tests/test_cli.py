@@ -248,6 +248,13 @@ class TestLoadCurvesCommand:
     def test_nonpositive_ratio_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "[grid]\nbetas = 4.0\nratios = 0.0 1.0\n")
         assert main(["load-curves", "--config", path]) == 2
+        assert capsys.readouterr().err == "config error: grid.ratios must be positive, got 0.0\n"
+        for kind in ("PeakRateVsRatio", "ActualRateVsRatio", "CoveragePartialLoad"):
+            path = write_cfg(tmp_path, f"[experiment]\nkind = {kind}\n[grid]\nbetas = 4.0\nratios = -1.0 1.0\n")
+            assert main(["load-curves", "--config", path]) == 2, kind
+            captured = capsys.readouterr()
+            assert captured.out == "", kind
+            assert captured.err == "config error: grid.ratios must be positive, got -1.0\n", kind
 
 
 class TestMgfCommand:

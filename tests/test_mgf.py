@@ -1,8 +1,9 @@
-"""Interference-MGF layer: branch constant, brackets, and the five modes.
+"""Interference-MGF layer: branch constant, brackets, the MGF and its series.
 
 Reference values are frozen from a 50-digit independent evaluation of the
 defining integrals (root of the bracket-matching equation, Kummer-form MGF,
-double-quadrature marked MGF).
+double-quadrature marked MGF). A nested adaptive quadrature over fading
+mark and radius is the second route for the "rayleigh" bracket kind.
 """
 
 import math
@@ -10,36 +11,56 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ppcell.mgf import (
     IntersectionConstant,
-    MgfMode,
-    MgfQuery,
     NetworkParams,
+    NonConvergenceError,
     bracket,
     exponent_prefactor,
-    mgf_approx,
-    mgf_exact,
-    mgf_fixed_mark,
-    mgf_rayleigh_marked,
+    mgf,
     mgf_taylor_full,
-    mgf_thinned,
     solve_c,
     taylor_bracket,
     upper_bracket,
 )
-from ppcell.specfun import NonConvergenceError, kummer_1f1_neg
 
 # unit exponent prefactor: pi * lambda * (l0/kappa)^delta = 1 at l0 = 1
 UNIT = {b: NetworkParams(lambda_bs=1.0 / math.pi, beta=b) for b in (3.0, 4.0, 5.0)}
 
 
-def q_exact(x):
-    return MgfQuery(s=x, l0=1.0)
+def marked_inner(y, delta):
+    """Radial integral at a fixed fading mark: int_0^1 (e^(-y t) - 1) t^(-delta-1) dt.
+
+    The integrable endpoint singularity is peeled off analytically:
+    (e^(-yt) - 1 + yt) t^(-delta-1) vanishes like t^(1-delta) at 0, and the
+    remaining -y t^(-delta) piece integrates to -y/(1-delta).
+    """
+    if y == 0.0:
+        return 0.0
+
+    def regular_part(t):
+        return (math.exp(-y * t) - 1.0 + y * t) * t ** (-delta - 1.0)
+
+    val, _ = quad(regular_part, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
+    return val - y / (1.0 - delta)
 
 
-def q_approx(x):
-    return MgfQuery(s=x, l0=1.0, mode=MgfMode.APPROX_TWO_TERM)
+def quad_rayleigh_bracket(beta, x):
+    """Rayleigh-marked bracket by two nested adaptive quadratures.
+
+    The outer integral averages the fixed-mark bracket delta * marked_inner
+    over the unit-mean exponential mark u, truncated where its tail falls
+    below 1e-10.
+    """
+    d = 2.0 / beta
+    val, err = quad(
+        lambda u: math.exp(-u) * marked_inner(x * u, d),
+        0.0, -math.log(1e-10), epsabs=1e-11, epsrel=1e-10, limit=200,
+    )
+    assert err <= 1e-7
+    return d * val
 
 
 class TestNetworkParams:
@@ -69,25 +90,32 @@ class TestNetworkParams:
 
 
 class TestMgfQuery:
+    """Domain checks on the query arguments s, l0, kind, p_active and n_terms."""
+
     def test_field_domains(self):
         with pytest.raises(ValueError):
-            MgfQuery(s=-0.1, l0=1.0)
+            mgf(-0.1, 1.0, UNIT[4.0])
         with pytest.raises(ValueError):
-            MgfQuery(s=1.0, l0=0.0)
+            mgf(1.0, 0.0, UNIT[4.0])
+        with pytest.raises(ValueError):
+            mgf(np.array([1.0, -1.0]), 1.0, UNIT[4.0])
+        with pytest.raises(ValueError):
+            mgf_taylor_full(-0.1, 1.0, UNIT[4.0], 4)
+        with pytest.raises(ValueError):
+            mgf_taylor_full(1.0, 0.0, UNIT[4.0], 4)
 
     def test_mode_specific_fields(self):
         with pytest.raises(ValueError):
-            MgfQuery(s=1.0, l0=1.0, n_terms=4)  # n_terms without ApproxTaylor
-        with pytest.raises(ValueError):
-            MgfQuery(s=1.0, l0=1.0, p_active=0.5)  # p_active without Thinned
-        with pytest.raises(ValueError):
-            MgfQuery(s=1.0, l0=1.0, mode=MgfMode.THINNED, p_active=0.0)
+            mgf_taylor_full(0.5, 1.0, UNIT[4.0], 1)  # n_terms below 2
+        for pa in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError):
+                mgf(1.0, 1.0, UNIT[4.0], p_active=pa)
 
     def test_mode_mismatch_rejected_by_ops(self):
         with pytest.raises(ValueError):
-            mgf_exact(q_approx(1.0), UNIT[4.0])
+            mgf(1.0, 1.0, UNIT[4.0], "taylor")
         with pytest.raises(ValueError):
-            mgf_approx(q_exact(1.0), UNIT[4.0])
+            mgf(1.0, 1.0, UNIT[4.0], "Exact")
 
 
 class TestSolveC:
@@ -150,8 +178,8 @@ class TestBrackets:
 
     def test_exact_kind_against_mpmath_and_scalar_kernel(self):
         # 1 - B(x) is the Kummer function 1F1(-d, 1-d, -x); mpmath at 30
-        # digits is the oracle, the scalar series/continued-fraction kernel
-        # the in-repo reference
+        # digits is the oracle, and where it converges (x <= 1) the 60-term
+        # alternating series taylor_bracket is the in-repo scalar reference
         mpmath.mp.dps = 30
         xs = np.concatenate(([0.0], np.logspace(-8.0, 6.0, 57)))
         for delta in np.linspace(0.4, 0.995, 12):
@@ -161,7 +189,31 @@ class TestBrackets:
             for x, got in zip(xs.tolist(), kummer.tolist()):
                 want = float(mpmath.hyp1f1(-mpmath.mpf(d), 1 - mpmath.mpf(d), -mpmath.mpf(x)))
                 assert math.isclose(got, want, rel_tol=1e-12), (delta, x)
-                assert math.isclose(got, kummer_1f1_neg(d, x), rel_tol=1e-12), (delta, x)
+                if x <= 1.0:
+                    assert math.isclose(got, 1.0 - taylor_bracket(beta, x, 60), rel_tol=1e-12), (delta, x)
+
+    def test_rayleigh_kind_against_mpmath(self):
+        # -B(x) is rho(x) = d x/(1-d) 2F1(1, 1-d; 2-d; -x), evaluated by
+        # mpmath as the integral (d x/(1-d)) int_0^1 du / (1 + x u^(1/(1-d)))
+        # after t = u^(1/(1-d)) removes the t^(-d) endpoint singularity
+        mpmath.mp.dps = 30
+        xs = np.concatenate(([0.0], np.logspace(-6.0, 6.0, 25)))
+        for beta in (2.05, 3.0, 5.0):
+            d = mpmath.mpf(2) / beta
+            k = 1 / (1 - d)
+            got = bracket(beta, xs, "rayleigh")
+            for x, b in zip(xs.tolist(), got.tolist()):
+                knee = mpmath.mpf(x) ** (-1 / k) if x > 0 else mpmath.mpf(1)
+                pts = sorted({0, 1, *(min(knee * f, 1) for f in (0.5, 0.9, 1.0, 1.1))})
+                integral = mpmath.quad(lambda u: 1 / (1 + x * u**k), pts)
+                want = float(-d * x * k * integral)
+                assert math.isclose(b, want, rel_tol=1e-14), (beta, x)
+
+    def test_rayleigh_kind_against_nested_quadrature(self):
+        for beta in (2.5, 3.0, 4.0, 5.0):
+            for x in (1e-3, 0.1, 1.0, 2.0, 10.0, 50.0):
+                want = quad_rayleigh_bracket(beta, x)
+                assert math.isclose(bracket(beta, x, "rayleigh"), want, rel_tol=1e-7), (beta, x)
 
     def test_two_piece_kind_elementwise(self):
         beta = 3.0
@@ -185,42 +237,45 @@ class TestBrackets:
 
 class TestMgfValues:
     def test_exact_reference_values(self):
-        assert math.isclose(mgf_exact(q_exact(1.0), UNIT[4.0]), 0.422516108283754, rel_tol=1e-12)
-        assert math.isclose(mgf_exact(q_exact(10.0), UNIT[4.0]), 0.0100017699158664, rel_tol=1e-12)
-        assert math.isclose(mgf_exact(q_exact(2.0), UNIT[3.0]), 0.037638594128474, rel_tol=1e-12)
-        assert math.isclose(mgf_exact(q_exact(0.5), UNIT[5.0]), 0.737108415655833, rel_tol=1e-12)
+        assert math.isclose(mgf(1.0, 1.0, UNIT[4.0]), 0.422516108283754, rel_tol=1e-12)
+        assert math.isclose(mgf(10.0, 1.0, UNIT[4.0]), 0.0100017699158664, rel_tol=1e-12)
+        assert math.isclose(mgf(2.0, 1.0, UNIT[3.0]), 0.037638594128474, rel_tol=1e-12)
+        assert math.isclose(mgf(0.5, 1.0, UNIT[5.0]), 0.737108415655833, rel_tol=1e-12)
 
     def test_approx_reference_values(self):
-        assert math.isclose(mgf_approx(q_approx(1.0), UNIT[4.0]), 0.434598208507078, rel_tol=1e-12)
-        assert math.isclose(mgf_approx(q_approx(10.0), UNIT[4.0]), 0.0100017898560618, rel_tol=1e-12)
+        assert math.isclose(mgf(1.0, 1.0, UNIT[4.0], "two_piece"), 0.434598208507078, rel_tol=1e-12)
+        assert math.isclose(mgf(10.0, 1.0, UNIT[4.0], "two_piece"), 0.0100017898560618, rel_tol=1e-12)
 
     def test_s_zero_is_one(self):
         for p in UNIT.values():
-            assert mgf_exact(q_exact(0.0), p) == 1.0
-            assert mgf_approx(q_approx(0.0), p) == 1.0
+            for kind in ("exact", "two_piece", "rayleigh"):
+                assert mgf(0.0, 1.0, p, kind) == 1.0
 
     def test_decreasing_in_s(self):
-        vals = [mgf_exact(q_exact(x), UNIT[4.0]) for x in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
+        vals = [mgf(x, 1.0, UNIT[4.0]) for x in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_array_query_matches_pointwise(self):
         p = UNIT[4.0]
         xs = [0.0, 0.5, 1.0, 10.0]
-        exact = mgf_exact(MgfQuery(s=np.array(xs), l0=1.0), p)
-        approx = mgf_approx(MgfQuery(s=np.array(xs), l0=1.0, mode=MgfMode.APPROX_TWO_TERM), p)
-        for x, e, a in zip(xs, exact, approx):
-            assert math.isclose(e, mgf_exact(q_exact(x), p), rel_tol=1e-15)
-            assert math.isclose(a, mgf_approx(q_approx(x), p), rel_tol=1e-15)
-        with pytest.raises(ValueError):
-            MgfQuery(s=np.array([1.0, -1.0]), l0=1.0)
+        for kind in ("exact", "two_piece", "rayleigh"):
+            got = mgf(np.array(xs), 1.0, p, kind, p_active=0.6)
+            for x, m in zip(xs, got):
+                assert math.isclose(m, mgf(x, 1.0, p, kind, p_active=0.6), rel_tol=1e-15), (kind, x)
 
     def test_density_scaling(self):
         # log MGF is linear in lambda_bs
         p1 = NetworkParams(lambda_bs=1.0 / math.pi, beta=4.0)
         p3 = NetworkParams(lambda_bs=3.0 / math.pi, beta=4.0)
-        m1 = mgf_exact(q_exact(1.0), p1)
-        m3 = mgf_exact(q_exact(1.0), p3)
-        assert math.isclose(m3, m1**3, rel_tol=1e-13)
+        assert math.isclose(mgf(1.0, 1.0, p3), mgf(1.0, 1.0, p1) ** 3, rel_tol=1e-13)
+
+    def test_argument_scaling(self):
+        # the bracket sees x = s * p_tx / l0 and the prefactor (l0/kappa)^d
+        p = NetworkParams(lambda_bs=0.7, beta=3.5, kappa=2.0, p_tx=4.0)
+        s, l0 = 0.3, 5.0
+        for kind in ("exact", "two_piece", "rayleigh"):
+            want = math.exp(math.pi * 0.7 * (l0 / 2.0) ** (2.0 / 3.5) * bracket(3.5, s * 4.0 / l0, kind))
+            assert math.isclose(mgf(s, l0, p, kind), want, rel_tol=1e-14), kind
 
 
 class TestMgfTaylorFull:
@@ -229,101 +284,73 @@ class TestMgfTaylorFull:
             p = UNIT[beta]
             c = solve_c(beta)
             for x in (0.0, 0.3, 0.9, c.c_exact * 0.999):
-                q = MgfQuery(s=x, l0=1.0, mode=MgfMode.APPROX_TAYLOR)
-                qa = q_approx(x)
-                if x <= c.c_exact:
-                    assert mgf_taylor_full(q, p, 2) == mgf_approx(qa, p), (beta, x)
+                assert mgf_taylor_full(x, 1.0, p, 2) == mgf(x, 1.0, p, "two_piece"), (beta, x)
 
     def test_converges_to_exact_with_many_terms(self):
         # below the branch point the series converges to the Kummer value
         p = UNIT[4.0]
-        q = MgfQuery(s=1.0, l0=1.0, mode=MgfMode.APPROX_TAYLOR)
-        want = mgf_exact(q_exact(1.0), p)
-        assert math.isclose(mgf_taylor_full(q, p, 30), want, rel_tol=1e-10)
+        assert math.isclose(mgf_taylor_full(1.0, 1.0, p, 30), mgf(1.0, 1.0, p), rel_tol=1e-10)
 
     def test_refuses_unconverged_truncation_beyond_branch_point(self):
-        p = UNIT[4.0]
-        q = MgfQuery(s=3.0, l0=1.0, mode=MgfMode.APPROX_TAYLOR)
         with pytest.raises(NonConvergenceError):
-            mgf_taylor_full(q, p, 2)
+            mgf_taylor_full(3.0, 1.0, UNIT[4.0], 2)
 
     def test_refuses_cancellation_noise_at_large_x(self):
-        p = UNIT[4.0]
-        q = MgfQuery(s=25.0, l0=1.0, mode=MgfMode.APPROX_TAYLOR)
         with pytest.raises(NonConvergenceError):
-            mgf_taylor_full(q, p, 60)
-
-    def test_n_terms_consistency_with_query(self):
-        p = UNIT[4.0]
-        q = MgfQuery(s=0.5, l0=1.0, mode=MgfMode.APPROX_TAYLOR, n_terms=4)
-        with pytest.raises(ValueError):
-            mgf_taylor_full(q, p, 6)
+            mgf_taylor_full(25.0, 1.0, UNIT[4.0], 60)
 
 
 class TestMgfThinned:
     def test_full_activity_equals_base(self):
         p = UNIT[4.0]
-        qt = MgfQuery(s=1.0, l0=1.0, mode=MgfMode.THINNED, p_active=1.0)
-        assert mgf_thinned(qt, p, base_mode=MgfMode.EXACT) == mgf_exact(q_exact(1.0), p)
-        assert mgf_thinned(qt, p) == mgf_approx(q_approx(1.0), p)
+        for kind in ("exact", "two_piece", "rayleigh"):
+            assert mgf(1.0, 1.0, p, kind, p_active=1.0) == mgf(1.0, 1.0, p, kind)
 
     def test_exponent_scales_with_p_active(self):
-        p = UNIT[4.0]
-        base = mgf_exact(q_exact(1.0), p)
-        for pa in (0.1, 0.5, 0.9):
-            qt = MgfQuery(s=1.0, l0=1.0, mode=MgfMode.THINNED, p_active=pa)
-            got = mgf_thinned(qt, p, base_mode=MgfMode.EXACT)
-            assert math.isclose(got, base**pa, rel_tol=1e-13), pa
-
-    def test_p_active_consistency_check(self):
-        p = UNIT[4.0]
-        qt = MgfQuery(s=1.0, l0=1.0, mode=MgfMode.THINNED, p_active=0.5)
-        with pytest.raises(ValueError):
-            mgf_thinned(qt, p, p_active=0.7)
-        with pytest.raises(ValueError):
-            mgf_thinned(MgfQuery(s=1.0, l0=1.0, mode=MgfMode.THINNED), p)
+        # log M = p_active * prefactor * B: the exponent, not the MGF, scales
+        p = NetworkParams(lambda_bs=0.4, beta=4.0, kappa=1.5)
+        l0 = 2.0
+        for kind in ("exact", "two_piece", "rayleigh"):
+            exponent = exponent_prefactor(p, l0) * bracket(4.0, 1.0 / l0, kind)
+            base = mgf(1.0, l0, p, kind)
+            for pa in (0.1, 0.5, 0.9):
+                got = mgf(1.0, l0, p, kind, p_active=pa)
+                assert math.isclose(math.log(got), pa * exponent, rel_tol=1e-14), (kind, pa)
+                assert math.isclose(got, base**pa, rel_tol=1e-13), (kind, pa)
 
     def test_thinning_raises_the_mgf(self):
         # fewer interferers -> less interference -> larger E[exp(-sI)]
         p = UNIT[4.0]
-        qt = MgfQuery(s=1.0, l0=1.0, mode=MgfMode.THINNED, p_active=0.3)
-        assert mgf_thinned(qt, p, base_mode=MgfMode.EXACT) > mgf_exact(q_exact(1.0), p)
+        assert mgf(1.0, 1.0, p, p_active=0.3) > mgf(1.0, 1.0, p)
 
 
 class TestMarkedMgf:
-    def q(self, x):
-        return MgfQuery(s=x, l0=1.0, mode=MgfMode.RAYLEIGH_MARKED)
-
     def test_reference_values(self):
-        # two stacked adaptive quadratures; a few 1e-9 of relative noise
-        assert math.isclose(
-            mgf_rayleigh_marked(self.q(1.0), UNIT[4.0]), 0.455938127765996, rel_tol=1e-8
-        )
-        assert math.isclose(
-            mgf_rayleigh_marked(self.q(10.0), UNIT[4.0]), 0.0183383634406966, rel_tol=1e-8
-        )
-        assert math.isclose(
-            mgf_rayleigh_marked(self.q(1.0), UNIT[3.0]), 0.18800293651201, rel_tol=1e-8
-        )
+        assert math.isclose(mgf(1.0, 1.0, UNIT[4.0], "rayleigh"), 0.455938127765996, rel_tol=1e-13)
+        assert math.isclose(mgf(10.0, 1.0, UNIT[4.0], "rayleigh"), 0.0183383634406966, rel_tol=1e-13)
+        assert math.isclose(mgf(1.0, 1.0, UNIT[3.0], "rayleigh"), 0.18800293651201, rel_tol=1e-13)
 
     def test_fixed_unit_mark_recovers_exact(self):
+        # the test-side quadrature route with every mark pinned to 1 must
+        # reproduce the unmarked exact bracket
         for beta in (3.0, 4.0, 5.0):
-            p = UNIT[beta]
             for x in (0.5, 1.0, 10.0):
-                got = mgf_fixed_mark(self.q(x), p, mark=1.0)
-                want = mgf_exact(q_exact(x), p)
-                assert math.isclose(got, want, rel_tol=1e-10), (beta, x)
+                got = (2.0 / beta) * marked_inner(x, 2.0 / beta)
+                assert math.isclose(got, bracket(beta, x, "exact"), rel_tol=1e-10), (beta, x)
 
     def test_s_zero_is_one(self):
-        assert mgf_rayleigh_marked(self.q(0.0), UNIT[4.0]) == 1.0
-        assert mgf_fixed_mark(self.q(5.0), UNIT[4.0], mark=0.0) == 1.0
+        assert mgf(0.0, 1.0, UNIT[4.0], "rayleigh") == 1.0
+        assert bracket(4.0, 0.0, "rayleigh") == 0.0
 
     def test_exponential_marks_soften_interference(self):
         # unit-mean marks spread interference; the MGF of the marked field
         # exceeds the unmarked one at moderate s
         p = UNIT[3.0]
-        assert mgf_rayleigh_marked(self.q(1.0), p) > mgf_exact(q_exact(1.0), p)
+        assert mgf(1.0, 1.0, p, "rayleigh") > mgf(1.0, 1.0, p)
 
     def test_mark_domain(self):
+        # a negative mark would make a negative bracket argument
         with pytest.raises(ValueError):
-            mgf_fixed_mark(self.q(1.0), UNIT[4.0], mark=-0.5)
+            bracket(4.0, -0.5, "rayleigh")
+        with pytest.raises(ValueError):
+            mgf(-0.5, 1.0, UNIT[4.0], "rayleigh")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ppcell.analytics import RateMethod, load_model, pcov_exact_full
+from ppcell.analytics import RateMethod, load_model, pcov
 from ppcell.mgf import NetworkParams
 from ppcell.simulator import (
     Deployment,
@@ -366,9 +366,9 @@ class TestEstimators:
     def test_coverage_tracks_closed_form(self):
         cfg = SimConfig(n_bs_target=256, n_realizations=4000)
         s = run_simulation(P_FULL, cfg, jobs=4)
-        pcov, stderr = estimate_coverage(s, [1.0])
-        want = pcov_exact_full(1.0, 4.0)
-        assert abs(pcov[0] - want) < 4.0 * stderr[0] + 0.01
+        mc, stderr = estimate_coverage(s, [1.0])
+        want = pcov(1.0, 4.0)
+        assert abs(mc[0] - want) < 4.0 * stderr[0] + 0.01
 
 
 class TestInactiveFraction:

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from ppcell.analytics import pcov_approx_full, pcov_exact_full
-from ppcell.mgf import MgfMode, MgfQuery, NetworkParams, mgf_approx, mgf_exact, solve_c
+from ppcell.analytics import pcov
+from ppcell.mgf import NetworkParams, mgf, solve_c
 from ppcell.validation import _BETA_GRID, check_coverage_overlap, check_mgf_tightness
 
 
@@ -20,8 +20,8 @@ def test_mgf_tightness_matches_scalar_scan():
         c = solve_c(beta)
         for x in np.concatenate((np.linspace(0.0, 20.0, 401), [c.c_exact])):
             x = float(x)
-            me = mgf_exact(MgfQuery(s=x, l0=1.0), p)
-            ma = mgf_approx(MgfQuery(s=x, l0=1.0, mode=MgfMode.APPROX_TWO_TERM), p, c)
+            me = mgf(x, 1.0, p)
+            ma = mgf(x, 1.0, p, "two_piece")
             rel = abs(ma - me) / me
             if rel > worst:
                 worst, worst_at = rel, (beta, x)
@@ -36,7 +36,7 @@ def test_coverage_overlap_matches_scalar_scan():
     for beta in _BETA_GRID:
         for gdb in np.linspace(-10.0, 30.0, 41):
             g = 10.0 ** (float(gdb) / 10.0)
-            diff = abs(pcov_approx_full(g, beta) - pcov_exact_full(g, beta))
+            diff = abs(pcov(g, beta, "two_piece") - pcov(g, beta))
             if diff > worst:
                 worst, worst_at = diff, (beta, float(gdb))
     want = f"max |pcov_approx - pcov_exact| = {worst:.4f} at beta={worst_at[0]:g}, gamma={worst_at[1]:g} dB (gate 0.02)"
