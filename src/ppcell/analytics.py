@@ -26,7 +26,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import hyp2f1
 
 from .mgf import (
@@ -198,6 +197,10 @@ def pcov_general(gamma: float, p: NetworkParams, p_active: float = 1.0) -> float
     the density really cancels out (evaluate at two lambda_bs and compare),
     and the noise-included case sigma_n2 > 0, which has no closed form here.
     """
+    # imported here: no subcommand calls this, and loading scipy.integrate
+    # at module level would cost every CLI invocation
+    from scipy.integrate import quad
+
     _check_p_active(p_active)
     if gamma == 0.0:
         return 1.0

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammainc, hyp2f1
 
 __all__ = [
@@ -44,6 +43,11 @@ _FIT_OFFSET = 1.227
 
 # the two bracket branches always cross inside this interval for beta in (2, 5]
 _C_BRACKET = (1.0, 1.5)
+# solve_c: steps allowed (bisection alone needs ~52 to narrow the bracket to
+# an ulp; Newton takes at most 11 over beta in (2, 5]), and the step, in ulp
+# of c, that ends the iteration
+_C_MAX_STEPS = 60
+_C_STEP_ULPS = 4.0
 
 # largest truncation or cancellation error mgf_taylor_full accepts in the bracket
 _TAYLOR_TOL = 1e-12
@@ -180,15 +184,24 @@ def _bracket_gap(beta: float, c: float) -> float:
     return taylor_bracket(beta, c, 2) - upper_bracket(beta, c)
 
 
+def _bracket_gap_slope(beta: float, c: float) -> float:
+    # d/dc of _bracket_gap
+    d = 2.0 / beta
+    return -2.0 / (beta - 2.0) + c / (beta - 1.0) + d * c ** (d - 1.0) * math.gamma(1.0 - d)
+
+
 # bounded: a long-lived process that sweeps fresh betas would otherwise grow
 # the cache without limit
 @lru_cache(maxsize=256)
 def solve_c(beta: float) -> IntersectionConstant:
     """Solve for the branch point where the two bracket pieces cross.
 
-    Brent's method on [1.0, 1.5] to 1e-12; the residual provably changes
-    sign there for every beta in (2, 5]. Also evaluates the fitted formula
-    for comparison (the solved root is what downstream code uses).
+    Safeguarded Newton on [1.0, 1.5]: the residual provably changes sign
+    there for every beta in (2, 5], each iterate shrinks that bracket, and
+    a step that would leave it bisects instead. Iteration stops once a step
+    moves c by at most a few ulp; of the last two iterates the one with the
+    smaller residual is kept. Also evaluates the fitted formula for
+    comparison (the solved root is what downstream code uses).
     """
     _check_beta(beta)
     lo, hi = _C_BRACKET
@@ -199,9 +212,27 @@ def solve_c(beta: float) -> IntersectionConstant:
             f"no sign change of the branch residual on [{lo}, {hi}] for beta={beta}; "
             "beta is outside the supported range"
         )
-    c_exact = brentq(lambda c: _bracket_gap(beta, c), lo, hi, xtol=1e-12, rtol=8.9e-16)
+    c = 0.5 * (lo + hi)
+    for _ in range(_C_MAX_STEPS):
+        g = _bracket_gap(beta, c)
+        if g == 0.0:
+            break
+        if (g < 0.0) == (g_lo < 0.0):
+            lo = c
+        else:
+            hi = c
+        step = c - g / _bracket_gap_slope(beta, c)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - c) <= _C_STEP_ULPS * math.ulp(c):
+            if abs(_bracket_gap(beta, step)) < abs(g):
+                c = step
+            break
+        c = step
+    else:
+        raise NonConvergenceError(f"branch-point iteration did not settle in {_C_MAX_STEPS} steps at beta={beta}")
     c_fit = _FIT_SLOPE * math.log(beta - _FIT_SHIFT) + _FIT_OFFSET
-    return IntersectionConstant(beta=beta, c_exact=float(c_exact), c_fit=c_fit)
+    return IntersectionConstant(beta=beta, c_exact=float(c), c_fit=c_fit)
 
 
 def _scaled_arg(s, l0: float, p: NetworkParams):

@@ -25,12 +25,10 @@ last bits, because R**2 * u replaces x**2 + y**2.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .analytics import RateMethod, RateResult
 from .mgf import NetworkParams
@@ -164,6 +162,9 @@ def _ue_assignments(d: Deployment) -> np.ndarray:
     """Nearest-BS index for every sampled user (empty array when no users)."""
     if d.ue_u.size == 0:
         return np.zeros(0, dtype=np.int64)
+    # imported on first use, so analytic-only runs never load scipy.spatial
+    from scipy.spatial import cKDTree
+
     _, idx = cKDTree(d.bs_positions).query(d.ue_positions)
     return np.asarray(idx, dtype=np.int64)
 
@@ -246,6 +247,13 @@ def run_simulation(
     if jobs == 1:
         blocks = [_simulate_block((p, cfg, idle_mode, 0, n))]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if idle_mode or p.lambda_ue > 0.0:
+            # attachment needs the kd-tree; loaded once here, the forked
+            # workers inherit it instead of each importing it again
+            import scipy.spatial  # noqa: F401
+
         step = -(-n // jobs)
         tasks = [(p, cfg, idle_mode, lo, min(lo + step, n)) for lo in range(0, n, step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -28,6 +28,8 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .analytics import (
+    _SINGULAR_BETA,
+    _SINGULAR_HALFWIDTH,
     PcovKind,
     RateMethod,
     coverage_curve,
@@ -157,7 +159,7 @@ def check_rate_closed_forms(seed: int = 0, jobs: int = 1, quick: bool = False) -
     worst_beta = None
     betas = [2.625 + 0.125 * k for k in range(20)]
     for beta in betas:
-        if abs(beta - 4.3508) < 0.02:
+        if abs(beta - _SINGULAR_BETA) < _SINGULAR_HALFWIDTH:
             continue
         closed = rate_closed_general(beta)
         if closed.method is not RateMethod.CLOSED_FORM_GENERAL:

@@ -1,0 +1,123 @@
+"""Cold start: what `import ppcell.cli` and the commands after it load.
+
+Each case runs in a fresh interpreter, because this one has long since
+imported whatever the other tests needed. The analytic subcommands must
+run on numpy and scipy.special alone; scipy.optimize, scipy.integrate and
+scipy.spatial cost every CLI invocation several hundred ms to import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ppcell
+
+SRC = Path(ppcell.__file__).resolve().parents[1]
+
+HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.spatial")
+
+# tiny configs, one per analytic command (the three load-curves kinds apart)
+ANALYTIC_RUNS = {
+    "coverage": ("coverage", "[grid]\ngamma_start = -5\ngamma_stop = 5\ngamma_step = 5\nbetas = 3 4\n"),
+    "rate": ("rate", "[grid]\nbetas = 2.75 4.0\n"),
+    "mgf": ("mgf", "[grid]\nx_values = 0 0.5 2\nbetas = 3.5\n"),
+    "peak": ("load-curves", "[experiment]\nkind = PeakRateVsRatio\n[grid]\nbetas = 3 4.5\nratios = 0.5 2\n"),
+    "actual": ("load-curves", "[experiment]\nkind = ActualRateVsRatio\n[grid]\nbetas = 4\nratios = 0.5 2\n"),
+    "partial": (
+        "load-curves",
+        "[experiment]\nkind = CoveragePartialLoad\n[grid]\ngamma_start = 0\ngamma_stop = 10\n"
+        "gamma_step = 10\nratios = 1\n",
+    ),
+}
+
+IDLE_SIMULATE = (
+    "simulate",
+    "[network]\nlambda_ue = 1.27e-6\n[sim]\nn_bs_target = 64\nn_realizations = 5\nidle_mode = true\n",
+)
+
+CLI_SCRIPT = """
+import json, sys
+heavy = tuple(json.loads(sys.argv[1]))
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(heavy))
+import ppcell.cli
+after_import = loaded()
+codes = {name: ppcell.cli.main(argv) for name, argv in json.loads(sys.argv[2]).items()}
+print(json.dumps({"codes": codes, "after_import": after_import, "after_runs": loaded()}))
+"""
+
+POOL_SCRIPT = """
+import concurrent.futures, json, sys
+import numpy as np
+from ppcell.mgf import NetworkParams
+from ppcell.simulator import SimConfig, run_simulation
+
+at_pool_start = []
+
+class Spy(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        at_pool_start.append("scipy.spatial" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = Spy
+before = "scipy.spatial" in sys.modules
+p = NetworkParams(lambda_bs=1.0, beta=4.0, lambda_ue=1.0)
+cfg = SimConfig(n_bs_target=64, n_realizations=40, seed=0)
+pooled = run_simulation(p, cfg, idle_mode=True, jobs=2)
+serial = run_simulation(p, cfg, idle_mode=True, jobs=1)
+same = all(
+    np.array_equal(getattr(pooled, f), getattr(serial, f))
+    for f in ("sir_values", "n_users_in_cell", "n_active_bs", "realization_ids")
+)
+print(json.dumps({"before": before, "at_pool_start": at_pool_start, "same": same}))
+"""
+
+
+def run_fresh(script: str, *args: str) -> dict:
+    """Run script in a fresh interpreter on this ppcell; returns its last stdout line as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_cli(tmp_path, runs: dict) -> dict:
+    """`main` for each (command, config) after `import ppcell.cli`, in a fresh interpreter.
+
+    Returns the exit codes and the heavy scipy subpackages loaded right after
+    the import and after all the runs.
+    """
+    argvs = {}
+    for name, (command, text) in runs.items():
+        (tmp_path / f"{name}.ini").write_text(text)
+        argvs[name] = [command, "--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / f"{name}.csv")]
+    return run_fresh(CLI_SCRIPT, json.dumps(HEAVY), json.dumps(argvs))
+
+
+def test_analytic_commands_load_no_heavy_scipy(tmp_path):
+    seen = run_cli(tmp_path, ANALYTIC_RUNS)
+    assert seen["codes"] == {name: 0 for name in ANALYTIC_RUNS}
+    for name in ANALYTIC_RUNS:
+        assert (tmp_path / f"{name}.csv").read_text().count("\n") >= 2, name
+    assert seen["after_import"] == []
+    assert seen["after_runs"] == []
+
+
+def test_idle_simulate_loads_the_kd_tree(tmp_path):
+    # the guard above is not vacuous: attachment does pull scipy.spatial in
+    seen = run_cli(tmp_path, {"idle": IDLE_SIMULATE})
+    assert seen["codes"] == {"idle": 0}
+    assert seen["after_import"] == []
+    assert "scipy.spatial" in seen["after_runs"]
+
+
+def test_pool_after_lazy_kd_tree_import():
+    # scipy.spatial is not loaded yet: jobs=2 must import it in the parent
+    # before the pool forks, and its samples must still match jobs=1 bitwise
+    seen = run_fresh(POOL_SCRIPT)
+    assert seen == {"before": False, "at_pool_start": [True], "same": True}

@@ -12,11 +12,15 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from ppcell import mgf as mgf_module
 from ppcell.mgf import (
     IntersectionConstant,
     NetworkParams,
     NonConvergenceError,
+    _bracket_gap,
+    _bracket_gap_slope,
     bracket,
     exponent_prefactor,
     mgf,
@@ -152,10 +156,71 @@ class TestSolveC:
         assert ic.c_exact != ic.c_fit
 
     def test_beta_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^beta must lie in \(2, 5\], got 2\.0$"):
             solve_c(2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^beta must lie in \(2, 5\], got 5\.5$"):
             solve_c(5.5)
+
+    def test_sign_change_refusal(self, monkeypatch):
+        # the branches cross near 1.29 at beta=4.25, so [1.0, 1.1] holds no root
+        monkeypatch.setattr(mgf_module, "_C_BRACKET", (1.0, 1.1))
+        solve_c.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=r"no sign change of the branch residual on \[1\.0, 1\.1\] for beta=4\.25"):
+                solve_c(4.25)
+        finally:
+            solve_c.cache_clear()
+
+    def test_unsettled_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr(mgf_module, "_C_MAX_STEPS", 2)
+        solve_c.cache_clear()
+        try:
+            with pytest.raises(NonConvergenceError, match="did not settle in 2 steps at beta=4.25"):
+                solve_c(4.25)
+        finally:
+            solve_c.cache_clear()
+
+
+def brentq_c(beta: float) -> float:
+    """Second route for c: Brent's method on the same residual, to 1e-15."""
+    return brentq(lambda c: _bracket_gap(beta, c), 1.0, 1.5, xtol=1e-15, rtol=8.9e-16)
+
+
+def gap_ulp(beta: float, c: float) -> float:
+    """One ulp of the largest term of _bracket_gap: the rounding floor of the residual."""
+    d = 2.0 / beta
+    return math.ulp(max(2.0 * c / (beta - 2.0), c * c / (2.0 * beta - 2.0), 1.0, c**d * math.gamma(1.0 - d)))
+
+
+class TestSolveCAgainstBrentq:
+    # 2,000 evenly spaced betas in (2, 5], from 2.0015 up
+    BETAS = [float(b) for b in np.linspace(2.0, 5.0, 2001)[1:]]
+    # so close to 2 that the residual's -2c/(beta-2) term is ~1e5 and its
+    # rounding, over a slope of ~0.44, moves the root by more than 1e-12
+    NEAR_TWO = (2.00001, 2.0001, 2.0005, 2.001)
+
+    def test_matches_brentq(self):
+        worst = max(abs(solve_c(b).c_exact - brentq_c(b)) / brentq_c(b) for b in self.BETAS)
+        assert worst <= 1e-12
+
+    def test_residual_no_larger_than_brentq(self):
+        for b in self.BETAS + list(self.NEAR_TWO):
+            c, ref = solve_c(b).c_exact, brentq_c(b)
+            assert abs(_bracket_gap(b, c)) <= abs(_bracket_gap(b, ref)) + 4.0 * gap_ulp(b, c), b
+
+    def test_near_two_agrees_to_the_conditioning(self):
+        # there both routes find a zero of a residual that is rounding noise
+        # over an interval of width ~ulp(largest term)/slope around the root
+        for b in self.NEAR_TWO:
+            c, ref = solve_c(b).c_exact, brentq_c(b)
+            assert abs(c - ref) <= 4.0 * gap_ulp(b, c) / abs(_bracket_gap_slope(b, c)), b
+
+    def test_slope_is_the_derivative(self):
+        for b in (2.3, 3.0, 4.1, 5.0):
+            for c in (1.0, 1.25, 1.5):
+                h = 1e-6
+                fd = (_bracket_gap(b, c + h) - _bracket_gap(b, c - h)) / (2.0 * h)
+                assert math.isclose(_bracket_gap_slope(b, c), fd, rel_tol=1e-7), (b, c)
 
 
 class TestBrackets:
