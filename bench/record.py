@@ -4,7 +4,7 @@
 
 The change is the committed tree at HEAD, the parent the commit named by
 --base. Each is exported with `git archive` (src/ and perfbench/ only) into
-its own scratch directory, so both run identical benchmark code from the
+its own temporary directory, so both run identical benchmark code from the
 same kind of checkout. For every workload and seed the two sides run
 `perfbench/run.py --trace 0` back to back, alternating which goes first;
 then each side runs one `--trace 1` pass per workload on the first seed.
