@@ -14,17 +14,13 @@ from .mgf import (
     IntersectionConstant,
     NetworkParams,
     NonConvergenceError,
-    mgf_taylor_full,
     solve_c,
 )
 from .analytics import (
-    CoverageCurve,
     LoadModel,
     PcovKind,
     RateMethod,
     RateResult,
-    TabulatedRateAudit,
-    coverage_curve,
     load_model,
     pathloss_cdf,
     pathloss_pdf,
@@ -32,9 +28,7 @@ from .analytics import (
     pcov_general,
     rate_actual,
     rate_closed_general,
-    rate_peak_partial_load,
     rate_quadrature,
-    table1_audit,
 )
 from .simulator import (
     Deployment,

@@ -9,11 +9,10 @@ two-piece approximation) and p_active is the idle-mode thinning factor
 (1 = fully loaded); pcov() is that formula. pcov_general() integrates the
 MGF over the serving path-loss density instead, which also covers noise.
 Ergodic peak rate is int_0^inf Pcov(w)/(1+w) dw, evaluated by a
-fixed Gauss-Legendre rule in log w (the authority) and by closed forms: a
-general-beta expression for the fully loaded case and tabulated expressions
-for beta = 3, 4 under partial load. The tabulated forms are audited against
-quadrature on first use and quarantined wholesale if any grid point
-deviates beyond 1e-4.
+fixed Gauss-Legendre rule in log w (the authority) and, fully loaded, by a
+closed form valid for every beta. Partial-load rates always come from the
+rule: the published beta = 3, 4 partial-load forms do not match it (see the
+erratum in the README).
 
 Rates are in nats/s/Hz.
 """
@@ -23,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import hyp2f1
@@ -39,13 +37,10 @@ from .mgf import (
 )
 
 __all__ = [
-    "CoverageCurve",
     "LoadModel",
     "PcovKind",
     "RateMethod",
     "RateResult",
-    "TabulatedRateAudit",
-    "coverage_curve",
     "load_model",
     "pathloss_cdf",
     "pathloss_pdf",
@@ -53,9 +48,7 @@ __all__ = [
     "pcov_general",
     "rate_actual",
     "rate_closed_general",
-    "rate_peak_partial_load",
     "rate_quadrature",
-    "table1_audit",
 ]
 
 # shape constant of the gamma approximation to Voronoi cell areas; fixed by
@@ -84,13 +77,6 @@ _MIN_P_ACTIVE = 1e-6
 _SINGULAR_BETA = (11.0 + math.sqrt(41.0)) / 4.0
 _SINGULAR_HALFWIDTH = 0.02
 
-# branch constants the tabulated peak-rate forms were derived with (4 digits,
-# the fitted values); the audit quadrature must use these same constants
-_TABULATED_C = {3.0: 1.2528, 4.0: 1.2873}
-
-_AUDIT_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-_AUDIT_MISMATCH_LIMIT = 1e-4
-
 
 class PcovKind(Enum):
     EXACT = "Exact"
@@ -103,7 +89,6 @@ _BRACKET_KIND = {PcovKind.EXACT: "exact", PcovKind.APPROX: "two_piece"}
 
 class RateMethod(Enum):
     CLOSED_FORM_GENERAL = "ClosedFormGeneral"
-    CLOSED_FORM_TABLE1 = "ClosedFormTable1"
     QUADRATURE = "Quadrature"
     MONTE_CARLO = "MonteCarlo"
 
@@ -139,27 +124,6 @@ class LoadModel:
     p_inactive: float
     p_active: float
     p_selection: float
-
-
-@dataclass(frozen=True)
-class CoverageCurve:
-    """Coverage sampled on a gamma grid (linear thresholds)."""
-
-    gamma_grid: tuple[float, ...]
-    pcov_exact: tuple[float, ...]
-    pcov_approx: tuple[float, ...]
-    p_active: float
-
-    def __post_init__(self) -> None:
-        for name, series in (("pcov_exact", self.pcov_exact), ("pcov_approx", self.pcov_approx)):
-            if len(series) != len(self.gamma_grid):
-                raise ValueError(f"{name} length {len(series)} != grid length {len(self.gamma_grid)}")
-            for v in series:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name} value {v} outside [0, 1]")
-            for a, b in zip(series, series[1:]):
-                if b > a + 1e-12:
-                    raise ValueError(f"{name} is not nonincreasing along the grid")
 
 
 def pathloss_pdf(y, p: NetworkParams) -> float | np.ndarray:
@@ -219,22 +183,6 @@ def pcov_general(gamma: float, p: NetworkParams, p_active: float = 1.0) -> float
     if err > _QUAD_ERR_LIMIT:
         raise NonConvergenceError(f"coverage quadrature achieved only {err:.2e} absolute error")
     return val
-
-
-def coverage_curve(
-    beta: float,
-    gamma_grid: tuple[float, ...] | list[float],
-    p_active: float = 1.0,
-) -> CoverageCurve:
-    """Sample exact and approximate coverage along a linear gamma grid."""
-    grid = np.asarray(gamma_grid, dtype=float)
-    exact, approx = pcov(grid, beta, "exact", p_active), pcov(grid, beta, "two_piece", p_active)
-    return CoverageCurve(
-        gamma_grid=tuple(float(g) for g in gamma_grid),
-        pcov_exact=tuple(exact.tolist()),
-        pcov_approx=tuple(approx.tolist()),
-        p_active=p_active,
-    )
 
 
 def load_model(lambda_ue: float, lambda_bs: float) -> LoadModel:
@@ -365,155 +313,6 @@ def rate_closed_general(beta: float) -> RateResult:
     return RateResult(value=big_a * (t1 + t2 + t3) + tail, method=RateMethod.CLOSED_FORM_GENERAL)
 
 
-def _tabulated_peak_rate_beta4(pa: float) -> float:
-    # transcribed verbatim; the audit decides whether it is ever served
-    c = _TABULATED_C[4.0]
-    b = math.sqrt(9.0 + 6.0 / pa)
-    den = 1.0 + pa * (-2.0 + pa * (1.0 + math.pi))
-    t1 = (-6.0 / pa) * (
-        math.log((c - 3.0 + b) / (-3.0 + b)) / (2.0 * b * (-4.0 + b))
-        + math.log((c - 3.0 - b) / (-3.0 - b)) / (2.0 * b * (4.0 + b))
-        - math.log(c + 1.0) / ((-4.0 + b) * (4.0 + b))
-    )
-    t2 = (-2.0 * math.log(pa) * (1.0 + pa) + (pa - 1.0) * math.log((1.0 + c) * math.pi)) / den
-    t3 = (
-        math.pi**1.5 * pa
-        - 2.0 * math.sqrt(math.pi) * pa * math.atan(math.sqrt(c))
-        - 2.0 * (pa - 1.0) * math.log(1.0 - pa + math.sqrt(math.pi * c) * pa)
-    ) / den
-    return t1 + t2 + t3
-
-
-def _tabulated_peak_rate_beta3(pa: float) -> float:
-    c = _TABULATED_C[3.0]
-    g3 = math.gamma(1.0 / 3.0)
-    b = 2.0 * math.sqrt(4.0 + 1.0 / pa)
-    cr = c ** (1.0 / 3.0)
-    t1 = (-4.0 / pa) * (
-        math.log((c - 4.0 + b) / (-4.0 + b)) / (2.0 * b * (-5.0 + b))
-        + math.log((c - 4.0 - b) / (-4.0 - b)) / (2.0 * b * (5.0 + b))
-        - math.log(c + 1.0) / ((-5.0 + b) * (5.0 + b))
-    )
-    den2 = 1.0 + pa * (-2.0 + pa + (pa - 1.0) * g3 + pa * g3 * g3)
-    t2 = -math.sqrt(3.0) * pa * math.atan((-1.0 + 2.0 * cr) / math.sqrt(3.0)) * g3 / den2
-    num3 = (
-        -((1.0 - pa) ** 1.5) * pa * math.pi * (-math.sqrt(3.0) + 3.0 * math.sqrt(-pa * g3 / (pa - 1.0))) * g3
-        - 6.0 * (pa - 1.0) * (pa * g3) ** 1.5 * math.atan(math.sqrt(pa * g3 / (1.0 - pa)) * cr)
-        + math.sqrt(1.0 - pa)
-        * (
-            math.sqrt(3.0) * (pa * g3) ** 2 * math.pi
-            - 2.0 * pa * g3 * (-1.0 + pa * (1.0 + g3)) * math.log(1.0 + cr)
-            + pa * g3 * (-1.0 + pa * (1.0 + g3)) * math.log(1.0 - cr + cr * cr)
-            + (pa - 1.0) ** 2
-            * (
-                -2.0 * math.log(1.0 + c)
-                - 3.0 * math.log(pa * g3)
-                + 3.0 * math.log(1.0 - pa * (-1.0 + cr * cr * g3))
-            )
-        )
-    )
-    den3 = 2.0 * math.sqrt(1.0 - pa) * (-((pa - 1.0) ** 3) + (pa * g3) ** 3)
-    return t1 + t2 + num3 / den3
-
-
-_TABULATED_FORMS = {3.0: _tabulated_peak_rate_beta3, 4.0: _tabulated_peak_rate_beta4}
-
-
-@dataclass(frozen=True)
-class TabulatedRateAudit:
-    """Outcome of checking a tabulated closed form against quadrature."""
-
-    beta: float
-    quarantined: bool
-    max_abs_mismatch: float
-    worst_p_active: float | None
-    checked: tuple[float, ...]
-    skipped: tuple[float, ...]
-    message: str
-
-
-@lru_cache(maxsize=None)
-def table1_audit(beta: float) -> TabulatedRateAudit:
-    """Audit the tabulated partial-load peak-rate form for one beta.
-
-    Every p_active grid point inside the form's log domain is compared with
-    quadrature of the same integrand. The quadrature here deliberately uses
-    the 4-digit branch constant the tabulated form was derived with, so a
-    faithful transcription would match at antiderivative accuracy (~1e-9);
-    any point off by more than 1e-4 quarantines the form and all calls are
-    served by quadrature instead. Cached per beta.
-    """
-    beta = float(beta)
-    if beta not in _TABULATED_FORMS:
-        raise ValueError(f"tabulated closed forms exist for beta in {{3, 4}}, got {beta}")
-    form = _TABULATED_FORMS[beta]
-    c_tab = _TABULATED_C[beta]
-    checked: list[float] = []
-    closed: list[float] = []
-    skipped: list[float] = []
-    for pa in _AUDIT_GRID:
-        try:
-            closed.append(form(pa))
-        except (ValueError, ZeroDivisionError):
-            skipped.append(pa)
-            continue
-        checked.append(pa)
-    max_mismatch = 0.0
-    worst: float | None = None
-    if checked:
-        reference, _ = _rate_integral(beta, np.array(checked), PcovKind.APPROX, c_tab)
-        mismatch = np.abs(np.array(closed) - reference)
-        k = int(np.argmax(mismatch))
-        max_mismatch, worst = float(mismatch[k]), checked[k]
-    quarantined = (not checked) or max_mismatch > _AUDIT_MISMATCH_LIMIT
-    if quarantined:
-        message = (
-            f"beta={beta:g} tabulated form QUARANTINED: deviates from quadrature by up to "
-            f"{max_mismatch:.6g} nats/s/Hz at p_active={worst} "
-            f"(limit {_AUDIT_MISMATCH_LIMIT:g}); quadrature values are served instead"
-        )
-    else:
-        message = (
-            f"beta={beta:g} tabulated form verified: max deviation {max_mismatch:.3g} over "
-            f"{len(checked)} grid points"
-        )
-    if skipped:
-        message += f"; {len(skipped)} grid points outside the form's log domain: {tuple(skipped)}"
-    return TabulatedRateAudit(
-        beta=beta,
-        quarantined=quarantined,
-        max_abs_mismatch=max_mismatch,
-        worst_p_active=worst,
-        checked=tuple(checked),
-        skipped=tuple(skipped),
-        message=message,
-    )
-
-
-def rate_peak_partial_load(beta: float, p_active: float) -> RateResult:
-    """Idle-mode peak rate for beta in {3, 4} via the tabulated closed forms.
-
-    Falls back to quadrature when the form is quarantined by its audit, when
-    p_active leaves the form's log domain, or at p_active=1 where the general
-    closed form takes over.
-    """
-    beta = float(beta)
-    if beta not in _TABULATED_FORMS:
-        raise ValueError(f"tabulated closed forms exist for beta in {{3, 4}}, got {beta}")
-    if not _MIN_P_ACTIVE <= p_active <= 1.0:
-        raise ValueError(f"p_active must lie in [{_MIN_P_ACTIVE}, 1], got {p_active}")
-    if p_active >= 1.0 - 1e-9:
-        return rate_closed_general(beta)
-    audit = table1_audit(beta)
-    if audit.quarantined:
-        return rate_quadrature(beta, p_active, PcovKind.APPROX)
-    try:
-        return RateResult(value=_TABULATED_FORMS[beta](p_active), method=RateMethod.CLOSED_FORM_TABLE1)
-    except (ValueError, ZeroDivisionError):
-        # log argument crossed zero (or a partial-fraction pole); per-point fallback
-        return rate_quadrature(beta, p_active, PcovKind.APPROX)
-
-
 def rate_actual(beta: float, lambda_ue: float, lambda_bs: float) -> RateResult:
     """Per-UE rate: peak rate times the resource-selection probability.
 
@@ -529,10 +328,7 @@ def rate_actual(beta: float, lambda_ue: float, lambda_bs: float) -> RateResult:
             method=RateMethod.QUADRATURE,
             no_interference=True,
         )
-    if beta in _TABULATED_FORMS:
-        peak = rate_peak_partial_load(beta, lm.p_active)
-    else:
-        peak = rate_quadrature(beta, lm.p_active, PcovKind.APPROX)
+    peak = rate_quadrature(beta, lm.p_active, PcovKind.APPROX)
     return RateResult(
         value=peak.value * lm.p_selection, method=peak.method, stderr=peak.stderr * lm.p_selection
     )

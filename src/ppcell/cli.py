@@ -29,7 +29,6 @@ from .analytics import (
     load_model,
     pcov,
     rate_closed_general,
-    rate_peak_partial_load,
     rate_quadrature,
 )
 from .mgf import NetworkParams, NonConvergenceError, mgf, solve_c
@@ -448,10 +447,7 @@ def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> int:
         loads = [load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs) for ratio in spec.ratios]
         p_active = [lm.p_active for lm in loads]
         ref_peaks = rate_quadrature(beta, p_active, PcovKind.EXACT)
-        if beta in (3.0, 4.0):
-            closed_peaks = [rate_peak_partial_load(beta, pa) for pa in p_active]
-        else:
-            closed_peaks = rate_quadrature(beta, p_active, PcovKind.APPROX)
+        closed_peaks = rate_quadrature(beta, p_active, PcovKind.APPROX)
         for ratio, lm, ref, closed in zip(spec.ratios, loads, ref_peaks, closed_peaks):
             # the actual rate is the peak rate times the selection probability
             share = lm.p_selection if actual else 1.0

@@ -11,8 +11,8 @@ One array function, bracket(), evaluates B for every kind: exact (Kummer
 function), the two-piece closed-form approximation joined at the
 intersection constant c, and Rayleigh fading marks on the interferers.
 mgf() is the exponential above; coverage and rate use bracket() directly.
-mgf_taylor_full() is the n-term truncated series, refused where it has not
-converged.
+taylor_bracket() is the n-term small-argument series of B, the lower piece
+of the two-piece kind.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "bracket",
     "exponent_prefactor",
     "mgf",
-    "mgf_taylor_full",
     "solve_c",
     "taylor_bracket",
 ]
@@ -49,14 +48,9 @@ _C_BRACKET = (1.0, 1.5)
 _C_MAX_STEPS = 60
 _C_STEP_ULPS = 4.0
 
-# largest truncation or cancellation error mgf_taylor_full accepts in the bracket
-_TAYLOR_TOL = 1e-12
-
-_EPS = 2.0**-52
-
 
 class NonConvergenceError(ArithmeticError):
-    """A series or quadrature failed to reach its tolerance."""
+    """An iteration or quadrature failed to reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -255,40 +249,3 @@ def mgf(s, l0: float, p: NetworkParams, kind: str = "exact", p_active: float = 1
     _check_p_active(p_active)
     x = _scaled_arg(s, l0, p)
     return np.exp(p_active * exponent_prefactor(p, l0) * bracket(p.beta, x, kind))
-
-
-def mgf_taylor_full(s: float, l0: float, p: NetworkParams, n_terms: int) -> float:
-    """n-term truncated-series MGF (the two-piece lower branch generalized).
-
-    With n_terms=2 this reproduces the two-piece MGF below the branch point
-    term for term. The truncation is refused when it has visibly not
-    converged beyond the branch point, and when float64 cancellation noise
-    in the alternating sum exceeds 1e-12.
-    """
-    if n_terms < 2:
-        raise ValueError(f"n_terms must be at least 2, got {n_terms}")
-    x = _scaled_arg(s, l0, p)
-
-    # peak term magnitude ~ 2 e^x / (sqrt(2 pi x) (x beta - 2)); float64 keeps
-    # ~16 digits of it, so the alternating sum drowns once the peak is large.
-    # Only relevant when the truncation actually reaches the peak (n_terms > x).
-    if x > 1.0 and n_terms > x:
-        peak = 2.0 * math.exp(x) / (math.sqrt(2.0 * math.pi * x) * (x * p.beta - 2.0))
-        if peak * _EPS > _TAYLOR_TOL:
-            raise NonConvergenceError(
-                f"truncated series loses too many digits to cancellation at x={x:.4g} "
-                f"(noise ~{peak * _EPS:.1e} > {_TAYLOR_TOL:g})"
-            )
-
-    series = taylor_bracket(p.beta, x, n_terms)
-    c = solve_c(p.beta).c_exact
-    if x > c:
-        # alternating series: the magnitude of the last retained term bounds
-        # the truncation error once terms decay
-        last = 2.0 * x**n_terms / (math.factorial(n_terms) * (n_terms * p.beta - 2.0))
-        if last > _TAYLOR_TOL * max(1.0, abs(series)):
-            raise NonConvergenceError(
-                f"series branch forced beyond the branch point c={c:.6f} with "
-                f"unconverged truncation (x={x:.4g}, last-term bound {last:.2e})"
-            )
-    return np.exp(exponent_prefactor(p, l0) * series)

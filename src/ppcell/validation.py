@@ -28,20 +28,15 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .analytics import (
-    _SINGULAR_BETA,
-    _SINGULAR_HALFWIDTH,
     PcovKind,
     RateMethod,
-    coverage_curve,
     load_model,
     pathloss_cdf,
     pcov,
     rate_closed_general,
-    rate_peak_partial_load,
     rate_quadrature,
-    table1_audit,
 )
-from .mgf import NetworkParams, mgf, mgf_taylor_full, solve_c, taylor_bracket, upper_bracket
+from .mgf import NetworkParams, mgf, solve_c, taylor_bracket, upper_bracket
 from .simulator import (
     SimConfig,
     _cartesian,
@@ -153,14 +148,17 @@ def check_coverage_overlap(seed: int = 0, jobs: int = 1, quick: bool = False) ->
 
 
 def check_rate_closed_forms(seed: int = 0, jobs: int = 1, quick: bool = False) -> tuple[bool, str]:
-    """General closed form within 1e-6 of quadrature; tabulated forms verified or quarantined."""
+    """Fully loaded closed form within 1e-6 of quadrature on a 20-beta grid.
+
+    The grid holds beta = 3 and 4, so it covers the full-load end of the
+    load curves. Partial-load rates have no closed form: they come from
+    quadrature alone, and mc-idle-mode-curves holds them against Monte Carlo.
+    """
     tol = 1e-6
     worst = 0.0
     worst_beta = None
     betas = [2.625 + 0.125 * k for k in range(20)]
     for beta in betas:
-        if abs(beta - _SINGULAR_BETA) < _SINGULAR_HALFWIDTH:
-            continue
         closed = rate_closed_general(beta)
         if closed.method is not RateMethod.CLOSED_FORM_GENERAL:
             return False, f"beta={beta:g} unexpectedly served by {closed.method.value}"
@@ -170,21 +168,7 @@ def check_rate_closed_forms(seed: int = 0, jobs: int = 1, quick: bool = False) -
             worst, worst_beta = diff, beta
     if worst > tol:
         return False, f"general closed form off quadrature by {worst:.2e} at beta={worst_beta:g} (gate {tol:g})"
-    notes = [f"general form max |diff|={worst:.2e} over {len(betas)} beta values (gate {tol:g})"]
-    for beta in (3.0, 4.0):
-        audit = table1_audit(beta)
-        if audit.quarantined:
-            notes.append(audit.message)
-        elif audit.max_abs_mismatch > tol:
-            return False, audit.message
-        else:
-            notes.append(audit.message)
-        # the p_active=1 end of the grid is served by the general form
-        full = rate_peak_partial_load(beta, 1.0)
-        ref = rate_quadrature(beta, 1.0, PcovKind.APPROX)
-        if abs(full.value - ref.value) > tol:
-            return False, f"beta={beta:g} p_active=1 rate off by {abs(full.value - ref.value):.2e}"
-    return True, "; ".join(notes)
+    return True, f"general form max |diff|={worst:.2e} over {len(betas)} beta values (gate {tol:g})"
 
 
 def check_mc_rate_full_load(seed: int = 0, jobs: int = 1, quick: bool = False) -> tuple[bool, str]:
@@ -304,15 +288,17 @@ def check_property_suite(seed: int = 0, jobs: int = 1, quick: bool = False) -> t
     vals = (
         *(mgf(0.0, 2.0, p, kind) for kind in ("exact", "two_piece", "rayleigh")),
         mgf(0.0, 2.0, p, "two_piece", p_active=0.4),
-        mgf_taylor_full(0.0, 2.0, p, n_terms=6),
     )
     if any(abs(v - 1.0) > 1e-12 for v in vals):
         return False, f"MGF(0) != 1: got {vals}"
-    # coverage curves: bounds and monotonicity enforced by the curve type
-    grid = [_db_to_linear(g) for g in np.linspace(-10.0, 30.0, 41)]
+    # coverage curves: inside [0, 1] and nonincreasing along the threshold grid
+    grid = _db_to_linear(np.linspace(-10.0, 30.0, 41))
     for beta in _BETA_GRID:
         for pa in (0.3, 1.0):
-            coverage_curve(beta, grid, p_active=pa)  # raises if out of bounds or rising
+            for kind in ("exact", "two_piece"):
+                curve = pcov(grid, beta, kind, pa)
+                if not (np.all((curve >= 0.0) & (curve <= 1.0)) and np.all(np.diff(curve) <= 1e-12)):
+                    return False, f"{kind} coverage leaves [0, 1] or rises at beta={beta:g}, p_active={pa:g}"
     # seam continuity of the two-piece exponent bracket
     worst_gap = 0.0
     for beta in _BETA_GRID:

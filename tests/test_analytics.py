@@ -13,11 +13,9 @@ from scipy.integrate import quad
 
 from ppcell import analytics
 from ppcell.analytics import (
-    CoverageCurve,
     PcovKind,
     RateMethod,
     RateResult,
-    coverage_curve,
     load_model,
     pathloss_cdf,
     pathloss_pdf,
@@ -25,9 +23,7 @@ from ppcell.analytics import (
     pcov_general,
     rate_actual,
     rate_closed_general,
-    rate_peak_partial_load,
     rate_quadrature,
-    table1_audit,
 )
 from ppcell.mgf import NetworkParams, NonConvergenceError, bracket, solve_c, taylor_bracket, upper_bracket
 
@@ -112,31 +108,14 @@ class TestCoverageIntegralRoute:
 
 
 class TestCoverageCurve:
-    def test_builder_matches_pointwise(self):
-        grid = [0.1, 1.0, 10.0]
-        curve = coverage_curve(4.0, grid, p_active=0.7)
-        for g, e, a in zip(grid, curve.pcov_exact, curve.pcov_approx):
-            assert e == pcov(g, 4.0, "exact", 0.7) and a == pcov(g, 4.0, "two_piece", 0.7)
-        assert curve.p_active == 0.7
-        assert curve.gamma_grid == (0.1, 1.0, 10.0)
-
-    def test_rejects_rising_series(self):
-        with pytest.raises(ValueError):
-            CoverageCurve(
-                gamma_grid=(1.0, 2.0), pcov_exact=(0.4, 0.5), pcov_approx=(0.5, 0.4), p_active=1.0
-            )
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            CoverageCurve(
-                gamma_grid=(1.0,), pcov_exact=(1.2,), pcov_approx=(0.5,), p_active=1.0
-            )
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            CoverageCurve(
-                gamma_grid=(1.0, 2.0), pcov_exact=(0.5,), pcov_approx=(0.5, 0.4), p_active=1.0
-            )
+    def test_array_matches_pointwise(self):
+        # a curve is one pcov call on the threshold array; each entry must be
+        # the scalar call's value bit for bit
+        grid = [0.0, 0.1, 1.0, 10.0]
+        exact = pcov(np.array(grid), 4.0, "exact", 0.7)
+        approx = pcov(np.array(grid), 4.0, "two_piece", 0.7)
+        for g, e, a in zip(grid, exact.tolist(), approx.tolist()):
+            assert e == pcov(g, 4.0, "exact", 0.7) and a == pcov(g, 4.0, "two_piece", 0.7), g
 
 
 class TestRateQuadrature:
@@ -239,8 +218,6 @@ class TestRateClosedGeneral:
     def test_matches_quadrature(self):
         for k in range(20):
             beta = 2.625 + 0.125 * k
-            if abs(beta - 4.3508) < 0.02:
-                continue
             closed = rate_closed_general(beta)
             ref = rate_quadrature(beta, 1.0, PcovKind.APPROX)
             assert closed.method is RateMethod.CLOSED_FORM_GENERAL
@@ -260,59 +237,10 @@ class TestRateClosedGeneral:
             rate_closed_general(2.0)
 
 
-class TestTabulatedForms:
-    def test_both_betas_quarantined(self):
-        # the transcribed closed forms disagree with quadrature of their own
-        # integrand by order 1 nats/s/Hz, far beyond transcription noise, so
-        # the audit must bench them
-        for beta, worst_mm, worst_pa in ((3.0, 1.300, 0.2), (4.0, 1.870, 0.3)):
-            audit = table1_audit(beta)
-            assert audit.quarantined
-            assert math.isclose(audit.max_abs_mismatch, worst_mm, abs_tol=5e-3), beta
-            assert audit.worst_p_active == worst_pa
-            assert "QUARANTINED" in audit.message
-
-    def test_beta3_log_domain_documented(self):
-        # the beta=3 form contains log(1 - p_active*(c^(2/3)*Gamma(1/3) - 1)),
-        # which leaves the real domain just below p_active = 0.5
-        audit = table1_audit(3.0)
-        assert audit.skipped == (0.5, 0.6, 0.7, 0.8, 0.9)
-        assert audit.checked == (0.1, 0.2, 0.3, 0.4)
-
-    def test_beta4_checked_everywhere(self):
-        audit = table1_audit(4.0)
-        assert audit.skipped == ()
-        assert len(audit.checked) == 9
-
-    def test_audit_is_cached(self):
-        assert table1_audit(4.0) is table1_audit(4.0)
-
-    def test_unknown_beta_rejected(self):
-        with pytest.raises(ValueError):
-            table1_audit(3.5)
-
-
 class TestRatePeakPartialLoad:
-    def test_quarantine_routes_to_quadrature(self):
-        r = rate_peak_partial_load(4.0, PA_RATIO_1)
-        assert r.method is RateMethod.QUADRATURE
-        want = rate_quadrature(4.0, PA_RATIO_1, PcovKind.APPROX)
-        assert r.value == want.value
-
-    def test_full_activity_delegates_to_general_form(self):
-        r = rate_peak_partial_load(4.0, 1.0)
-        assert r.method is RateMethod.CLOSED_FORM_GENERAL
-        assert math.isclose(r.value, rate_closed_general(4.0).value, rel_tol=1e-15)
-
     def test_monotone_in_activity(self):
-        vals = [rate_peak_partial_load(3.0, pa).value for pa in (0.9, 0.5, 0.2)]
+        vals = [r.value for r in rate_quadrature(3.0, [0.9, 0.5, 0.2], PcovKind.APPROX)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_domains(self):
-        with pytest.raises(ValueError):
-            rate_peak_partial_load(3.5, 0.5)
-        with pytest.raises(ValueError):
-            rate_peak_partial_load(4.0, 0.0)
 
 
 class TestRateActual:
@@ -320,13 +248,15 @@ class TestRateActual:
         lam = 2.3e-6
         r = rate_actual(4.0, lam, lam)
         lm = load_model(lam, lam)
-        peak = rate_peak_partial_load(4.0, lm.p_active)
+        peak = rate_quadrature(4.0, lm.p_active, PcovKind.APPROX)
         assert math.isclose(r.value, peak.value * lm.p_selection, rel_tol=1e-15)
         assert r.method is peak.method
 
     def test_general_beta_uses_quadrature(self):
-        r = rate_actual(4.5, 1.0, 1.0)
-        assert r.method is RateMethod.QUADRATURE
+        # beta = 3 and 4 take the same route as any other beta
+        for beta in (3.0, 4.0, 4.5):
+            r = rate_actual(beta, 1.0, 1.0)
+            assert r.method is RateMethod.QUADRATURE, beta
 
     def test_vanishing_load_sentinel(self):
         r = rate_actual(4.0, 1e-12, 1.0)
@@ -347,7 +277,6 @@ class TestRateResult:
 
     def test_method_labels(self):
         assert RateMethod.CLOSED_FORM_GENERAL.value == "ClosedFormGeneral"
-        assert RateMethod.CLOSED_FORM_TABLE1.value == "ClosedFormTable1"
         assert RateMethod.QUADRATURE.value == "Quadrature"
         assert RateMethod.MONTE_CARLO.value == "MonteCarlo"
 

@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from ppcell.analytics import rate_actual
+from ppcell.analytics import PcovKind, rate_actual, rate_quadrature
 from ppcell.cli import ConfigError, main, parse_config
 
 
@@ -184,8 +184,22 @@ class TestLoadCurvesCommand:
         assert rows[0][:4] == ["beta", "ratio", "p_active", "p_selection"]
         assert "rate_peak_exact" in rows[0]
         assert float(rows[1][2]) == pytest.approx(0.585051349019134, rel=1e-12)
-        # quarantined tabulated form: peak rate served by quadrature
+        # no partial-load closed form: the closed column is two-piece quadrature
         assert rows[1][6] == "Quadrature"
+
+    def test_closed_column_is_one_vector_quadrature(self, tmp_path, capsys):
+        # beta = 3 and 4 take the route of every other beta: one vector call
+        # over the ratio axis, whose values the CSV carries bit for bit
+        path = write_cfg(tmp_path, "[grid]\nbetas = 3.0 4.0\nratios = 0.5 2.0 8.0\n")
+        assert main(["load-curves", "--config", path]) == 0
+        rows = read_rows(capsys)[1:]
+        assert len(rows) == 6
+        for beta in (3.0, 4.0):
+            cells = [row for row in rows if float(row[0]) == beta]
+            want = rate_quadrature(beta, [float(row[2]) for row in cells], PcovKind.APPROX)
+            for row, w in zip(cells, want):
+                assert float(row[5]) == w.value, row
+                assert row[6] == "Quadrature"
 
     def test_actual_rate_kind(self, tmp_path, capsys):
         path = write_cfg(

@@ -24,7 +24,6 @@ from ppcell.mgf import (
     bracket,
     exponent_prefactor,
     mgf,
-    mgf_taylor_full,
     solve_c,
     taylor_bracket,
     upper_bracket,
@@ -94,7 +93,7 @@ class TestNetworkParams:
 
 
 class TestMgfQuery:
-    """Domain checks on the query arguments s, l0, kind, p_active and n_terms."""
+    """Domain checks on the query arguments s, l0, kind and p_active."""
 
     def test_field_domains(self):
         with pytest.raises(ValueError):
@@ -103,14 +102,8 @@ class TestMgfQuery:
             mgf(1.0, 0.0, UNIT[4.0])
         with pytest.raises(ValueError):
             mgf(np.array([1.0, -1.0]), 1.0, UNIT[4.0])
-        with pytest.raises(ValueError):
-            mgf_taylor_full(-0.1, 1.0, UNIT[4.0], 4)
-        with pytest.raises(ValueError):
-            mgf_taylor_full(1.0, 0.0, UNIT[4.0], 4)
 
     def test_mode_specific_fields(self):
-        with pytest.raises(ValueError):
-            mgf_taylor_full(0.5, 1.0, UNIT[4.0], 1)  # n_terms below 2
         for pa in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 mgf(1.0, 1.0, UNIT[4.0], p_active=pa)
@@ -344,25 +337,19 @@ class TestMgfValues:
 
 
 class TestMgfTaylorFull:
+    """The truncated-series MGF exp(B_n(x)), at unit exponent prefactor."""
+
     def test_n2_equals_two_piece_lower_branch_bitwise(self):
         for beta in (3.0, 4.0, 5.0):
             p = UNIT[beta]
             c = solve_c(beta)
             for x in (0.0, 0.3, 0.9, c.c_exact * 0.999):
-                assert mgf_taylor_full(x, 1.0, p, 2) == mgf(x, 1.0, p, "two_piece"), (beta, x)
+                assert np.exp(taylor_bracket(beta, x, 2)) == mgf(x, 1.0, p, "two_piece"), (beta, x)
 
     def test_converges_to_exact_with_many_terms(self):
         # below the branch point the series converges to the Kummer value
         p = UNIT[4.0]
-        assert math.isclose(mgf_taylor_full(1.0, 1.0, p, 30), mgf(1.0, 1.0, p), rel_tol=1e-10)
-
-    def test_refuses_unconverged_truncation_beyond_branch_point(self):
-        with pytest.raises(NonConvergenceError):
-            mgf_taylor_full(3.0, 1.0, UNIT[4.0], 2)
-
-    def test_refuses_cancellation_noise_at_large_x(self):
-        with pytest.raises(NonConvergenceError):
-            mgf_taylor_full(25.0, 1.0, UNIT[4.0], 60)
+        assert math.isclose(np.exp(taylor_bracket(4.0, 1.0, 30)), mgf(1.0, 1.0, p), rel_tol=1e-10)
 
 
 class TestMgfThinned:

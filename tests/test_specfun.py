@@ -5,8 +5,8 @@ evaluation of the defining series/integrals and frozen here. The library
 evaluates these functions through scipy.special and math: the Kummer
 function as 1 - bracket(..., "exact"), the lower incomplete gamma function
 as gammainc * gamma, the Gauss 2F1 as hyp2f1, and Gamma(1-d) as math.gamma.
-The raw alternating series of the bracket (taylor_bracket, served by
-mgf_taylor_full) is the second route for the Kummer values.
+The raw alternating series of the bracket (taylor_bracket) is the second
+route for the Kummer values.
 """
 
 import math
@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammainc, hyp2f1
 
-from ppcell import mgf as mgf_module
-from ppcell.mgf import NetworkParams, NonConvergenceError, bracket, mgf_taylor_full, taylor_bracket, upper_bracket
-
-# unit exponent prefactor at l0 = 1, so mgf_taylor_full returns exp(B_n(x))
-UNIT4 = NetworkParams(lambda_bs=1.0 / math.pi, beta=4.0)
+from ppcell.mgf import bracket, taylor_bracket, upper_bracket
 
 
 def lower_inc_gamma(a, x):
@@ -111,12 +107,6 @@ class TestKummer:
                 series = 1.0 - taylor_bracket(2.0 / d, x, 150)
                 assert math.isclose(kummer(d, x), series, rel_tol=rel), (d, x)
 
-    def test_series_route_refuses_beyond_cutoff(self):
-        # at x = 30.5 the series' peak term is ~2e10, so float64 cancellation
-        # noise (~5e-6) is far above the 1e-12 tolerance
-        with pytest.raises(NonConvergenceError):
-            mgf_taylor_full(30.5, 1.0, UNIT4, 150)
-
     def test_domain_rejections(self):
         with pytest.raises(ValueError):
             kummer(1.0, 1.0)  # beta = 2
@@ -156,16 +146,3 @@ class TestGauss2F1:
         b, z = 0.5, -0.6
         direct = b * sum(z**k / (b + k) for k in range(200))
         assert math.isclose(hyp2f1(1.0, b, b + 1.0, z), direct, rel_tol=1e-12)
-
-
-class TestPolicy:
-    """The truncated series' one tolerance and its refusal to go unconverged."""
-
-    def test_default_policy_values(self):
-        # the truncated-series MGF's one tolerance; pinned so it cannot drift
-        assert mgf_module._TAYLOR_TOL == 1e-12
-
-    def test_max_terms_exhaustion_raises(self):
-        # starving the series of terms must be loud, not silently wrong
-        with pytest.raises(NonConvergenceError):
-            mgf_taylor_full(2.0, 1.0, UNIT4, 3)
