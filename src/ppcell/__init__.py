@@ -18,7 +18,6 @@ from .mgf import (
 )
 from .analytics import (
     LoadModel,
-    PcovKind,
     RateMethod,
     RateResult,
     load_model,

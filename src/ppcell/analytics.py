@@ -38,7 +38,6 @@ from .mgf import (
 
 __all__ = [
     "LoadModel",
-    "PcovKind",
     "RateMethod",
     "RateResult",
     "load_model",
@@ -76,15 +75,6 @@ _MIN_P_ACTIVE = 1e-6
 # the general closed form divides by 2*beta^2 - 11*beta + 10; this root is in range
 _SINGULAR_BETA = (11.0 + math.sqrt(41.0)) / 4.0
 _SINGULAR_HALFWIDTH = 0.02
-
-
-class PcovKind(Enum):
-    EXACT = "Exact"
-    APPROX = "Approx"
-
-
-# bracket() kind behind each coverage kind
-_BRACKET_KIND = {PcovKind.EXACT: "exact", PcovKind.APPROX: "two_piece"}
 
 
 class RateMethod(Enum):
@@ -221,7 +211,7 @@ def _panels(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _rate_integral(
     beta: float,
     p_active: np.ndarray,
-    pcov_kind: PcovKind,
+    kind: str,
     c_value: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak-rate integral int_0^W Pcov(w)/(1+w) dw for every entry of p_active.
@@ -242,7 +232,7 @@ def _rate_integral(
         rules += [_panels(lo, hi, n), _panels(lo, hi, 2 * n)]
     v = np.concatenate([nodes for nodes, _ in rules])
     w = np.exp(v)
-    b = bracket(beta, w, _BRACKET_KIND[pcov_kind], c_value)
+    b = bracket(beta, w, kind, c_value)
     # Pcov(w)/(1+w) dw = Pcov(w)/(1+1/w) dv
     f = np.concatenate([q for _, q in rules]) / ((1.0 - p_active[:, None] * b) * (1.0 + 1.0 / w))
     starts = np.cumsum([0] + [nodes.size for nodes, _ in rules[:-1]])
@@ -259,15 +249,19 @@ def _rate_integral(
 def rate_quadrature(
     beta: float,
     p_active=1.0,
-    pcov_kind: PcovKind = PcovKind.EXACT,
+    kind: str = "exact",
 ) -> RateResult | list[RateResult]:
     """Ergodic peak rate by the fixed log-space quadrature. Authority for all closed forms.
 
+    kind is the coverage kind integrated, "exact" or "two_piece" as in
+    pcov(); the tail cutoff is proven for those two brackets only.
     p_active may also be a sequence; the result is then a list with one
     RateResult per entry, all from a single bracket evaluation. stderr
     carries the achieved absolute error bound.
     """
     _check_beta(beta)
+    if kind not in ("exact", "two_piece"):
+        raise ValueError(f"rate kind must be 'exact' or 'two_piece', got {kind!r}")
     pa = np.asarray(p_active, dtype=float)
     if not np.all(pa >= _MIN_P_ACTIVE):
         raise ValueError(
@@ -276,7 +270,7 @@ def rate_quadrature(
         )
     if not np.all(pa <= 1.0):
         raise ValueError(f"p_active must lie in [{_MIN_P_ACTIVE}, 1], got {np.max(pa)}")
-    values, errs = _rate_integral(beta, pa.ravel(), pcov_kind, solve_c(beta).c_exact)
+    values, errs = _rate_integral(beta, pa.ravel(), kind, solve_c(beta).c_exact)
     results = [
         RateResult(value=v, method=RateMethod.QUADRATURE, stderr=e)
         for v, e in zip(values.tolist(), errs.tolist())
@@ -295,7 +289,7 @@ def rate_closed_general(beta: float) -> RateResult:
     """
     _check_beta(beta)
     if abs(beta - _SINGULAR_BETA) < _SINGULAR_HALFWIDTH:
-        return rate_quadrature(beta, 1.0, PcovKind.APPROX)
+        return rate_quadrature(beta, 1.0, "two_piece")
     cv = solve_c(beta).c_exact
     d = 2.0 / beta
     big_a = 2.0 * beta - 2.0
@@ -328,7 +322,7 @@ def rate_actual(beta: float, lambda_ue: float, lambda_bs: float) -> RateResult:
             method=RateMethod.QUADRATURE,
             no_interference=True,
         )
-    peak = rate_quadrature(beta, lm.p_active, PcovKind.APPROX)
+    peak = rate_quadrature(beta, lm.p_active, "two_piece")
     return RateResult(
         value=peak.value * lm.p_selection, method=peak.method, stderr=peak.stderr * lm.p_selection
     )

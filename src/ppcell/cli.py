@@ -17,20 +17,14 @@ import configparser
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .analytics import (
-    PcovKind,
-    load_model,
-    pcov,
-    rate_closed_general,
-    rate_quadrature,
-)
+from .analytics import load_model, pcov, rate_closed_general, rate_quadrature
 from .mgf import NetworkParams, NonConvergenceError, mgf, solve_c
 from .simulator import SimConfig, estimate_coverage, estimate_rates, run_simulation
 from .validation import _LAMBDA_REF, _RATIO_GRID, _db_to_linear, run_all
@@ -56,19 +50,19 @@ class ExperimentKind(Enum):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully resolved experiment: kind, parameters, axis, and output target.
+    """Fully resolved experiment: kind, parameters, axes, and output target.
 
-    grid is the primary axis (thresholds, path-loss exponents, MGF arguments
-    or density ratios depending on kind); kinds without an axis (Validate,
-    RawSamples) carry a singleton placeholder.
+    grid holds the thresholds (linear units) or MGF arguments of the kinds
+    that sweep them and is empty otherwise. Whichever axis the kind sweeps
+    (grid, betas or ratios, per _KINDS) must be nonempty and strictly
+    increasing.
     """
 
     kind: ExperimentKind
     params: NetworkParams
-    grid: tuple[float, ...]
     sim: SimConfig
     output_path: str | None = None
-    gamma_in_db: bool = True
+    grid: tuple[float, ...] = ()
     betas: tuple[float, ...] = ()
     ratios: tuple[float, ...] = ()
     idle_mode: bool = False
@@ -77,11 +71,20 @@ class ExperimentSpec:
     quick: bool = False
 
     def __post_init__(self) -> None:
-        if not self.grid:
-            raise ConfigError("grid must be nonempty")
-        for a, b in zip(self.grid, self.grid[1:]):
-            if not b > a:
-                raise ConfigError(f"grid must be strictly increasing, got {a} before {b}")
+        row = _KINDS[self.kind]
+        if row.axis is not None:
+            axis = getattr(self, row.axis)
+            if not axis:
+                raise ConfigError("grid must be nonempty")
+            for a, b in zip(axis, axis[1:]):
+                if not b > a:
+                    raise ConfigError(f"grid must be strictly increasing, got {a} before {b}")
+        if self.idle_mode and self.params.lambda_ue <= 0.0:
+            raise ConfigError("sim.idle_mode requires network.lambda_ue > 0")
+        # the rate kinds integrate interference-limited coverage only
+        if row.mc == "rate" and self.params.sigma_n2 > 0.0:
+            sigma = self.params.sigma_n2
+            raise ConfigError(f"{self.kind.value} has no noisy rate route; network.sigma_n2 must be 0, got {sigma}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be positive, got {self.jobs}")
         for ratio in self.ratios:
@@ -107,18 +110,16 @@ _ALLOWED_KEYS = {
     "sim": {"n_bs_target", "n_realizations", "seed", "idle_mode", "with_mc"},
 }
 
-_KINDS_BY_COMMAND = {
-    "coverage": (ExperimentKind.COVERAGE_VS_GAMMA,),
-    "rate": (ExperimentKind.RATE_VS_BETA,),
-    "load-curves": (
-        ExperimentKind.PEAK_RATE_VS_RATIO,
-        ExperimentKind.ACTUAL_RATE_VS_RATIO,
-        ExperimentKind.COVERAGE_PARTIAL_LOAD,
-    ),
-    "mgf": (ExperimentKind.MGF_PROFILE,),
-    "simulate": (ExperimentKind.RAW_SAMPLES,),
-    "validate": (ExperimentKind.VALIDATE,),
+# subcommand -> help text; each experiment kind belongs to one (see _KINDS)
+_COMMANDS = {
+    "coverage": "coverage probability vs threshold (exact and approximate curves)",
+    "rate": "fully loaded ergodic rate vs path-loss exponent",
+    "load-curves": "idle-mode curves vs UE/BS density ratio (peak, actual, or coverage)",
+    "mgf": "interference MGF profile: exact vs two-piece approximation",
+    "simulate": "dump per-realization Monte Carlo samples as CSV",
+    "validate": "run the full analytics-vs-simulation validation suite",
 }
+
 
 def _linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
@@ -217,12 +218,11 @@ def _sim_from_config(cfg: dict, seed_override: int | None) -> SimConfig:
         raise ConfigError(f"sim: {exc}")
 
 
-def _gamma_grid(cfg: dict, force_db: bool) -> tuple[tuple[float, ...], bool]:
-    """Threshold axis in linear units plus whether the config spoke dB."""
+def _gamma_grid(cfg: dict, force_db: bool) -> tuple[float, ...]:
+    """Threshold axis in linear units."""
     unit = cfg.get("grid", {}).get("gamma_unit", "db").strip().lower()
     if unit not in ("db", "linear"):
         raise ConfigError(f"grid.gamma_unit must be 'db' or 'linear', got {unit!r}")
-    in_db = force_db or unit == "db"
     start = _get_float(cfg, "grid", "gamma_start", -10.0)
     stop = _get_float(cfg, "grid", "gamma_stop", 30.0)
     step = _get_float(cfg, "grid", "gamma_step", 1.0)
@@ -231,14 +231,14 @@ def _gamma_grid(cfg: dict, force_db: bool) -> tuple[tuple[float, ...], bool]:
     if stop < start:
         raise ConfigError(f"grid.gamma_stop {stop} is below gamma_start {start}")
     axis = tuple(float(v) for v in np.arange(start, stop + step / 2.0, step))
-    if in_db:
-        return tuple(_db_to_linear(v) for v in axis), True
+    if force_db or unit == "db":
+        return tuple(_db_to_linear(v) for v in axis)
     if axis[0] < 0.0:
         raise ConfigError(
             f"gamma grid must be nonnegative in linear units (starts at {axis[0]}); "
             "use gamma_unit=db or --db for a dB axis"
         )
-    return axis, False
+    return axis
 
 
 def _beta_axis(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
@@ -256,7 +256,7 @@ def _beta_axis(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def _resolve_kind(cfg: dict, command: str) -> ExperimentKind:
-    allowed = _KINDS_BY_COMMAND[command]
+    allowed = [kind for kind, row in _KINDS.items() if row.command == command]
     raw = cfg.get("experiment", {}).get("kind")
     if raw is None:
         return allowed[0]
@@ -275,71 +275,29 @@ def _resolve_kind(cfg: dict, command: str) -> ExperimentKind:
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     cfg = parse_config(args.config) if args.config else {}
-    command = args.command
-    kind = _resolve_kind(cfg, command)
+    kind = _resolve_kind(cfg, args.command)
+    row = _KINDS[kind]
     output = args.out if args.out else cfg.get("experiment", {}).get("output")
-    seed_override = args.seed
-    sim = _sim_from_config(cfg, seed_override)
+    sim = _sim_from_config(cfg, args.seed)
     idle_mode = _get_bool(cfg, "sim", "idle_mode", False)
     with_mc = _get_bool(cfg, "sim", "with_mc", False)
-    jobs = args.jobs
-
-    if kind is ExperimentKind.COVERAGE_VS_GAMMA:
-        params = _network_from_config(cfg)
-        grid, in_db = _gamma_grid(cfg, args.db)
-        betas = _beta_axis(cfg, (2.5, 3.0, 3.5, 4.0, 4.5, 5.0))
-        return ExperimentSpec(
-            kind=kind, params=params, grid=grid, sim=sim, output_path=output,
-            gamma_in_db=in_db, betas=betas, with_mc=with_mc, jobs=jobs,
-        )
-    if kind is ExperimentKind.RATE_VS_BETA:
-        params = _network_from_config(cfg)
-        betas = _beta_axis(cfg, tuple(float(b) for b in np.arange(2.5, 5.001, 0.125)))
-        return ExperimentSpec(
-            kind=kind, params=params, grid=betas, sim=sim, output_path=output,
-            betas=betas, with_mc=with_mc, jobs=jobs,
-        )
-    if kind is ExperimentKind.COVERAGE_PARTIAL_LOAD:
-        params = _network_from_config(cfg)
-        grid, in_db = _gamma_grid(cfg, args.db)
-        ratios = _get_list(cfg, "grid", "ratios") or _RATIO_GRID
-        betas = _beta_axis(cfg, (params.beta,))
-        return ExperimentSpec(
-            kind=kind, params=params, grid=grid, sim=sim, output_path=output,
-            gamma_in_db=in_db, betas=betas, ratios=ratios, with_mc=with_mc, jobs=jobs,
-        )
-    if kind in (ExperimentKind.PEAK_RATE_VS_RATIO, ExperimentKind.ACTUAL_RATE_VS_RATIO):
-        params = _network_from_config(cfg)
-        ratios = _get_list(cfg, "grid", "ratios") or _RATIO_GRID
-        betas = _beta_axis(cfg, (3.0, 4.0, 5.0))
-        return ExperimentSpec(
-            kind=kind, params=params, grid=ratios, sim=sim, output_path=output,
-            betas=betas, ratios=ratios, with_mc=with_mc, jobs=jobs,
-        )
-    if kind is ExperimentKind.MGF_PROFILE:
-        # default density gives a unit exponent prefactor at l0 = 1
-        params = _network_from_config(cfg, default_lambda=1.0 / math.pi)
-        xs = _get_list(cfg, "grid", "x_values")
-        if xs is None:
-            xs = tuple(float(v) for v in np.arange(0.0, 20.001, 0.25))
-        betas = _beta_axis(cfg, (params.beta,))
-        return ExperimentSpec(
-            kind=kind, params=params, grid=xs, sim=sim, output_path=output,
-            betas=betas, jobs=jobs,
-        )
-    if kind is ExperimentKind.RAW_SAMPLES:
-        params = _network_from_config(cfg)
-        if idle_mode and params.lambda_ue <= 0.0:
-            raise ConfigError("sim.idle_mode requires network.lambda_ue > 0")
-        return ExperimentSpec(
-            kind=kind, params=params, grid=(0.0,), sim=sim, output_path=output,
-            idle_mode=idle_mode, jobs=jobs,
-        )
-    # Validate
-    params = _network_from_config(cfg)
+    params = _network_from_config(cfg, row.lambda_bs)
+    grid: tuple[float, ...] = ()
+    if "gamma" in row.reads:
+        grid = _gamma_grid(cfg, args.db)
+    if "x" in row.reads:
+        grid = _get_list(cfg, "grid", "x_values")
+        if grid is None:
+            grid = tuple(float(v) for v in np.arange(0.0, 20.001, 0.25))
+    ratios = (_get_list(cfg, "grid", "ratios") or _RATIO_GRID) if "ratios" in row.reads else ()
     return ExperimentSpec(
-        kind=kind, params=params, grid=(0.0,), sim=sim, output_path=output,
-        jobs=jobs, quick=getattr(args, "quick", False),
+        kind=kind, params=params, sim=sim, output_path=output, grid=grid,
+        betas=_beta_axis(cfg, row.betas(params)) if row.betas else (),
+        ratios=ratios,
+        idle_mode=idle_mode and "idle_mode" in row.reads,
+        with_mc=with_mc and row.mc is not None,
+        jobs=args.jobs,
+        quick=getattr(args, "quick", False),
     )
 
 
@@ -357,140 +315,95 @@ def _write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]
             emit(fh)
 
 
-def _mc_coverage(spec: ExperimentSpec, beta: float, lambda_ue: float, idle: bool):
-    p = NetworkParams(
-        lambda_bs=spec.params.lambda_bs, lambda_ue=lambda_ue, beta=beta,
-        kappa=spec.params.kappa, p_tx=spec.params.p_tx, sigma_n2=spec.params.sigma_n2,
-    )
-    samples = run_simulation(p, spec.sim, idle_mode=idle, jobs=spec.jobs)
-    return estimate_coverage(samples, spec.grid)
+# what a runner returns: header, rows (None: write no CSV) and exit code;
+# run_experiment adds the Monte Carlo columns to the header and writes the CSV
+_Table = tuple[list[str], list[list] | None, int]
 
 
-def _run_coverage(spec: ExperimentSpec) -> int:
-    header = ["beta", "gamma", "gamma_db", "pcov_exact", "pcov_approx"]
-    if spec.with_mc:
-        header += ["pcov_mc", "pcov_mc_stderr"]
-    rows = []
+def _mc_samples(spec: ExperimentSpec, beta: float, lambda_ue: float):
+    # fully loaded curves simulate no users, the load curves idle mode
+    p = replace(spec.params, beta=beta, lambda_ue=lambda_ue)
+    return run_simulation(p, spec.sim, idle_mode=lambda_ue > 0.0, jobs=spec.jobs)
+
+
+def _coverage_rows(
+    spec: ExperimentSpec, lead: list, beta: float, p_active: float, lambda_ue: float
+) -> list[list]:
+    """One row per threshold: lead cells, gamma, gamma in dB, both coverage kinds[, MC]."""
     grid = np.asarray(spec.grid)
-    for beta in spec.betas:
-        exact, approx = pcov(grid, beta, "exact"), pcov(grid, beta, "two_piece")
-        mc = _mc_coverage(spec, beta, 0.0, idle=False) if spec.with_mc else None
-        for i, (g, e, a) in enumerate(zip(spec.grid, exact.tolist(), approx.tolist())):
-            row = [beta, g, _linear_to_db(g) if g > 0 else float("-inf"), e, a]
-            if mc is not None:
-                row += [float(mc[0][i]), float(mc[1][i])]
-            rows.append(row)
-    _write_csv(spec.output_path, header, rows)
-    return 0
-
-
-def _run_rate_vs_beta(spec: ExperimentSpec) -> int:
-    header = ["beta", "rate_exact_quad", "rate_closed", "closed_method"]
+    cells = [pcov(grid, beta, "exact", p_active).tolist(), pcov(grid, beta, "two_piece", p_active).tolist()]
     if spec.with_mc:
-        header += ["rate_mc", "rate_mc_stderr"]
+        cells += [c.tolist() for c in estimate_coverage(_mc_samples(spec, beta, lambda_ue), spec.grid)]
+    return [
+        [*lead, g, _linear_to_db(g) if g > 0 else float("-inf"), *vals]
+        for g, *vals in zip(spec.grid, *cells)
+    ]
+
+
+def _run_coverage(spec: ExperimentSpec) -> _Table:
+    rows = [row for beta in spec.betas for row in _coverage_rows(spec, [beta], beta, 1.0, 0.0)]
+    return ["beta", "gamma", "gamma_db", "pcov_exact", "pcov_approx"], rows, 0
+
+
+def _run_coverage_partial_load(spec: ExperimentSpec) -> _Table:
     rows = []
     for beta in spec.betas:
-        exact = rate_quadrature(beta, 1.0, PcovKind.EXACT)
+        for ratio in spec.ratios:
+            lambda_ue = ratio * spec.params.lambda_bs
+            lm = load_model(lambda_ue, spec.params.lambda_bs)
+            rows += _coverage_rows(spec, [beta, ratio, lm.p_active], beta, lm.p_active, lambda_ue)
+    return ["beta", "ratio", "p_active", "gamma", "gamma_db", "pcov_exact", "pcov_approx"], rows, 0
+
+
+def _run_rate_vs_beta(spec: ExperimentSpec) -> _Table:
+    rows = []
+    for beta in spec.betas:
+        exact = rate_quadrature(beta, 1.0, "exact")
         closed = rate_closed_general(beta)
         row = [beta, exact.value, closed.value, closed.method.value]
         if spec.with_mc:
-            p = NetworkParams(
-                lambda_bs=spec.params.lambda_bs, beta=beta,
-                kappa=spec.params.kappa, p_tx=spec.params.p_tx,
-            )
-            samples = run_simulation(p, spec.sim, jobs=spec.jobs)
-            peak, _ = estimate_rates(samples)
+            peak, _ = estimate_rates(_mc_samples(spec, beta, 0.0))
             row += [peak.value, peak.stderr]
         rows.append(row)
-    _write_csv(spec.output_path, header, rows)
-    return 0
+    return ["beta", "rate_exact_quad", "rate_closed", "closed_method"], rows, 0
 
 
-def _run_coverage_partial_load(spec: ExperimentSpec) -> int:
-    header = ["beta", "ratio", "p_active", "gamma", "gamma_db", "pcov_exact", "pcov_approx"]
-    if spec.with_mc:
-        header += ["pcov_mc", "pcov_mc_stderr"]
-    rows = []
-    grid = np.asarray(spec.grid)
-    for beta in spec.betas:
-        for ratio in spec.ratios:
-            lm = load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs)
-            exact = pcov(grid, beta, "exact", lm.p_active)
-            approx = pcov(grid, beta, "two_piece", lm.p_active)
-            mc = (
-                _mc_coverage(spec, beta, ratio * spec.params.lambda_bs, idle=True)
-                if spec.with_mc
-                else None
-            )
-            for i, (g, e, a) in enumerate(zip(spec.grid, exact.tolist(), approx.tolist())):
-                row = [
-                    beta, ratio, lm.p_active, g,
-                    _linear_to_db(g) if g > 0 else float("-inf"), e, a,
-                ]
-                if mc is not None:
-                    row += [float(mc[0][i]), float(mc[1][i])]
-                rows.append(row)
-    _write_csv(spec.output_path, header, rows)
-    return 0
-
-
-def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> int:
-    header = ["beta", "ratio", "p_active", "p_selection"]
-    if actual:
-        header += ["rate_actual_exact", "rate_actual_closed", "closed_method"]
-    else:
-        header += ["rate_peak_exact", "rate_peak_closed", "closed_method"]
-    if spec.with_mc:
-        header += ["rate_mc", "rate_mc_stderr"]
+def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> _Table:
+    name = "actual" if actual else "peak"
     rows = []
     for beta in spec.betas:
         loads = [load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs) for ratio in spec.ratios]
         p_active = [lm.p_active for lm in loads]
-        ref_peaks = rate_quadrature(beta, p_active, PcovKind.EXACT)
-        closed_peaks = rate_quadrature(beta, p_active, PcovKind.APPROX)
+        ref_peaks = rate_quadrature(beta, p_active, "exact")
+        closed_peaks = rate_quadrature(beta, p_active, "two_piece")
         for ratio, lm, ref, closed in zip(spec.ratios, loads, ref_peaks, closed_peaks):
             # the actual rate is the peak rate times the selection probability
             share = lm.p_selection if actual else 1.0
-            row = [
-                beta, ratio, lm.p_active, lm.p_selection,
-                ref.value * share, closed.value * share, closed.method.value,
-            ]
+            row = [beta, ratio, lm.p_active, lm.p_selection]
+            row += [ref.value * share, closed.value * share, closed.method.value]
             if spec.with_mc:
-                p = NetworkParams(
-                    lambda_bs=spec.params.lambda_bs, lambda_ue=ratio * spec.params.lambda_bs,
-                    beta=beta, kappa=spec.params.kappa, p_tx=spec.params.p_tx,
-                )
-                samples = run_simulation(p, spec.sim, idle_mode=True, jobs=spec.jobs)
-                peak_mc, actual_mc = estimate_rates(samples)
-                picked = actual_mc if actual else peak_mc
-                row += [picked.value, picked.stderr]
+                mc = estimate_rates(_mc_samples(spec, beta, ratio * spec.params.lambda_bs))[1 if actual else 0]
+                row += [mc.value, mc.stderr]
             rows.append(row)
-    _write_csv(spec.output_path, header, rows)
-    return 0
+    header = ["beta", "ratio", "p_active", "p_selection", f"rate_{name}_exact", f"rate_{name}_closed"]
+    return header + ["closed_method"], rows, 0
 
 
-def _run_mgf_profile(spec: ExperimentSpec) -> int:
-    header = ["beta", "c_exact", "c_fit", "x", "mgf_exact", "mgf_approx", "rel_error"]
+def _run_mgf_profile(spec: ExperimentSpec) -> _Table:
     rows = []
     xs = np.asarray(spec.grid)
     for beta in spec.betas:
-        p = NetworkParams(
-            lambda_bs=spec.params.lambda_bs, beta=beta,
-            kappa=spec.params.kappa, p_tx=spec.params.p_tx,
-        )
+        p = replace(spec.params, beta=beta)
         c = solve_c(beta)
-        me = mgf(xs, 1.0, p, "exact")
-        ma = mgf(xs, 1.0, p, "two_piece")
+        me, ma = mgf(xs, 1.0, p, "exact"), mgf(xs, 1.0, p, "two_piece")
         rel = np.abs(ma - me) / me
         for x, e, a, r in zip(spec.grid, me.tolist(), ma.tolist(), rel.tolist()):
             rows.append([beta, c.c_exact, c.c_fit, x, e, a, r])
-    _write_csv(spec.output_path, header, rows)
-    return 0
+    return ["beta", "c_exact", "c_fit", "x", "mgf_exact", "mgf_approx", "rel_error"], rows, 0
 
 
-def _run_raw_samples(spec: ExperimentSpec) -> int:
+def _run_raw_samples(spec: ExperimentSpec) -> _Table:
     samples = run_simulation(spec.params, spec.sim, idle_mode=spec.idle_mode, jobs=spec.jobs)
-    header = ["realization_id", "sir", "n_users", "n_active_bs"]
     rows = [
         [int(rid), float(sir), int(nu), int(na)]
         for rid, sir, nu, na in zip(
@@ -498,36 +411,79 @@ def _run_raw_samples(spec: ExperimentSpec) -> int:
             samples.n_users_in_cell, samples.n_active_bs,
         )
     ]
-    _write_csv(spec.output_path, header, rows)
-    return 0
+    return ["realization_id", "sir", "n_users", "n_active_bs"], rows, 0
 
 
-def _run_validate(spec: ExperimentSpec) -> int:
+def _run_validate(spec: ExperimentSpec) -> _Table:
+    # the suite prints its own report; the CSV is written only on request
     results = run_all(seed=spec.sim.seed, jobs=spec.jobs, quick=spec.quick)
-    if spec.output_path:
-        _write_csv(
-            spec.output_path,
-            ["check", "passed", "message", "elapsed_s"],
-            [[r.label, r.passed, r.message, f"{r.elapsed_s:.3f}"] for r in results],
-        )
-    return 0 if all(r.passed for r in results) else 1
+    rows = [[r.label, r.passed, r.message, f"{r.elapsed_s:.3f}"] for r in results]
+    code = 0 if all(r.passed for r in results) else 1
+    return ["check", "passed", "message", "elapsed_s"], rows if spec.output_path else None, code
 
 
-_RUNNERS = {
-    ExperimentKind.COVERAGE_VS_GAMMA: _run_coverage,
-    ExperimentKind.RATE_VS_BETA: _run_rate_vs_beta,
-    ExperimentKind.COVERAGE_PARTIAL_LOAD: _run_coverage_partial_load,
-    ExperimentKind.PEAK_RATE_VS_RATIO: partial(_run_rate_vs_ratio, actual=False),
-    ExperimentKind.ACTUAL_RATE_VS_RATIO: partial(_run_rate_vs_ratio, actual=True),
-    ExperimentKind.MGF_PROFILE: _run_mgf_profile,
-    ExperimentKind.RAW_SAMPLES: _run_raw_samples,
-    ExperimentKind.VALIDATE: _run_validate,
+@dataclass(frozen=True)
+class _Kind:
+    """How one experiment kind is resolved from a config and run.
+
+    axis: the ExperimentSpec field swept (None: none). reads: config inputs
+    beyond network, sim and betas ("gamma" thresholds, "x" MGF arguments,
+    "ratios", "idle_mode"). betas: default betas from the network (None:
+    betas unread). mc: prefix of the columns sim.with_mc adds (None: no
+    such columns). lambda_bs: default station density.
+    """
+
+    command: str
+    runner: Callable[[ExperimentSpec], _Table]
+    axis: str | None = None
+    reads: tuple[str, ...] = ()
+    betas: Callable[[NetworkParams], tuple[float, ...]] | None = None
+    mc: str | None = None
+    lambda_bs: float = _LAMBDA_REF
+
+
+# Table order fixes each subcommand's default kind (its first) and the
+# order of the kinds named in its refusal message.
+_KINDS = {
+    ExperimentKind.COVERAGE_VS_GAMMA: _Kind(
+        "coverage", _run_coverage, axis="grid", reads=("gamma",),
+        betas=lambda p: (2.5, 3.0, 3.5, 4.0, 4.5, 5.0), mc="pcov",
+    ),
+    ExperimentKind.RATE_VS_BETA: _Kind(
+        "rate", _run_rate_vs_beta, axis="betas",
+        betas=lambda p: tuple(float(b) for b in np.arange(2.5, 5.001, 0.125)), mc="rate",
+    ),
+    ExperimentKind.PEAK_RATE_VS_RATIO: _Kind(
+        "load-curves", partial(_run_rate_vs_ratio, actual=False), axis="ratios",
+        reads=("ratios",), betas=lambda p: (3.0, 4.0, 5.0), mc="rate",
+    ),
+    ExperimentKind.ACTUAL_RATE_VS_RATIO: _Kind(
+        "load-curves", partial(_run_rate_vs_ratio, actual=True), axis="ratios",
+        reads=("ratios",), betas=lambda p: (3.0, 4.0, 5.0), mc="rate",
+    ),
+    ExperimentKind.COVERAGE_PARTIAL_LOAD: _Kind(
+        "load-curves", _run_coverage_partial_load, axis="grid",
+        reads=("gamma", "ratios"), betas=lambda p: (p.beta,), mc="pcov",
+    ),
+    # the default density gives a unit exponent prefactor at l0 = 1
+    ExperimentKind.MGF_PROFILE: _Kind(
+        "mgf", _run_mgf_profile, axis="grid", reads=("x",), betas=lambda p: (p.beta,),
+        lambda_bs=1.0 / math.pi,
+    ),
+    ExperimentKind.RAW_SAMPLES: _Kind("simulate", _run_raw_samples, reads=("idle_mode",)),
+    ExperimentKind.VALIDATE: _Kind("validate", _run_validate),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
-    """Dispatch one resolved experiment; returns the process exit code."""
-    return _RUNNERS[spec.kind](spec)
+    """Run one resolved experiment and write its CSV; returns the process exit code."""
+    row = _KINDS[spec.kind]
+    header, rows, code = row.runner(spec)
+    if spec.with_mc:
+        header += [f"{row.mc}_mc", f"{row.mc}_mc_stderr"]
+    if rows is not None:
+        _write_csv(spec.output_path, header, rows)
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -539,21 +495,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "coverage": "coverage probability vs threshold (exact and approximate curves)",
-        "rate": "fully loaded ergodic rate vs path-loss exponent",
-        "load-curves": "idle-mode curves vs UE/BS density ratio (peak, actual, or coverage)",
-        "mgf": "interference MGF profile: exact vs two-piece approximation",
-        "simulate": "dump per-realization Monte Carlo samples as CSV",
-        "validate": "run the full analytics-vs-simulation validation suite",
-    }
-    for name, help_text in specs.items():
+    for name, help_text in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="experiment config file (INI syntax, strict keys)")
         sp.add_argument("--seed", type=int, help="override the simulation seed")
         sp.add_argument("--out", help="output CSV path (default: stdout)")
         sp.add_argument("--jobs", type=int, default=1, help="parallel simulation workers")
-        sp.add_argument("--db", action="store_true", help="interpret the gamma grid in dB")
+        if any("gamma" in row.reads for row in _KINDS.values() if row.command == name):
+            sp.add_argument("--db", action="store_true", help="interpret the gamma grid in dB")
         if name == "validate":
             sp.add_argument(
                 "--quick", action="store_true",
@@ -565,12 +514,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        spec = _spec_from_args(args)
-        return run_experiment(spec)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return run_experiment(_spec_from_args(args))
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:

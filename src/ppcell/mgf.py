@@ -72,8 +72,7 @@ class NetworkParams:
     def __post_init__(self) -> None:
         if not self.lambda_bs > 0.0:
             raise ValueError(f"lambda_bs must be positive, got {self.lambda_bs}")
-        if not 2.0 < self.beta <= 5.0:
-            raise ValueError(f"beta must lie in (2, 5], got {self.beta}")
+        _check_beta(self.beta)
         if not self.kappa > 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not self.p_tx > 0.0:

@@ -28,7 +28,6 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .analytics import (
-    PcovKind,
     RateMethod,
     load_model,
     pathloss_cdf,
@@ -162,7 +161,7 @@ def check_rate_closed_forms(seed: int = 0, jobs: int = 1, quick: bool = False) -
         closed = rate_closed_general(beta)
         if closed.method is not RateMethod.CLOSED_FORM_GENERAL:
             return False, f"beta={beta:g} unexpectedly served by {closed.method.value}"
-        ref = rate_quadrature(beta, 1.0, PcovKind.APPROX)
+        ref = rate_quadrature(beta, 1.0, "two_piece")
         diff = abs(closed.value - ref.value)
         if diff > worst:
             worst, worst_beta = diff, beta
@@ -186,7 +185,7 @@ def check_mc_rate_full_load(seed: int = 0, jobs: int = 1, quick: bool = False) -
         cfg = SimConfig(n_bs_target=n_bs[beta], n_realizations=n_real, seed=seed + 31 * int(beta))
         samples = run_simulation(p, cfg, jobs=jobs)
         peak, _ = estimate_rates(samples)
-        ref = rate_quadrature(beta, 1.0, PcovKind.EXACT).value
+        ref = rate_quadrature(beta, 1.0, "exact").value
         z = abs(peak.value - ref) / peak.stderr
         details.append(f"beta={beta:g}: mc={peak.value:.4f}+-{peak.stderr:.4f} vs {ref:.4f} (z={z:.2f})")
         if z > worst_z:
@@ -240,7 +239,7 @@ def check_mc_idle_mode(seed: int = 0, jobs: int = 1, quick: bool = False) -> tup
             )
             samples = run_simulation(p, cfg, idle_mode=True, jobs=jobs)
             peak, actual = estimate_rates(samples)
-            ref_peak = rate_quadrature(beta, lm.p_active, PcovKind.EXACT).value
+            ref_peak = rate_quadrature(beta, lm.p_active, "exact").value
             ref_actual = ref_peak * lm.p_selection
             for name, mc, ref in (("peak", peak, ref_peak), ("actual", actual, ref_actual)):
                 z = abs(mc.value - ref) / mc.stderr
@@ -269,8 +268,8 @@ def check_mc_idle_mode(seed: int = 0, jobs: int = 1, quick: bool = False) -> tup
     # beyond ratio 4 the thinned network is rate-wise fully loaded (within 5%)
     for beta in (3.0, 4.0, 5.0):
         pa4 = load_model(4.0 * _LAMBDA_REF, _LAMBDA_REF).p_active
-        r4 = rate_quadrature(beta, pa4, PcovKind.EXACT).value
-        r1 = rate_quadrature(beta, 1.0, PcovKind.EXACT).value
+        r4 = rate_quadrature(beta, pa4, "exact").value
+        r1 = rate_quadrature(beta, 1.0, "exact").value
         excess = r4 / r1 - 1.0
         if not 0.0 <= excess <= 0.05:
             return False, f"rate at ratio=4 exceeds fully loaded by {excess:.2%} at beta={beta:g} (gate 5%)"

@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 from ppcell import analytics
 from ppcell.analytics import (
-    PcovKind,
     RateMethod,
     RateResult,
     load_model,
@@ -129,7 +128,7 @@ class TestRateQuadrature:
 
     def test_fully_loaded_approx_references(self):
         for beta, want in ((3.0, 0.832652864762999), (4.0, 1.39696054040662), (5.0, 1.9233692112552)):
-            r = rate_quadrature(beta, pcov_kind=PcovKind.APPROX)
+            r = rate_quadrature(beta, kind="two_piece")
             assert math.isclose(r.value, want, abs_tol=5e-9), beta
 
     def test_rate_grows_with_beta(self):
@@ -148,8 +147,13 @@ class TestRateQuadrature:
         with pytest.raises(ValueError):
             rate_quadrature(4.0, 1.1)
 
+    def test_kind_domain(self):
+        # the tail cutoff is proven for the exact and two-piece brackets only
+        with pytest.raises(ValueError, match="'rayleigh'"):
+            rate_quadrature(4.0, 1.0, "rayleigh")
 
-def adaptive_rate(beta, p_active, pcov_kind):
+
+def adaptive_rate(beta, p_active, kind):
     """Reference peak rate: scipy's adaptive quad over scalar brackets.
 
     Integrates up to the same tail cutoff W the rule uses for one p_active,
@@ -160,7 +164,7 @@ def adaptive_rate(beta, p_active, pcov_kind):
     c = solve_c(beta).c_exact
 
     def scalar_bracket(w):
-        if pcov_kind is PcovKind.EXACT:
+        if kind == "exact":
             return float(bracket(beta, w, "exact"))
         return taylor_bracket(beta, w, 2) if w <= c else upper_bracket(beta, w)
 
@@ -184,7 +188,7 @@ class TestRateRule:
         # includes beta=2.05, where the pole of the coverage at
         # w ~ -(beta-2)/2 defeats a few linear panels on [0, c]
         for beta in self.BETAS:
-            for kind in PcovKind:
+            for kind in ("exact", "two_piece"):
                 for pa in self.P_ACTIVE:
                     got = rate_quadrature(beta, pa, kind)
                     want = adaptive_rate(beta, pa, kind)
@@ -194,7 +198,7 @@ class TestRateRule:
     def test_vector_p_active_one_result_each(self):
         # one node set sized for the smallest p_active serves every entry;
         # each value stays within the error bounds of its scalar twin
-        for kind in PcovKind:
+        for kind in ("exact", "two_piece"):
             results = rate_quadrature(3.0, list(self.P_ACTIVE), kind)
             assert len(results) == len(self.P_ACTIVE)
             for pa, r in zip(self.P_ACTIVE, results):
@@ -211,7 +215,7 @@ class TestRateRule:
         with pytest.raises(NonConvergenceError):
             rate_quadrature(4.0)
         with pytest.raises(NonConvergenceError):
-            rate_quadrature(4.0, [0.2, 0.9], PcovKind.APPROX)
+            rate_quadrature(4.0, [0.2, 0.9], "two_piece")
 
 
 class TestRateClosedGeneral:
@@ -219,7 +223,7 @@ class TestRateClosedGeneral:
         for k in range(20):
             beta = 2.625 + 0.125 * k
             closed = rate_closed_general(beta)
-            ref = rate_quadrature(beta, 1.0, PcovKind.APPROX)
+            ref = rate_quadrature(beta, 1.0, "two_piece")
             assert closed.method is RateMethod.CLOSED_FORM_GENERAL
             assert math.isclose(closed.value, ref.value, abs_tol=1e-8), beta
 
@@ -239,7 +243,7 @@ class TestRateClosedGeneral:
 
 class TestRatePeakPartialLoad:
     def test_monotone_in_activity(self):
-        vals = [r.value for r in rate_quadrature(3.0, [0.9, 0.5, 0.2], PcovKind.APPROX)]
+        vals = [r.value for r in rate_quadrature(3.0, [0.9, 0.5, 0.2], "two_piece")]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -248,7 +252,7 @@ class TestRateActual:
         lam = 2.3e-6
         r = rate_actual(4.0, lam, lam)
         lm = load_model(lam, lam)
-        peak = rate_quadrature(4.0, lm.p_active, PcovKind.APPROX)
+        peak = rate_quadrature(4.0, lm.p_active, "two_piece")
         assert math.isclose(r.value, peak.value * lm.p_selection, rel_tol=1e-15)
         assert r.method is peak.method
 

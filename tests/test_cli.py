@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from ppcell.analytics import PcovKind, rate_actual, rate_quadrature
+from ppcell.analytics import rate_actual, rate_quadrature
 from ppcell.cli import ConfigError, main, parse_config
 
 
@@ -196,7 +196,7 @@ class TestLoadCurvesCommand:
         assert len(rows) == 6
         for beta in (3.0, 4.0):
             cells = [row for row in rows if float(row[0]) == beta]
-            want = rate_quadrature(beta, [float(row[2]) for row in cells], PcovKind.APPROX)
+            want = rate_quadrature(beta, [float(row[2]) for row in cells], "two_piece")
             for row, w in zip(cells, want):
                 assert float(row[5]) == w.value, row
                 assert row[6] == "Quadrature"
@@ -354,3 +354,84 @@ class TestValidateCommand:
         assert all(float(r[3]) >= 0.0 for r in rows[1:])
         # exit code mirrors the report: 0 only when every check passed
         assert code == (0 if all(passed) else 1)
+
+
+class TestAxisContract:
+    """Each kind checks its own swept axis; the other axes keep config order."""
+
+    @pytest.mark.parametrize(
+        "command,cfg",
+        [
+            ("rate", "[grid]\nbetas = 4.0 3.0\n"),
+            ("load-curves", "[grid]\nbetas = 4.0\nratios = 2.0 1.0\n"),
+            ("load-curves", "[experiment]\nkind = ActualRateVsRatio\n[grid]\nbetas = 4.0\nratios = 2.0 1.0\n"),
+            ("mgf", "[grid]\nx_values = 1.0 0.5\n"),
+        ],
+        ids=["rate-betas", "peak-ratios", "actual-ratios", "mgf-x"],
+    )
+    def test_decreasing_swept_axis_refused(self, tmp_path, capsys, command, cfg):
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: grid must be strictly increasing")
+
+    @pytest.mark.parametrize(
+        "command,cfg,column,n_rows",
+        [
+            ("coverage", "[grid]\nbetas = 4.0 3.0\ngamma_start = 0\ngamma_stop = 1\ngamma_step = 1\n", 0, 4),
+            (
+                "load-curves",
+                "[experiment]\nkind = CoveragePartialLoad\n"
+                "[grid]\nbetas = 4.0\nratios = 4.0 1.0\ngamma_start = 0\ngamma_stop = 0\ngamma_step = 1\n",
+                1,
+                2,
+            ),
+        ],
+        ids=["coverage-betas", "partial-load-ratios"],
+    )
+    def test_unswept_axis_keeps_config_order(self, tmp_path, capsys, command, cfg, column, n_rows):
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 0
+        body = read_rows(capsys)[1:]
+        assert len(body) == n_rows
+        assert [float(row[column]) for row in body[:: n_rows // 2]] == [4.0, 1.0 if column else 3.0]
+
+    def test_nonpositive_jobs_refused(self, capsys):
+        assert main(["coverage", "--jobs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: jobs must be positive, got 0\n"
+
+    @pytest.mark.parametrize("command", ["rate", "mgf", "simulate", "validate"])
+    def test_db_only_on_gamma_subcommands(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--db"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --db" in capsys.readouterr().err
+
+
+class TestNoiseRefusal:
+    """Rate kinds have no noisy analytic route, so they refuse sigma_n2 > 0."""
+
+    @pytest.mark.parametrize(
+        "command,kind",
+        [("rate", "RateVsBeta"), ("load-curves", "PeakRateVsRatio"), ("load-curves", "ActualRateVsRatio")],
+    )
+    def test_rate_kinds_refuse_noise_before_any_row(self, tmp_path, capsys, monkeypatch, command, kind):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a rate was computed before the refusal")
+
+        monkeypatch.setattr("ppcell.cli.rate_quadrature", no_rows)
+        cfg = f"[experiment]\nkind = {kind}\n[network]\nsigma_n2 = 1e-12\n[grid]\nbetas = 4.0\nratios = 1.0\n"
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: {kind} has no noisy rate route; network.sigma_n2 must be 0, got 1e-12\n"
+        )
+
+    def test_coverage_kinds_still_run_with_noise(self, tmp_path, capsys):
+        grid = "[grid]\nbetas = 4.0\nratios = 1.0\ngamma_start = 0\ngamma_stop = 0\ngamma_step = 1\n"
+        for command, kind in (("coverage", "CoverageVsGamma"), ("load-curves", "CoveragePartialLoad")):
+            cfg = f"[experiment]\nkind = {kind}\n[network]\nsigma_n2 = 1e-12\n" + grid
+            assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 0, kind
+            assert len(read_rows(capsys)) == 2, kind

@@ -75,6 +75,10 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             NetworkParams(lambda_bs=1.0, beta=5.0001)
 
+    def test_beta_message_is_the_shared_check(self):
+        with pytest.raises(ValueError, match=r"^beta must lie in \(2, 5\], got 2\.0$"):
+            NetworkParams(lambda_bs=1.0, beta=2.0)
+
     def test_other_field_domains(self):
         with pytest.raises(ValueError):
             NetworkParams(lambda_bs=0.0, beta=4.0)
