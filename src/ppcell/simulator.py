@@ -13,22 +13,37 @@ of realizations. Draw order within a lane is fixed: geometry draws BS radii,
 BS angles, user count, user radii, user angles; fading draws the serving
 gain first, then interferer marks when enabled.
 
+run_simulation seeds those lanes a block of realizations at a time: the
+SeedSequence hashing that default_rng does per call is done for the whole
+block in numpy (_lane_states) and each PCG64 is built from its row, so the
+streams are still exactly the default_rng([seed, rid, lane]) ones. Every
+block checks the PCG64 state seeded from its first row against the one
+numpy seeds itself and raises RuntimeError on a difference, so a numpy
+change cannot alter the streams silently.
+
 A Deployment keeps those polar draws. Station j lies at distance
 window_radius * sqrt(bs_u[j]) from the origin, so the SIR takes its squared
 distances straight from window_radius**2 * bs_u and a fully loaded drop
 never evaluates a sine or cosine; Cartesian positions are built on first
-use, for user attachment. The draw order is the one above, so every random
-number matches earlier commits; SIR values may differ from theirs in the
-last bits, because R**2 * u replaces x**2 + y**2.
+use, for user attachment. With no users (lambda_ue == 0) the station angles
+are the geometry lane's last draw and the SIR never reads them, so they are
+drawn from that lane on the first read of bs_theta or bs_positions; with
+users they are drawn in order, before the user count. Either way every
+random number matches earlier commits; SIR values may differ from theirs in
+the last bits, because R**2 * u replaces x**2 + y**2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import os
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .analytics import RateMethod, RateResult
 from .mgf import NetworkParams
@@ -47,6 +62,19 @@ __all__ = [
 ]
 
 _MIN_RATE_SAMPLES = 100
+
+# SeedSequence's hashing constants (numpy/random/bit_generator.pyx)
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# realizations whose lane states are hashed together; bounds the state memory
+_LANE_BLOCK = 1024
+# every rid must coerce to one 32-bit word for the block hashing
+_MAX_REALIZATIONS = 2**32
 
 
 @dataclass(frozen=True)
@@ -67,8 +95,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_bs_target < 50:
             raise ValueError(f"n_bs_target must be at least 50, got {self.n_bs_target}")
-        if self.n_realizations < 1:
-            raise ValueError(f"n_realizations must be positive, got {self.n_realizations}")
+        if not 1 <= self.n_realizations <= _MAX_REALIZATIONS:
+            raise ValueError(f"n_realizations must be in [1, 2**32], got {self.n_realizations}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -78,16 +106,32 @@ class Deployment:
     """One sampled network as polar draws, origin = tagged user.
 
     Base station j sits at radius window_radius * sqrt(bs_u[j]) and angle
-    bs_theta[j]; users likewise with ue_u and ue_theta.
+    bs_theta[j]; users likewise with ue_u and ue_theta. bs_theta=None defers
+    the angles: they are theta_rng's next draw, made on first read.
     """
 
     bs_u: np.ndarray
-    bs_theta: np.ndarray
+    bs_theta: np.ndarray | None
     ue_u: np.ndarray
     ue_theta: np.ndarray
     active_mask: np.ndarray
     serving_index: int
     window_radius: float
+    theta_rng: np.random.Generator | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.bs_theta is None:
+            if self.theta_rng is None:
+                raise ValueError("deferred bs_theta needs a theta_rng to draw it from")
+            # unset, so that the first read falls through to __getattr__
+            object.__delattr__(self, "bs_theta")
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name != "bs_theta":
+            raise AttributeError(name)
+        theta = 2.0 * math.pi * self.theta_rng.random(self.bs_u.size)
+        object.__setattr__(self, "bs_theta", theta)
+        return theta
 
     @cached_property
     def bs_positions(self) -> np.ndarray:
@@ -126,8 +170,94 @@ class SirSampleSet:
         return float(np.mean(np.isinf(self.sir_values)))
 
 
-def _lane_rng(seed: int, rid: int, lane: int) -> np.random.Generator:
-    return np.random.default_rng([seed, rid, lane])
+class _LaneSeed(ISeedSequence):
+    """A precomputed SeedSequence state row, handed to PCG64 as its seed."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # PCG64 asks for exactly the row's four uint64 words
+        return self._state
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n >= 0, as SeedSequence coerces an int."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _lane_states(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...]) -> np.ndarray:
+    """SeedSequence([seed, rid, lane]).generate_state(4, np.uint64) for a block.
+
+    Returns shape (len(lanes), rid_hi - rid_lo, 4). The hash constants
+    evolve the same way for every entropy of one length, so the rows are
+    hashed side by side as uint32 arrays; rids must be below 2**32.
+    """
+    if not 0 <= rid_lo < rid_hi <= _MAX_REALIZATIONS:
+        raise ValueError(f"rids must lie in [0, 2**32), got [{rid_lo}, {rid_hi})")
+    n = rid_hi - rid_lo
+    rid = np.tile(np.arange(rid_lo, rid_hi, dtype=np.uint32), len(lanes))
+    lane = np.repeat(np.asarray(lanes, dtype=np.uint32), n)
+    entropy = [np.full(rid.size, w, dtype=np.uint32) for w in _uint32_words(seed)] + [rid, lane]
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> np.uint32(16))
+
+    # SeedSequence.mix_entropy with its pool of four words
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(rid)) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(4, len(entropy)):
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+    # SeedSequence.generate_state: eight uint32 words read as four little-endian uint64
+    hash_const = _INIT_B
+    words = np.empty((rid.size, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words[:, i] = value ^ (value >> np.uint32(16))
+    states = words.astype("<u4").view("<u8").astype(np.uint64).reshape(len(lanes), n, 4)
+    # numpy's own seeding of the first rid, through SeedSequence and PCG64
+    for k, lane_id in enumerate(lanes):
+        if PCG64(_LaneSeed(states[k, 0])).state != PCG64([seed, rid_lo, lane_id]).state:
+            raise RuntimeError(
+                f"block lane seeding disagrees with numpy's SeedSequence at seed={seed}, rid={rid_lo}, "
+                f"lane={lane_id}; numpy {np.__version__} changed its seeding"
+            )
+    return states
+
+
+def _lanes(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...] = (0, 1)) -> Iterator[list[Generator]]:
+    """For each rid in [rid_lo, rid_hi), the generators default_rng([seed, rid, lane]).
+
+    Bitwise the default_rng streams, seeded _LANE_BLOCK rids at a time; one
+    rid's generators are built only when it is reached.
+    """
+    for lo in range(rid_lo, rid_hi, _LANE_BLOCK):
+        hi = min(lo + _LANE_BLOCK, rid_hi)
+        states = _lane_states(seed, lo, hi, lanes)
+        for k in range(hi - lo):
+            yield [Generator(PCG64(_LaneSeed(row))) for row in states[:, k]]
 
 
 def _cartesian(u: np.ndarray, theta: np.ndarray, radius: float) -> np.ndarray:
@@ -137,16 +267,25 @@ def _cartesian(u: np.ndarray, theta: np.ndarray, radius: float) -> np.ndarray:
 
 def sample_deployment(p: NetworkParams, cfg: SimConfig, rid: int) -> Deployment:
     """Draw geometry for realization rid (lane 0 of the seed tree)."""
-    rng = _lane_rng(cfg.seed, rid, 0)
+    return _draw_deployment(p, cfg, np.random.default_rng([cfg.seed, rid, 0]))
+
+
+def _draw_deployment(p: NetworkParams, cfg: SimConfig, rng: Generator) -> Deployment:
+    """Geometry from a lane-0 generator, in the documented draw order."""
     radius = math.sqrt(cfg.n_bs_target / (math.pi * p.lambda_bs))
     bs_u = rng.random(cfg.n_bs_target)
-    bs_theta = 2.0 * math.pi * rng.random(cfg.n_bs_target)
     if p.lambda_ue > 0.0:
+        bs_theta = 2.0 * math.pi * rng.random(cfg.n_bs_target)
         n_ue = int(rng.poisson(p.lambda_ue * math.pi * radius * radius))
+        ue_u = rng.random(n_ue)
+        ue_theta = 2.0 * math.pi * rng.random(n_ue)
+        theta_rng = None
     else:
-        n_ue = 0
-    ue_u = rng.random(n_ue)
-    ue_theta = 2.0 * math.pi * rng.random(n_ue)
+        # the angles are the lane's last draw; Deployment makes it when read
+        bs_theta = None
+        ue_u = np.empty(0)
+        ue_theta = np.empty(0)
+        theta_rng = rng
     return Deployment(
         bs_u=bs_u,
         bs_theta=bs_theta,
@@ -155,6 +294,7 @@ def sample_deployment(p: NetworkParams, cfg: SimConfig, rid: int) -> Deployment:
         active_mask=np.ones(cfg.n_bs_target, dtype=bool),
         serving_index=int(np.argmin(bs_u)),
         window_radius=radius,
+        theta_rng=theta_rng,
     )
 
 
@@ -209,8 +349,8 @@ def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tu
     active: list[int] = []
     rids: list[int] = []
     track_users = idle_mode or p.lambda_ue > 0.0
-    for rid in range(rid_lo, rid_hi):
-        d = sample_deployment(p, cfg, rid)
+    for rid, (geometry, fading) in enumerate(_lanes(cfg.seed, rid_lo, rid_hi), rid_lo):
+        d = _draw_deployment(p, cfg, geometry)
         if track_users:
             assignments = _ue_assignments(d)
             n_users = int(np.count_nonzero(assignments == d.serving_index)) + 1
@@ -219,7 +359,6 @@ def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tu
             n_users = 1
         if idle_mode:
             d = apply_idle_mode(d, assignments)
-        fading = _lane_rng(cfg.seed, rid, 1)
         sirs.append(sample_sir(d, p, cfg, fading))
         users.append(n_users)
         active.append(int(np.count_nonzero(d.active_mask)))
@@ -243,7 +382,7 @@ def run_simulation(
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     n = cfg.n_realizations
-    jobs = min(jobs, n)
+    jobs = min(jobs, n, os.cpu_count() or 1)
     if jobs == 1:
         blocks = [_simulate_block((p, cfg, idle_mode, 0, n))]
     else:

@@ -39,6 +39,8 @@ from .mgf import NetworkParams, mgf, solve_c, taylor_bracket, upper_bracket
 from .simulator import (
     SimConfig,
     _cartesian,
+    _draw_deployment,
+    _lanes,
     apply_idle_mode,
     estimate_coverage,
     estimate_rates,
@@ -310,12 +312,13 @@ def check_property_suite(seed: int = 0, jobs: int = 1, quick: bool = False) -> t
     n_ks = 20000 if quick else 100000
     pk = NetworkParams(lambda_bs=1.0, beta=4.0)
     cfg = SimConfig(n_bs_target=128, n_realizations=1, seed=seed + 5150)
-    # only the serving station's polar draw is kept; its Cartesian position
-    # is built as Deployment.bs_positions builds every station's, so this
-    # route stays independent of the radial shortcut the SIR takes
+    # sample_deployment's draws on block-seeded lanes. Only the serving
+    # station's polar draw is kept; its Cartesian position is built as
+    # Deployment.bs_positions builds every station's, so this route stays
+    # independent of the radial shortcut the SIR takes
     polar = np.empty((n_ks, 2))
-    for rid in range(n_ks):
-        d = sample_deployment(pk, cfg, rid)
+    for rid, (geometry,) in enumerate(_lanes(cfg.seed, 0, n_ks, lanes=(0,))):
+        d = _draw_deployment(pk, cfg, geometry)
         polar[rid] = d.bs_u[d.serving_index], d.bs_theta[d.serving_index]
     b = _cartesian(polar[:, 0], polar[:, 1], d.window_radius)
     losses = np.sort(pk.kappa * (b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1]) ** (pk.beta / 2.0))

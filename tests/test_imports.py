@@ -49,7 +49,7 @@ print(json.dumps({"codes": codes, "after_import": after_import, "after_runs": lo
 """
 
 POOL_SCRIPT = """
-import concurrent.futures, json, sys
+import concurrent.futures, json, os, sys
 import numpy as np
 from ppcell.mgf import NetworkParams
 from ppcell.simulator import SimConfig, run_simulation
@@ -62,6 +62,7 @@ class Spy(concurrent.futures.ProcessPoolExecutor):
         super().__init__(*args, **kwargs)
 
 concurrent.futures.ProcessPoolExecutor = Spy
+os.cpu_count = lambda: 2  # the worker count is capped at the CPU count
 before = "scipy.spatial" in sys.modules
 p = NetworkParams(lambda_bs=1.0, beta=4.0, lambda_ue=1.0)
 cfg = SimConfig(n_bs_target=64, n_realizations=40, seed=0)

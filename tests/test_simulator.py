@@ -5,11 +5,16 @@ here the focus is on exactness properties: bitwise reproducibility, masks,
 sample accounting, and the no-interference sentinel.
 """
 
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppcell import simulator
 from ppcell.analytics import RateMethod, load_model, pcov
 from ppcell.mgf import NetworkParams
 from ppcell.simulator import (
@@ -41,6 +46,12 @@ class TestConfigValidation:
             SimConfig(n_realizations=0)
         with pytest.raises(ValueError):
             SimConfig(seed=-1)
+
+    def test_realization_ids_fit_one_word(self):
+        # block lane seeding hashes every rid as one 32-bit word
+        assert SimConfig(n_realizations=2**32).n_realizations == 2**32
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            SimConfig(n_realizations=2**32 + 1)
 
     def test_sample_set_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -291,6 +302,159 @@ class TestRunSimulation:
         s = run_simulation(P_LOADED, small_cfg(30), idle_mode=True)
         want = np.log1p(s.sir_values) / s.n_users_in_cell
         assert np.array_equal(s.rate_actual_samples, want)
+
+
+class StandInPool:
+    """In-process ProcessPoolExecutor stand-in that records its worker count."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        StandInPool.max_workers = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
+        return StandInPool
+
+    @pytest.mark.parametrize(("cpus", "want"), [(3, 3), (64, 40)])
+    def test_jobs_capped_at_cpus_and_realizations(self, pool, monkeypatch, cpus, want):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = small_cfg(40)
+        capped = run_simulation(P_LOADED, cfg, idle_mode=True, jobs=5000)
+        assert pool.max_workers == [want]
+        serial = run_simulation(P_LOADED, cfg, idle_mode=True, jobs=1)
+        for name in ("sir_values", "n_users_in_cell", "n_active_bs", "realization_ids"):
+            assert np.array_equal(getattr(capped, name), getattr(serial, name))
+
+    def test_unknown_cpu_count_runs_serially(self, pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        s = run_simulation(P_FULL, small_cfg(10), jobs=8)
+        assert pool.max_workers == []
+        assert np.array_equal(s.sir_values, run_simulation(P_FULL, small_cfg(10)).sir_values)
+
+
+SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3]), st.integers(0, 2**96))
+
+
+class TestLaneStates:
+    """Block lane seeding against numpy's SeedSequence and default_rng."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        rid_lo=st.one_of(st.sampled_from([0, 2**32 - 3]), st.integers(0, 2**32 - 1)),
+        n=st.integers(1, 3),
+    )
+    def test_states_are_seed_sequence_states(self, seed, rid_lo, n):
+        rid_hi = min(rid_lo + n, 2**32)
+        states = simulator._lane_states(seed, rid_lo, rid_hi, (0, 1))
+        assert states.shape == (2, rid_hi - rid_lo, 4)
+        for lane in (0, 1):
+            for k, rid in enumerate(range(rid_lo, rid_hi)):
+                want = np.random.SeedSequence([seed, rid, lane]).generate_state(4, np.uint64)
+                assert np.array_equal(states[lane, k], want)
+
+    @pytest.mark.parametrize("seed", [0, 4242424242, 2**70 + 3])
+    def test_lanes_are_default_rng_streams(self, seed):
+        # crosses a block boundary, so the second block's states are used too
+        lo, hi = simulator._LANE_BLOCK - 2, simulator._LANE_BLOCK + 2
+        for rid, gens in enumerate(simulator._lanes(seed, lo, hi), lo):
+            for lane, gen in enumerate(gens):
+                ref = np.random.default_rng([seed, rid, lane])
+                assert np.array_equal(gen.random(5), ref.random(5))
+                assert gen.exponential() == ref.exponential()
+
+    def test_last_one_word_rid(self):
+        states = simulator._lane_states(7, 2**32 - 1, 2**32, (1,))
+        want = np.random.SeedSequence([7, 2**32 - 1, 1]).generate_state(4, np.uint64)
+        assert np.array_equal(states[0, 0], want)
+        with pytest.raises(ValueError):
+            simulator._lane_states(7, 2**32 - 1, 2**32 + 1, (0,))
+
+    @pytest.mark.parametrize("constant", ["_INIT_A", "_MULT_B", "_MIX_MULT_R"])
+    def test_guard_catches_a_changed_constant(self, monkeypatch, constant):
+        monkeypatch.setattr(simulator, constant, getattr(simulator, constant) ^ 1)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            simulator._lane_states(0, 0, 4, (0, 1))
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            run_simulation(P_FULL, small_cfg(3))
+
+
+def eager_bs_draws(cfg: SimConfig, rid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lane 0's first two draws, made in order: station radii then angles."""
+    rng = np.random.default_rng([cfg.seed, rid, 0])
+    u = rng.random(cfg.n_bs_target)
+    return u, 2.0 * math.pi * rng.random(cfg.n_bs_target)
+
+
+class TestDeferredAngles:
+    """At full load the station angles are drawn when first read."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5])
+    def test_angles_match_an_eager_draw(self, seed):
+        cfg = SimConfig(n_bs_target=96, n_realizations=1, seed=seed)
+        for rid in (0, 1, 7, 1234):
+            u, theta = eager_bs_draws(cfg, rid)
+            d = sample_deployment(P_FULL, cfg, rid)
+            assert "bs_theta" not in vars(d)
+            assert np.array_equal(d.bs_u, u)
+            assert np.array_equal(d.bs_theta, theta)
+            assert d.bs_theta is d.bs_theta
+            # positions first, angles never read before
+            d = sample_deployment(P_FULL, cfg, rid)
+            assert np.array_equal(d.bs_positions, simulator._cartesian(u, theta, d.window_radius))
+            assert np.array_equal(d.bs_theta, theta)
+
+    def test_block_route_matches(self):
+        cfg = SimConfig(n_bs_target=64, n_realizations=1, seed=3)
+        for rid, (geometry,) in enumerate(simulator._lanes(cfg.seed, 10, 14, lanes=(0,)), 10):
+            d = simulator._draw_deployment(P_FULL, cfg, geometry)
+            u, theta = eager_bs_draws(cfg, rid)
+            assert np.array_equal(d.bs_u, u)
+            assert np.array_equal(d.bs_theta, theta)
+
+    def test_users_draw_angles_in_order(self):
+        d = sample_deployment(P_LOADED, small_cfg(1), 2)
+        assert "bs_theta" in vars(d)
+        assert np.array_equal(d.bs_theta, eager_bs_draws(small_cfg(1), 2)[1])
+
+    def test_idle_copy_shares_the_drawn_angles(self):
+        d = sample_deployment(P_FULL, small_cfg(1), 0)
+        masked = apply_idle_mode(d)
+        assert masked.bs_theta is d.bs_theta
+
+    def test_deferred_needs_a_generator(self):
+        with pytest.raises(ValueError):
+            Deployment(
+                bs_u=np.zeros(2),
+                bs_theta=None,
+                ue_u=np.zeros(0),
+                ue_theta=np.zeros(0),
+                active_mask=np.ones(2, dtype=bool),
+                serving_index=0,
+                window_radius=1.0,
+            )
+
+    @pytest.mark.parametrize("marks", [False, True])
+    def test_full_load_jobs_invariance_bitwise(self, marks):
+        cfg = SimConfig(n_bs_target=64, n_realizations=30, seed=11, fading_on_interferers=marks)
+        serial = run_simulation(P_FULL, cfg, jobs=1)
+        parallel = run_simulation(P_FULL, cfg, jobs=2)
+        for name in ("sir_values", "n_users_in_cell", "n_active_bs", "realization_ids"):
+            assert np.array_equal(getattr(serial, name), getattr(parallel, name))
 
 
 class TestEstimators:
