@@ -290,7 +290,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         if grid is None:
             grid = tuple(float(v) for v in np.arange(0.0, 20.001, 0.25))
     ratios = (_get_list(cfg, "grid", "ratios") or _RATIO_GRID) if "ratios" in row.reads else ()
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         kind=kind, params=params, sim=sim, output_path=output, grid=grid,
         betas=_beta_axis(cfg, row.betas(params)) if row.betas else (),
         ratios=ratios,
@@ -299,6 +299,11 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         jobs=args.jobs,
         quick=getattr(args, "quick", False),
     )
+    ignored = [f"{section}.{key}" for section, items in cfg.items() for key in items
+               if f"{section}.{key}" in row.ignores]
+    if ignored:
+        print(f"{args.command}: {kind.value} does not use config keys {', '.join(ignored)}", file=sys.stderr)
+    return spec
 
 
 def _write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -430,7 +435,9 @@ class _Kind:
     beyond network, sim and betas ("gamma" thresholds, "x" MGF arguments,
     "ratios", "idle_mode"). betas: default betas from the network (None:
     betas unread). mc: prefix of the columns sim.with_mc adds (None: no
-    such columns). lambda_bs: default station density.
+    such columns). lambda_bs: default station density. ignores: config
+    keys ("section.key") the kind accepts but never reads; those a config
+    sets are named in one line on stderr.
     """
 
     command: str
@@ -440,6 +447,12 @@ class _Kind:
     betas: Callable[[NetworkParams], tuple[float, ...]] | None = None
     mc: str | None = None
     lambda_bs: float = _LAMBDA_REF
+    ignores: tuple[str, ...] = ()
+
+
+def _keys(section: str, but: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """Every allowed "section.key" of a config section, except those in but."""
+    return tuple(f"{section}.{key}" for key in sorted(_ALLOWED_KEYS[section]) if key not in but)
 
 
 # Table order fixes each subcommand's default kind (its first) and the
@@ -469,9 +482,16 @@ _KINDS = {
     ExperimentKind.MGF_PROFILE: _Kind(
         "mgf", _run_mgf_profile, axis="grid", reads=("x",), betas=lambda p: (p.beta,),
         lambda_bs=1.0 / math.pi,
+        ignores=(
+            "network.lambda_ue", "network.sigma_n2", *_keys("sim"),
+            *_keys("grid", but=("x_values", "betas", "beta_start", "beta_stop", "beta_step")),
+        ),
     ),
     ExperimentKind.RAW_SAMPLES: _Kind("simulate", _run_raw_samples, reads=("idle_mode",)),
-    ExperimentKind.VALIDATE: _Kind("validate", _run_validate),
+    # the suite runs on its own fixed scenarios; only the seed comes from the config
+    ExperimentKind.VALIDATE: _Kind(
+        "validate", _run_validate, ignores=(*_keys("network"), *_keys("grid"), *_keys("sim", but=("seed",))),
+    ),
 }
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, hyp2f1
+from scipy.special import gammainc, hyp2f1, zeta
 
 __all__ = [
     "IntersectionConstant",
@@ -47,6 +47,13 @@ _C_BRACKET = (1.0, 1.5)
 # of c, that ends the iteration
 _C_MAX_STEPS = 60
 _C_STEP_ULPS = 4.0
+# Below t = 1 - 2/beta = _NEAR_TWO_T (beta < 2.22) the residual's terms
+# -2c/(beta-2) and c^d Gamma(1-d) nearly cancel, so _bracket_gap takes their
+# sum from the series of ln Gamma(1 + t): -euler_gamma t + sum_{k>=2}
+# (-1)^k zeta(k) t^k / k (DLMF §5.7). Its coefficients, highest power
+# first; the first omitted term is below 1e-19 of the sum there.
+_NEAR_TWO_T = 0.1
+_LGAMMA1P_COEFS = tuple(float((-1) ** k * zeta(k) / k) for k in range(19, 1, -1)) + (-float(np.euler_gamma),)
 
 
 class NonConvergenceError(ArithmeticError):
@@ -172,13 +179,32 @@ def bracket(beta: float, x, kind: str = "exact", c_value: float | None = None) -
     raise ValueError(f"bracket kind must be 'exact', 'two_piece' or 'rayleigh', got {kind!r}")
 
 
+def _near_two_terms(beta: float, c: float) -> tuple[float, float]:
+    """t = 1 - 2/beta and (c^-t Gamma(1+t) - 1)/t, free of cancellation for small t.
+
+    With it, -2c/(beta-2) + c^(1-t) Gamma(t) = c (1 + that quotient).
+    """
+    t = (beta - 2.0) / beta
+    # ln Gamma(1 + t) / t by Horner's rule
+    lgamma1p_t = 0.0
+    for coef in _LGAMMA1P_COEFS:
+        lgamma1p_t = lgamma1p_t * t + coef
+    return t, math.expm1(t * (lgamma1p_t - math.log(c))) / t
+
+
 def _bracket_gap(beta: float, c: float) -> float:
     # lower-minus-upper branch residual; its root is the intersection constant
+    if beta - 2.0 < _NEAR_TWO_T * beta:
+        _, q = _near_two_terms(beta, c)
+        return c * c / (2.0 * beta - 2.0) - 1.0 + c * (1.0 + q)
     return taylor_bracket(beta, c, 2) - upper_bracket(beta, c)
 
 
 def _bracket_gap_slope(beta: float, c: float) -> float:
     # d/dc of _bracket_gap
+    if beta - 2.0 < _NEAR_TWO_T * beta:
+        t, q = _near_two_terms(beta, c)
+        return c / (beta - 1.0) + q * (1.0 - t)
     d = 2.0 / beta
     return -2.0 / (beta - 2.0) + c / (beta - 1.0) + d * c ** (d - 1.0) * math.gamma(1.0 - d)
 

@@ -31,6 +31,22 @@ drawn from that lane on the first read of bs_theta or bs_positions; with
 users they are drawn in order, before the user count. Either way every
 random number matches earlier commits; SIR values may differ from theirs in
 the last bits, because R**2 * u replaces x**2 + y**2.
+
+Block SIR: _block_sir computes the SIR of one row or of a block of rows.
+When every station is active (no idle mode) each rid only fills row k of a
+(rows, n_bs_target) matrix with its station radii (and counts its users
+when lambda_ue > 0) and draws its fading; the block then takes each row's
+serving column by argmin, turns the matrix into path losses (one new array,
+then in place), drops the serving columns into a (rows, n_bs_target - 1)
+matrix and sums its rows with np.add.reduce(axis=-1), the reduction np.sum
+runs. A block holds at most _SIR_CELLS stations, or one row when a drop is
+larger. numpy sums each C-contiguous row with the same pairwise summation
+as the 1-D sum of that row, and every other step is elementwise, so each
+SIR is bitwise the one the realization gets alone. np.add.reduceat would
+sum ragged rows in one call, but it adds each segment sequentially, not
+pairwise, and so changes the last bits. Idle-mode rows have different
+interferer counts and go through the same kernel one row at a time; that
+one-row call is sample_sir.
 """
 
 from __future__ import annotations
@@ -75,6 +91,8 @@ _MASK32 = 0xFFFFFFFF
 _LANE_BLOCK = 1024
 # every rid must coerce to one 32-bit word for the block hashing
 _MAX_REALIZATIONS = 2**32
+# stations per full-load SIR block (rows x n_bs_target): 64 KB of path losses
+_SIR_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -265,15 +283,23 @@ def _cartesian(u: np.ndarray, theta: np.ndarray, radius: float) -> np.ndarray:
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
+def _window_radius(p: NetworkParams, cfg: SimConfig) -> float:
+    """Disc radius that holds n_bs_target stations at density lambda_bs."""
+    return math.sqrt(cfg.n_bs_target / (math.pi * p.lambda_bs))
+
+
 def sample_deployment(p: NetworkParams, cfg: SimConfig, rid: int) -> Deployment:
     """Draw geometry for realization rid (lane 0 of the seed tree)."""
     return _draw_deployment(p, cfg, np.random.default_rng([cfg.seed, rid, 0]))
 
 
-def _draw_deployment(p: NetworkParams, cfg: SimConfig, rng: Generator) -> Deployment:
-    """Geometry from a lane-0 generator, in the documented draw order."""
-    radius = math.sqrt(cfg.n_bs_target / (math.pi * p.lambda_bs))
-    bs_u = rng.random(cfg.n_bs_target)
+def _draw_deployment(p: NetworkParams, cfg: SimConfig, rng: Generator, bs_u: np.ndarray | None = None) -> Deployment:
+    """Geometry from a lane-0 generator, in the documented draw order.
+
+    The station radii are drawn into bs_u when it is given.
+    """
+    radius = _window_radius(p, cfg)
+    bs_u = rng.random(cfg.n_bs_target, out=bs_u)
     if p.lambda_ue > 0.0:
         bs_theta = 2.0 * math.pi * rng.random(cfg.n_bs_target)
         n_ue = int(rng.poisson(p.lambda_ue * math.pi * radius * radius))
@@ -309,6 +335,11 @@ def _ue_assignments(d: Deployment) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
+def _cell_load(d: Deployment, assignments: np.ndarray) -> int:
+    """Users in the serving cell, the tagged user included."""
+    return int(np.count_nonzero(assignments == d.serving_index)) + 1
+
+
 def apply_idle_mode(d: Deployment, assignments: np.ndarray | None = None) -> Deployment:
     """Switch off base stations with no attached user; the serving one stays on."""
     if assignments is None:
@@ -319,51 +350,103 @@ def apply_idle_mode(d: Deployment, assignments: np.ndarray | None = None) -> Dep
     return replace(d, active_mask=mask)
 
 
+def _draw_fading(rng: Generator, cfg: SimConfig, marks: np.ndarray | None) -> float:
+    """One realization's fading-lane draws, in order; returns the serving gain.
+
+    The serving gain comes first (1.0 without rayleigh_on_serving), then,
+    with fading_on_interferers, one Exp(1) mark per interferer into marks.
+    """
+    gain = rng.exponential() if cfg.rayleigh_on_serving else 1.0
+    if marks is not None:
+        rng.standard_exponential(out=marks)
+    return gain
+
+
+def _block_sir(
+    u: np.ndarray,
+    serving: tuple,
+    interferer: np.ndarray,
+    gains: float | np.ndarray,
+    marks: np.ndarray | None,
+    radius: float,
+    p: NetworkParams,
+) -> float | np.ndarray:
+    """SIR (SINR when sigma_n2 > 0) at the origin for one row or a block of rows.
+
+    u holds station draws bs_u, shape (N,) for one row or (B, N) for a
+    block. serving indexes u at each row's serving station: (column,) for
+    one row, (rows, columns) for a block. interferer is a mask of u's shape
+    with the same number K of interfering stations in every row. gains are
+    the serving-link gains, one per row; marks, shape (..., K), the
+    interferer marks (None: unit marks). Rows with nothing interfering and
+    no noise get inf. Returns a float for one row, B values for a block.
+    """
+    loss = radius**2 * u
+    loss **= p.beta / 2.0
+    loss *= p.kappa
+    signal = p.p_tx * gains / loss[serving]
+    loss_i = loss[interferer].reshape(*u.shape[:-1], -1)
+    power_i = p.p_tx / loss_i if marks is None else p.p_tx * marks / loss_i
+    denom = np.add.reduce(power_i, axis=-1) + p.sigma_n2
+    if u.ndim == 1:
+        return math.inf if denom == 0.0 else float(signal / denom)
+    sir = np.full_like(denom, math.inf)
+    return np.divide(signal, denom, out=sir, where=denom != 0.0)
+
+
 def sample_sir(d: Deployment, p: NetworkParams, cfg: SimConfig, rng: np.random.Generator) -> float:
     """SIR (or SINR when sigma_n2 > 0) at the origin for one deployment.
 
-    Returns inf when nothing interferes and there is no noise; callers count
-    that as covered and keep it out of rate averages.
+    Draws the fading from rng and runs _block_sir on the deployment as one
+    row. Returns inf when nothing interferes and there is no noise; callers
+    count that as covered and keep it out of rate averages.
     """
-    sq = d.window_radius**2 * d.bs_u
-    loss = p.kappa * sq ** (p.beta / 2.0)
-    signal_gain = float(rng.exponential()) if cfg.rayleigh_on_serving else 1.0
-    signal = p.p_tx * signal_gain / loss[d.serving_index]
     interferer = d.active_mask.copy()
     interferer[d.serving_index] = False
-    loss_i = loss[interferer]
-    if cfg.fading_on_interferers and loss_i.size:
-        marks = rng.exponential(size=loss_i.size)
-    else:
-        marks = 1.0
-    denom = float(np.sum(p.p_tx * marks / loss_i)) + p.sigma_n2
-    if denom == 0.0:
-        return math.inf
-    return signal / denom
+    marks = np.empty(np.count_nonzero(interferer)) if cfg.fading_on_interferers else None
+    gain = _draw_fading(rng, cfg, marks)
+    return _block_sir(d.bs_u, (d.serving_index,), interferer, gain, marks, d.window_radius, p)
 
 
-def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tuple[list, list, list, list]:
+def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tuple[np.ndarray, ...]:
+    """SIR, serving-cell load and active-station count of rids [rid_lo, rid_hi)."""
     p, cfg, idle_mode, rid_lo, rid_hi = args
-    sirs: list[float] = []
-    users: list[int] = []
-    active: list[int] = []
-    rids: list[int] = []
-    track_users = idle_mode or p.lambda_ue > 0.0
-    for rid, (geometry, fading) in enumerate(_lanes(cfg.seed, rid_lo, rid_hi), rid_lo):
-        d = _draw_deployment(p, cfg, geometry)
-        if track_users:
+    n = rid_hi - rid_lo
+    sirs = np.empty(n)
+    users = np.ones(n, dtype=np.int64)
+    active = np.full(n, cfg.n_bs_target, dtype=np.int64)
+    lanes = _lanes(cfg.seed, rid_lo, rid_hi)
+    if idle_mode:
+        # each row has its own interferer count, so rows go one at a time
+        for k, (geometry, fading) in enumerate(lanes):
+            d = _draw_deployment(p, cfg, geometry)
             assignments = _ue_assignments(d)
-            n_users = int(np.count_nonzero(assignments == d.serving_index)) + 1
-        else:
-            assignments = None
-            n_users = 1
-        if idle_mode:
+            users[k] = _cell_load(d, assignments)
             d = apply_idle_mode(d, assignments)
-        sirs.append(sample_sir(d, p, cfg, fading))
-        users.append(n_users)
-        active.append(int(np.count_nonzero(d.active_mask)))
-        rids.append(rid)
-    return sirs, users, active, rids
+            sirs[k] = sample_sir(d, p, cfg, fading)
+            active[k] = np.count_nonzero(d.active_mask)
+        return sirs, users, active
+    n_bs = cfg.n_bs_target
+    radius = _window_radius(p, cfg)
+    rows = min(n, max(1, _SIR_CELLS // n_bs))
+    u = np.empty((rows, n_bs))
+    gains = np.empty(rows)
+    marks = np.empty((rows, n_bs - 1)) if cfg.fading_on_interferers else None
+    for lo in range(0, n, rows):
+        b = min(rows, n - lo)
+        for k, (geometry, fading) in zip(range(b), lanes):
+            if p.lambda_ue > 0.0:
+                d = _draw_deployment(p, cfg, geometry, u[k])
+                users[lo + k] = _cell_load(d, _ue_assignments(d))
+            else:
+                geometry.random(out=u[k])
+            gains[k] = _draw_fading(fading, cfg, None if marks is None else marks[k])
+        serving = (np.arange(b), np.argmin(u[:b], axis=1))
+        interferer = np.ones((b, n_bs), dtype=bool)
+        interferer[serving] = False
+        block_marks = None if marks is None else marks[:b]
+        sirs[lo : lo + b] = _block_sir(u[:b], serving, interferer, gains[:b], block_marks, radius, p)
+    return sirs, users, active
 
 
 def run_simulation(
@@ -397,22 +480,13 @@ def run_simulation(
         tasks = [(p, cfg, idle_mode, lo, min(lo + step, n)) for lo in range(0, n, step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             blocks = list(pool.map(_simulate_block, tasks))
-    sirs: list[float] = []
-    users: list[int] = []
-    active: list[int] = []
-    rids: list[int] = []
-    # blocks arrive in submission order = rid order; keep the reduction explicit
-    for b_sirs, b_users, b_active, b_rids in blocks:
-        sirs.extend(b_sirs)
-        users.extend(b_users)
-        active.extend(b_active)
-        rids.extend(b_rids)
-    order = np.argsort(np.asarray(rids, dtype=np.int64), kind="stable")
+    # blocks arrive in submission order, which is rid order
+    sirs, users, active = (np.concatenate(parts) for parts in zip(*blocks))
     return SirSampleSet(
-        sir_values=np.asarray(sirs, dtype=np.float64)[order],
-        n_users_in_cell=np.asarray(users, dtype=np.int64)[order],
-        n_active_bs=np.asarray(active, dtype=np.int64)[order],
-        realization_ids=np.asarray(rids, dtype=np.int64)[order],
+        sir_values=sirs,
+        n_users_in_cell=users,
+        n_active_bs=active,
+        realization_ids=np.arange(n, dtype=np.int64),
     )
 
 

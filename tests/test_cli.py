@@ -11,6 +11,7 @@ import textwrap
 
 import pytest
 
+from ppcell import cli
 from ppcell.analytics import rate_actual, rate_quadrature
 from ppcell.cli import ConfigError, main, parse_config
 
@@ -289,6 +290,22 @@ class TestMgfCommand:
         assert float(rows[1][4]) == 1.0  # MGF at s = 0
         assert float(rows[2][4]) == pytest.approx(0.422516108283754, rel=1e-10)
 
+    def test_unused_keys_named_on_stderr(self, tmp_path, capsys):
+        base = "[network]\nbeta = 4.0\n[grid]\nx_values = 0.0 1.0\n"
+        assert main(["mgf", "--config", write_cfg(tmp_path, base, "base.ini")]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        extra = (
+            "[network]\nbeta = 4.0\nsigma_n2 = 0.5\nlambda_ue = 2.0\n"
+            "[grid]\nx_values = 0.0 1.0\n[sim]\nwith_mc = true\n"
+        )
+        assert main(["mgf", "--config", write_cfg(tmp_path, extra, "extra.ini")]) == 0
+        noted = capsys.readouterr()
+        assert noted.out == plain.out
+        assert noted.err == (
+            "mgf: MgfProfile does not use config keys network.sigma_n2, network.lambda_ue, sim.with_mc\n"
+        )
+
 
 class TestSimulateCommand:
     CFG = """\
@@ -330,6 +347,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path, "--out", str(out2), "--jobs", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("network", ["beta = 3.0", "beta = 5.0\nlambda_ue = 1.0e-6"])
+    def test_full_load_csv_is_jobs_invariant(self, tmp_path, network):
+        # 500 stations: 16-realization SIR blocks; two workers split 37 rids inside one
+        path = write_cfg(tmp_path, f"[network]\n{network}\n[sim]\nn_bs_target = 500\nn_realizations = 37\n")
+        out1 = tmp_path / "j1.csv"
+        out2 = tmp_path / "j2.csv"
+        assert main(["simulate", "--config", path, "--out", str(out1), "--jobs", "1"]) == 0
+        assert main(["simulate", "--config", path, "--out", str(out2), "--jobs", "2"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
 
 class TestValidateCommand:
     def test_quick_report(self, tmp_path, capsys):
@@ -354,6 +381,16 @@ class TestValidateCommand:
         assert all(float(r[3]) >= 0.0 for r in rows[1:])
         # exit code mirrors the report: 0 only when every check passed
         assert code == (0 if all(passed) else 1)
+
+    def test_config_uses_only_the_seed(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_all", lambda **kw: calls.append(kw) or [])
+        path = write_cfg(tmp_path, "[network]\nbeta = 3.0\n[sim]\nseed = 5\nn_realizations = 100\n")
+        assert main(["validate", "--config", path]) == 0
+        assert calls == [{"seed": 5, "jobs": 1, "quick": False}]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validate: Validate does not use config keys network.beta, sim.n_realizations\n"
 
 
 class TestAxisContract:

@@ -19,6 +19,7 @@ from ppcell.mgf import (
     IntersectionConstant,
     NetworkParams,
     NonConvergenceError,
+    _NEAR_TWO_T,
     _bracket_gap,
     _bracket_gap_slope,
     bracket,
@@ -218,6 +219,40 @@ class TestSolveCAgainstBrentq:
                 h = 1e-6
                 fd = (_bracket_gap(b, c + h) - _bracket_gap(b, c - h)) / (2.0 * h)
                 assert math.isclose(_bracket_gap_slope(b, c), fd, rel_tol=1e-7), (b, c)
+
+
+def mpmath_c(beta: float) -> float:
+    """The branch point for beta as given, by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        d = 2 / b
+
+        def gap(c):
+            return -2 * c / (b - 2) + c**2 / (2 * b - 2) - 1 + c**d * mpmath.gamma(1 - d)
+
+        return float(mpmath.findroot(gap, mpmath.mpf("1.2")))
+
+
+class TestSolveCNearTwo:
+    """Near beta = 2 the residual's two large terms cancel; the series form keeps c exact."""
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-8])
+    def test_regression_points(self, eps):
+        # 2 + 1e-7 used to return 1.12496 and 2 + 1e-8 to refuse with "no sign change"
+        beta = 2.0 + eps
+        NetworkParams(lambda_bs=1.0, beta=beta)
+        assert math.isclose(solve_c(beta).c_exact, mpmath_c(beta), rel_tol=1e-12)
+
+    def test_sweep_against_mpmath(self):
+        for k in range(1, 10):
+            for m in (1.0, 3.0):
+                beta = 2.0 + m * 10.0**-k
+                assert math.isclose(solve_c(beta).c_exact, mpmath_c(beta), rel_tol=1e-12), beta
+
+    def test_both_sides_of_the_switch(self):
+        switch = 2.0 / (1.0 - _NEAR_TWO_T)
+        for beta in (switch - 1e-9, switch + 1e-9, np.nextafter(2.0, 3.0)):
+            assert math.isclose(solve_c(float(beta)).c_exact, mpmath_c(float(beta)), rel_tol=1e-12), beta
 
 
 class TestBrackets:

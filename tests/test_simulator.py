@@ -8,6 +8,7 @@ sample accounting, and the no-interference sentinel.
 import concurrent.futures
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,6 +456,104 @@ class TestDeferredAngles:
         parallel = run_simulation(P_FULL, cfg, jobs=2)
         for name in ("sir_values", "n_users_in_cell", "n_active_bs", "realization_ids"):
             assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+
+
+def lone_sir(d: Deployment, p: NetworkParams, cfg: SimConfig, rng: np.random.Generator) -> float:
+    """One deployment's SIR on its own, in 1-D numpy and Python floats."""
+    loss = p.kappa * (d.window_radius**2 * d.bs_u) ** (p.beta / 2.0)
+    gain = float(rng.exponential()) if cfg.rayleigh_on_serving else 1.0
+    interferer = d.active_mask.copy()
+    interferer[d.serving_index] = False
+    loss_i = loss[interferer]
+    marks = rng.exponential(size=loss_i.size) if cfg.fading_on_interferers and loss_i.size else 1.0
+    denom = float(np.sum(p.p_tx * marks / loss_i)) + p.sigma_n2
+    return math.inf if denom == 0.0 else p.p_tx * gain / loss[d.serving_index] / denom
+
+
+def per_realization_sirs(p: NetworkParams, cfg: SimConfig, idle: bool = False) -> np.ndarray:
+    """Every rid through the public calls: sample_deployment, then sample_sir on lane 1.
+
+    Also checks sample_sir against lone_sir bit for bit on the same draws.
+    """
+    sirs = []
+    for rid in range(cfg.n_realizations):
+        d = sample_deployment(p, cfg, rid)
+        if idle:
+            d = apply_idle_mode(d)
+        sir = sample_sir(d, p, cfg, np.random.default_rng([cfg.seed, rid, 1]))
+        want = lone_sir(d, p, cfg, np.random.default_rng([cfg.seed, rid, 1]))
+        assert np.float64(sir).view(np.uint64) == np.float64(want).view(np.uint64)
+        sirs.append(sir)
+    return np.array(sirs)
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestBlockSir:
+    """The full-load block kernel against realizations computed one at a time."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_bs=st.one_of(st.integers(50, 700), st.integers(700, 8000)),
+        beta=st.floats(2.0, 5.0, exclude_min=True),
+        rayleigh=st.booleans(),
+        marks=st.booleans(),
+        sigma_n2=st.sampled_from([0.0, 0.37]),
+        lambda_ue=st.sampled_from([0.0, 0.8]),
+        n_real=st.integers(1, 40),
+        cells=st.sampled_from([simulator._SIR_CELLS, 1, 997, 4000]),
+        seed=st.integers(0, 2**40),
+    )
+    def test_block_matches_per_realization(self, n_bs, beta, rayleigh, marks, sigma_n2, lambda_ue, n_real, cells, seed):
+        p = NetworkParams(lambda_bs=1.3, beta=beta, sigma_n2=sigma_n2, lambda_ue=lambda_ue)
+        cfg = SimConfig(
+            n_bs_target=n_bs, n_realizations=n_real, seed=seed,
+            rayleigh_on_serving=rayleigh, fading_on_interferers=marks,
+        )
+        # cells sets the block rows, so short last blocks and one-row blocks occur
+        with mock.patch.object(simulator, "_SIR_CELLS", cells):
+            s = run_simulation(p, cfg)
+        assert np.array_equal(bits(s.sir_values), bits(per_realization_sirs(p, cfg)))
+
+    @pytest.mark.parametrize(
+        ("p", "marks"),
+        [
+            (P_FULL, False),
+            (NetworkParams(lambda_bs=1.0, beta=3.0, sigma_n2=0.2), True),
+            (NetworkParams(lambda_bs=1.0, beta=5.0, lambda_ue=0.5), True),
+        ],
+    )
+    def test_worker_split_inside_a_block(self, monkeypatch, p, marks):
+        # 500 stations: 16-row blocks; two workers split the 37 rids at 19
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
+        StandInPool.max_workers = []
+        cfg = SimConfig(n_bs_target=500, n_realizations=37, seed=77, fading_on_interferers=marks)
+        split = run_simulation(p, cfg, jobs=2)
+        assert StandInPool.max_workers == [2]
+        assert np.array_equal(bits(split.sir_values), bits(per_realization_sirs(p, cfg)))
+        assert np.array_equal(split.realization_ids, np.arange(37))
+
+    def test_idle_rows_match_per_realization(self):
+        cfg = SimConfig(n_bs_target=80, n_realizations=9, seed=4, fading_on_interferers=True)
+        s = run_simulation(P_LOADED, cfg, idle_mode=True)
+        assert np.array_equal(bits(s.sir_values), bits(per_realization_sirs(P_LOADED, cfg, idle=True)))
+
+    def test_block_working_set_is_capped(self):
+        # the kernel's rows x stations stays within _SIR_CELLS (one row above it)
+        seen = []
+        kernel = simulator._block_sir
+
+        def spy(u, *args):
+            seen.append(u.shape)
+            return kernel(u, *args)
+
+        with mock.patch.object(simulator, "_block_sir", spy):
+            run_simulation(P_FULL, SimConfig(n_bs_target=500, n_realizations=40))
+            run_simulation(P_FULL, SimConfig(n_bs_target=9000, n_realizations=2))
+        assert seen == [(16, 500), (16, 500), (8, 500), (1, 9000), (1, 9000)]
 
 
 class TestEstimators:
