@@ -11,7 +11,6 @@ where its name would shadow the ppcell.mgf module.
 """
 
 from .mgf import (
-    IntersectionConstant,
     NetworkParams,
     NonConvergenceError,
     solve_c,
@@ -22,7 +21,6 @@ from .analytics import (
     RateResult,
     load_model,
     pathloss_cdf,
-    pathloss_pdf,
     pcov,
     pcov_general,
     rate_actual,

@@ -6,8 +6,14 @@ Interference-limited coverage has the uniform shape
 
 where B is the MGF exponent bracket of ppcell.mgf (exact Kummer form or the
 two-piece approximation) and p_active is the idle-mode thinning factor
-(1 = fully loaded); pcov() is that formula. pcov_general() integrates the
-MGF over the serving path-loss density instead, which also covers noise.
+(1 = fully loaded); pcov() is that formula. With noise, t = pi*lambda*r^2,
+Exp(1) for the serving distance r, turns coverage into
+
+    int_0^inf exp(-a t - k*gamma * t^(beta/2)) dt,   a = 1 - p_active*B(gamma),
+
+k = sigma_n2*kappa / (p_tx * (pi*lambda)^(beta/2)), as in Theorem 1 of
+Andrews, Baccelli & Ganti (IEEE TCOM 2011). pcov_general() returns pcov()
+at k = 0, where the integral is 1/a, and sums it on panels in log t otherwise.
 Ergodic peak rate is int_0^inf Pcov(w)/(1+w) dw, evaluated by a
 fixed Gauss-Legendre rule in log w (the authority) and, fully loaded, by a
 closed form valid for every beta. Partial-load rates always come from the
@@ -32,7 +38,6 @@ from .mgf import (
     _check_beta,
     _check_p_active,
     bracket,
-    exponent_prefactor,
     solve_c,
 )
 
@@ -42,7 +47,6 @@ __all__ = [
     "RateResult",
     "load_model",
     "pathloss_cdf",
-    "pathloss_pdf",
     "pcov",
     "pcov_general",
     "rate_actual",
@@ -68,6 +72,11 @@ _QUAD_ERR_LIMIT = 1e-8
 # panels on [0, c] do not.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANEL_WIDTH = 4.0
+
+# noisy coverage: the same nodes on equal panels at most 1 wide in v = log t
+# over [_T_MIN, _T_EFOLDS / a]; the mass cut off is below _T_MIN + exp(-_T_EFOLDS)
+_T_MIN = 1e-17
+_T_EFOLDS = 50.0
 
 # interference-free regime guard: coverage -> 1 makes the rate integral diverge
 _MIN_P_ACTIVE = 1e-6
@@ -116,16 +125,6 @@ class LoadModel:
     p_selection: float
 
 
-def pathloss_pdf(y, p: NetworkParams) -> float | np.ndarray:
-    """Density of the nearest-BS path loss at every y > 0 of an array (or a scalar)."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(y > 0.0):
-        raise ValueError(f"path loss must be positive, got {y}")
-    d = p.delta
-    scale = math.pi * p.lambda_bs * (y / p.kappa) ** d
-    return (2.0 * math.pi * p.lambda_bs / p.beta) * (1.0 / p.kappa) ** d * y ** (d - 1.0) * np.exp(-scale)
-
-
 def pathloss_cdf(y, p: NetworkParams) -> float | np.ndarray:
     """Distribution function of the nearest-BS path loss; 0 for y <= 0."""
     y = np.maximum(np.asarray(y, dtype=float), 0.0)
@@ -144,35 +143,43 @@ def pcov(gamma, beta: float, kind: str = "exact", p_active: float = 1.0) -> floa
     return 1.0 / (1.0 - bracket(beta, gamma, kind) * p_active)
 
 
-def pcov_general(gamma: float, p: NetworkParams, p_active: float = 1.0) -> float:
-    """Coverage by direct integration over the serving path-loss density.
+def pcov_general(gamma, p: NetworkParams, p_active: float = 1.0, kind: str = "exact") -> float | np.ndarray:
+    """Coverage P(SINR > gamma) at every threshold, noise included.
 
-    Slower route kept for two jobs the closed forms cannot do: checking that
-    the density really cancels out (evaluate at two lambda_bs and compare),
-    and the noise-included case sigma_n2 > 0, which has no closed form here.
+    pcov() when p.sigma_n2 == 0, else the integral of the module docstring.
     """
-    # imported here: no subcommand calls this, and loading scipy.integrate
-    # at module level would cost every CLI invocation
-    from scipy.integrate import quad
-
+    if p.sigma_n2 == 0.0:
+        return pcov(gamma, p.beta, kind, p_active)
     _check_p_active(p_active)
-    if gamma == 0.0:
-        return 1.0
-    # the interference MGF at s = gamma*l0/p_tx has bracket argument
-    # x = s*p_tx/l0 = gamma at every l0, so the bracket is one fixed number
-    b = float(bracket(p.beta, gamma, "exact"))
-    # integrand decays like exp(-pi lambda (l0/kappa)^d * (1 - p_active*b)); cut at 40 e-folds
-    l0_max = p.kappa * (40.0 / (math.pi * p.lambda_bs * (1.0 - b * p_active))) ** (1.0 / p.delta)
+    gamma = np.asarray(gamma, dtype=float)
+    a = 1.0 - p_active * bracket(p.beta, gamma, kind)
+    k = p.sigma_n2 * p.kappa / (p.p_tx * (math.pi * p.lambda_bs) ** (p.beta / 2.0))
+    # the SINR is positive, so every user is covered at gamma = 0
+    return np.where(gamma == 0.0, 1.0, _coverage_integral(a, k * gamma, p.beta))[()]
 
-    def integrand(l0: float) -> float:
-        mgf_val = math.exp(p_active * exponent_prefactor(p, l0) * b)
-        noise = math.exp(-gamma * l0 * p.sigma_n2 / p.p_tx) if p.sigma_n2 > 0.0 else 1.0
-        return noise * mgf_val * float(pathloss_pdf(l0, p))
 
-    val, err = quad(integrand, 0.0, l0_max, epsabs=1e-10, epsrel=1e-10, limit=200)
-    if err > _QUAD_ERR_LIMIT:
-        raise NonConvergenceError(f"coverage quadrature achieved only {err:.2e} absolute error")
-    return val
+def _coverage_integral(a: np.ndarray, noise: np.ndarray, beta: float) -> np.ndarray:
+    """int_0^inf exp(-a t - noise * t^(beta/2)) dt for each pair of entries (a > 0, noise >= 0).
+
+    Summed in v = log t on n equal panels per entry, n set by the widest
+    range [_T_MIN, _T_EFOLDS / a], and on 2n; the finer sum is the value.
+    """
+    lo = math.log(_T_MIN)
+    span = np.log(_T_EFOLDS / a) - lo
+    n = math.ceil(float(np.max(span)))
+    sums = []
+    for m in (n, 2 * n):
+        s, w = _panels(0.0, 1.0, m)
+        # the nodes of [0, 1] stretched over each entry's span; dt = t dv
+        t = np.exp(lo + span[..., None] * s)
+        sums.append(span * ((t * np.exp(-a[..., None] * t - noise[..., None] * t ** (beta / 2.0))) @ w))
+    coarse, fine = sums
+    worst = float(np.max(np.abs(fine - coarse)))
+    if worst > _QUAD_ERR_LIMIT:
+        raise NonConvergenceError(
+            f"coverage quadrature achieved only {worst:.2e} absolute error (target {_QUAD_ERR_LIMIT:g})"
+        )
+    return fine
 
 
 def load_model(lambda_ue: float, lambda_bs: float) -> LoadModel:

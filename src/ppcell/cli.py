@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .analytics import load_model, pcov, rate_closed_general, rate_quadrature
+from .analytics import load_model, pcov_general, rate_closed_general, rate_quadrature
 from .mgf import NetworkParams, NonConvergenceError, mgf, solve_c
 from .simulator import SimConfig, estimate_coverage, estimate_rates, run_simulation
 from .validation import _LAMBDA_REF, _RATIO_GRID, _db_to_linear, run_all
@@ -299,8 +299,9 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         jobs=args.jobs,
         quick=getattr(args, "quick", False),
     )
+    unread = row.ignores if spec.with_mc else row.ignores + row.mc_keys
     ignored = [f"{section}.{key}" for section, items in cfg.items() for key in items
-               if f"{section}.{key}" in row.ignores]
+               if f"{section}.{key}" in unread]
     if ignored:
         print(f"{args.command}: {kind.value} does not use config keys {', '.join(ignored)}", file=sys.stderr)
     return spec
@@ -336,7 +337,8 @@ def _coverage_rows(
 ) -> list[list]:
     """One row per threshold: lead cells, gamma, gamma in dB, both coverage kinds[, MC]."""
     grid = np.asarray(spec.grid)
-    cells = [pcov(grid, beta, "exact", p_active).tolist(), pcov(grid, beta, "two_piece", p_active).tolist()]
+    p = replace(spec.params, beta=beta)
+    cells = [pcov_general(grid, p, p_active, kind).tolist() for kind in ("exact", "two_piece")]
     if spec.with_mc:
         cells += [c.tolist() for c in estimate_coverage(_mc_samples(spec, beta, lambda_ue), spec.grid)]
     return [
@@ -436,8 +438,9 @@ class _Kind:
     "ratios", "idle_mode"). betas: default betas from the network (None:
     betas unread). mc: prefix of the columns sim.with_mc adds (None: no
     such columns). lambda_bs: default station density. ignores: config
-    keys ("section.key") the kind accepts but never reads; those a config
-    sets are named in one line on stderr.
+    keys ("section.key") the kind accepts but never reads; mc_keys: those
+    it reads only for the Monte Carlo columns. The ones a config sets and
+    the run leaves unread are named in one line on stderr.
     """
 
     command: str
@@ -448,6 +451,7 @@ class _Kind:
     mc: str | None = None
     lambda_bs: float = _LAMBDA_REF
     ignores: tuple[str, ...] = ()
+    mc_keys: tuple[str, ...] = ()
 
 
 def _keys(section: str, but: tuple[str, ...] = ()) -> tuple[str, ...]:
@@ -455,28 +459,43 @@ def _keys(section: str, but: tuple[str, ...] = ()) -> tuple[str, ...]:
     return tuple(f"{section}.{key}" for key in sorted(_ALLOWED_KEYS[section]) if key not in but)
 
 
+# keys that only the threshold axis reads, and those only the simulation reads
+_GAMMA_KEYS = ("grid.gamma_start", "grid.gamma_stop", "grid.gamma_step", "grid.gamma_unit")
+_SIM_KEYS = ("sim.n_bs_target", "sim.n_realizations", "sim.seed")
+# the ratio kinds take the user density from the ratio; without noise the
+# rates cancel power and path-loss prefactor, so only the simulation reads them
+_RATIO_RATE_KEYS = dict(
+    ignores=("network.beta", "network.lambda_ue", *_GAMMA_KEYS, "grid.x_values", "sim.idle_mode"),
+    mc_keys=(*_SIM_KEYS, "network.kappa", "network.p_tx"),
+)
+
 # Table order fixes each subcommand's default kind (its first) and the
 # order of the kinds named in its refusal message.
 _KINDS = {
     ExperimentKind.COVERAGE_VS_GAMMA: _Kind(
         "coverage", _run_coverage, axis="grid", reads=("gamma",),
         betas=lambda p: (2.5, 3.0, 3.5, 4.0, 4.5, 5.0), mc="pcov",
+        ignores=("network.beta", "network.lambda_ue", "grid.x_values", "grid.ratios", "sim.idle_mode"),
+        mc_keys=_SIM_KEYS,
     ),
     ExperimentKind.RATE_VS_BETA: _Kind(
         "rate", _run_rate_vs_beta, axis="betas",
         betas=lambda p: tuple(float(b) for b in np.arange(2.5, 5.001, 0.125)), mc="rate",
+        ignores=("network.beta", "network.lambda_ue", *_GAMMA_KEYS, "grid.x_values", "grid.ratios", "sim.idle_mode"),
+        mc_keys=(*_SIM_KEYS, "network.lambda_bs", "network.kappa", "network.p_tx"),
     ),
     ExperimentKind.PEAK_RATE_VS_RATIO: _Kind(
         "load-curves", partial(_run_rate_vs_ratio, actual=False), axis="ratios",
-        reads=("ratios",), betas=lambda p: (3.0, 4.0, 5.0), mc="rate",
+        reads=("ratios",), betas=lambda p: (3.0, 4.0, 5.0), mc="rate", **_RATIO_RATE_KEYS,
     ),
     ExperimentKind.ACTUAL_RATE_VS_RATIO: _Kind(
         "load-curves", partial(_run_rate_vs_ratio, actual=True), axis="ratios",
-        reads=("ratios",), betas=lambda p: (3.0, 4.0, 5.0), mc="rate",
+        reads=("ratios",), betas=lambda p: (3.0, 4.0, 5.0), mc="rate", **_RATIO_RATE_KEYS,
     ),
     ExperimentKind.COVERAGE_PARTIAL_LOAD: _Kind(
         "load-curves", _run_coverage_partial_load, axis="grid",
         reads=("gamma", "ratios"), betas=lambda p: (p.beta,), mc="pcov",
+        ignores=("network.lambda_ue", "grid.x_values", "sim.idle_mode"), mc_keys=_SIM_KEYS,
     ),
     # the default density gives a unit exponent prefactor at l0 = 1
     ExperimentKind.MGF_PROFILE: _Kind(
@@ -487,7 +506,9 @@ _KINDS = {
             *_keys("grid", but=("x_values", "betas", "beta_start", "beta_stop", "beta_step")),
         ),
     ),
-    ExperimentKind.RAW_SAMPLES: _Kind("simulate", _run_raw_samples, reads=("idle_mode",)),
+    ExperimentKind.RAW_SAMPLES: _Kind(
+        "simulate", _run_raw_samples, reads=("idle_mode",), ignores=(*_keys("grid"), "sim.with_mc"),
+    ),
     # the suite runs on its own fixed scenarios; only the seed comes from the config
     ExperimentKind.VALIDATE: _Kind(
         "validate", _run_validate, ignores=(*_keys("network"), *_keys("grid"), *_keys("sim", but=("seed",))),

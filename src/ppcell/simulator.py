@@ -23,14 +23,11 @@ change cannot alter the streams silently.
 
 A Deployment keeps those polar draws. Station j lies at distance
 window_radius * sqrt(bs_u[j]) from the origin, so the SIR takes its squared
-distances straight from window_radius**2 * bs_u and a fully loaded drop
-never evaluates a sine or cosine; Cartesian positions are built on first
-use, for user attachment. With no users (lambda_ue == 0) the station angles
-are the geometry lane's last draw and the SIR never reads them, so they are
-drawn from that lane on the first read of bs_theta or bs_positions; with
-users they are drawn in order, before the user count. Either way every
-random number matches earlier commits; SIR values may differ from theirs in
-the last bits, because R**2 * u replaces x**2 + y**2.
+distances straight from window_radius**2 * bs_u and never evaluates a sine
+or cosine; Cartesian positions are built on first use, for user
+attachment. The full-load block SIR below builds no Deployment and draws
+no station angles: with no users they are the geometry lane's last draw,
+so skipping them changes no other draw.
 
 Block SIR: _block_sir computes the SIR of one row or of a block of rows.
 When every station is active (no idle mode) each rid only fills row k of a
@@ -54,7 +51,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -124,32 +121,16 @@ class Deployment:
     """One sampled network as polar draws, origin = tagged user.
 
     Base station j sits at radius window_radius * sqrt(bs_u[j]) and angle
-    bs_theta[j]; users likewise with ue_u and ue_theta. bs_theta=None defers
-    the angles: they are theta_rng's next draw, made on first read.
+    bs_theta[j]; users likewise with ue_u and ue_theta.
     """
 
     bs_u: np.ndarray
-    bs_theta: np.ndarray | None
+    bs_theta: np.ndarray
     ue_u: np.ndarray
     ue_theta: np.ndarray
     active_mask: np.ndarray
     serving_index: int
     window_radius: float
-    theta_rng: np.random.Generator | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.bs_theta is None:
-            if self.theta_rng is None:
-                raise ValueError("deferred bs_theta needs a theta_rng to draw it from")
-            # unset, so that the first read falls through to __getattr__
-            object.__delattr__(self, "bs_theta")
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        if name != "bs_theta":
-            raise AttributeError(name)
-        theta = 2.0 * math.pi * self.theta_rng.random(self.bs_u.size)
-        object.__setattr__(self, "bs_theta", theta)
-        return theta
 
     @cached_property
     def bs_positions(self) -> np.ndarray:
@@ -300,18 +281,10 @@ def _draw_deployment(p: NetworkParams, cfg: SimConfig, rng: Generator, bs_u: np.
     """
     radius = _window_radius(p, cfg)
     bs_u = rng.random(cfg.n_bs_target, out=bs_u)
-    if p.lambda_ue > 0.0:
-        bs_theta = 2.0 * math.pi * rng.random(cfg.n_bs_target)
-        n_ue = int(rng.poisson(p.lambda_ue * math.pi * radius * radius))
-        ue_u = rng.random(n_ue)
-        ue_theta = 2.0 * math.pi * rng.random(n_ue)
-        theta_rng = None
-    else:
-        # the angles are the lane's last draw; Deployment makes it when read
-        bs_theta = None
-        ue_u = np.empty(0)
-        ue_theta = np.empty(0)
-        theta_rng = rng
+    bs_theta = 2.0 * math.pi * rng.random(cfg.n_bs_target)
+    n_ue = int(rng.poisson(p.lambda_ue * math.pi * radius * radius))
+    ue_u = rng.random(n_ue)
+    ue_theta = 2.0 * math.pi * rng.random(n_ue)
     return Deployment(
         bs_u=bs_u,
         bs_theta=bs_theta,
@@ -320,7 +293,6 @@ def _draw_deployment(p: NetworkParams, cfg: SimConfig, rng: Generator, bs_u: np.
         active_mask=np.ones(cfg.n_bs_target, dtype=bool),
         serving_index=int(np.argmin(bs_u)),
         window_radius=radius,
-        theta_rng=theta_rng,
     )
 
 

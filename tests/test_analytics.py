@@ -2,13 +2,17 @@
 
 The closed forms are checked against values computed independently at
 50-digit precision; the quadrature rate is additionally cross-checked
-against the closed forms it is supposed to integrate.
+against the closed forms it is supposed to integrate. Coverage has two
+independent routes kept here: scipy's adaptive quad over the serving
+path-loss density (noise-free) and over the serving distance (noisy).
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ppcell import analytics
@@ -17,16 +21,73 @@ from ppcell.analytics import (
     RateResult,
     load_model,
     pathloss_cdf,
-    pathloss_pdf,
     pcov,
     pcov_general,
     rate_actual,
     rate_closed_general,
     rate_quadrature,
 )
-from ppcell.mgf import NetworkParams, NonConvergenceError, bracket, solve_c, taylor_bracket, upper_bracket
+from ppcell.mgf import (
+    NetworkParams,
+    NonConvergenceError,
+    bracket,
+    exponent_prefactor,
+    solve_c,
+    taylor_bracket,
+    upper_bracket,
+)
 
 PA_RATIO_1 = 0.585051349019134  # active probability at lambda_ue = lambda_bs
+
+
+def pathloss_pdf(y, p: NetworkParams) -> float | np.ndarray:
+    """Density of the nearest-BS path loss at every y > 0 of an array (or a scalar)."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(y > 0.0):
+        raise ValueError(f"path loss must be positive, got {y}")
+    d = p.delta
+    scale = math.pi * p.lambda_bs * (y / p.kappa) ** d
+    return (2.0 * math.pi * p.lambda_bs / p.beta) * (1.0 / p.kappa) ** d * y ** (d - 1.0) * np.exp(-scale)
+
+
+def density_pcov(gamma: float, p: NetworkParams, p_active: float = 1.0) -> float:
+    """Reference noise-free coverage: the interference MGF averaged over pathloss_pdf by quad.
+
+    The density, power and prefactor of p enter explicitly and must cancel.
+    """
+    if gamma == 0.0:
+        return 1.0
+    # the interference MGF at s = gamma*l0/p_tx has bracket argument gamma at every l0
+    b = float(bracket(p.beta, gamma, "exact"))
+    # the integrand decays like exp(-pi lambda (l0/kappa)^d * (1 - p_active*b)); cut at 40 e-folds
+    l0_max = p.kappa * (40.0 / (math.pi * p.lambda_bs * (1.0 - b * p_active))) ** (1.0 / p.delta)
+
+    def integrand(l0: float) -> float:
+        return math.exp(p_active * exponent_prefactor(p, l0) * b) * float(pathloss_pdf(l0, p))
+
+    val, err = quad(integrand, 0.0, l0_max, epsabs=1e-10, epsrel=1e-10, limit=200)
+    assert err <= 1e-8
+    return val
+
+
+def radial_pcov(gamma: float, p: NetworkParams, p_active: float = 1.0, kind: str = "exact") -> float:
+    """Reference coverage, noise included: quad over the serving distance r.
+
+    The nearest station lies at r with density 2 pi lambda r exp(-pi lambda r^2).
+    The range is split at multiples of the mean-distance scale and of the
+    distance where the noise term reaches 1, so each piece is smooth.
+    """
+    a = 1.0 - p_active * float(bracket(p.beta, gamma, kind))
+    lam = p.lambda_bs
+    noise = gamma * p.sigma_n2 * p.kappa / p.p_tx
+
+    def integrand(r: float) -> float:
+        return 2.0 * math.pi * lam * r * math.exp(-math.pi * lam * r * r * a - noise * r**p.beta)
+
+    scales = [1.0 / math.sqrt(math.pi * lam * a)] + ([noise ** (-1.0 / p.beta)] if noise > 0.0 else [])
+    edges = sorted({0.0, *(s * f for s in scales for f in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0))})
+    pieces = [quad(integrand, lo, hi, epsabs=1e-16, epsrel=1e-13, limit=200)[0] for lo, hi in zip(edges, edges[1:])]
+    return math.fsum(pieces) + quad(integrand, edges[-1], math.inf, epsabs=1e-16, limit=200)[0]
 
 
 class TestCoverageClosedForms:
@@ -70,10 +131,11 @@ class TestCoverageClosedForms:
 
 
 class TestCoverageIntegralRoute:
+    """pcov against the path-loss density integral, which sees density and power."""
+
     def test_matches_closed_form(self):
         p = NetworkParams(lambda_bs=1.0, beta=4.0)
-        got = pcov_general(1.0, p)
-        assert math.isclose(got, pcov(1.0, 4.0), rel_tol=1e-10)
+        assert math.isclose(density_pcov(1.0, p), pcov(1.0, 4.0), rel_tol=1e-10)
 
     def test_closed_form_matches_integral_route(self):
         # pcov against quadrature over the serving path-loss density, across
@@ -82,18 +144,20 @@ class TestCoverageIntegralRoute:
             p = NetworkParams(lambda_bs=3.7e-6, beta=beta, kappa=2.0, p_tx=5.0)
             for gamma in (0.05, 1.0, 10.0, 200.0):
                 for pa in (1.0, 0.4, 0.02):
-                    want = pcov_general(gamma, p, p_active=pa)
+                    want = density_pcov(gamma, p, p_active=pa)
                     assert math.isclose(pcov(gamma, beta, p_active=pa), want, rel_tol=1e-9), (beta, gamma, pa)
+                    assert pcov_general(gamma, p, pa) == pcov(gamma, beta, p_active=pa)
 
     def test_density_invariance(self):
         # the integral route carries lambda_bs explicitly; it must cancel
         pa = NetworkParams(lambda_bs=1.0, beta=3.5)
         pb = NetworkParams(lambda_bs=42.0, beta=3.5)
-        assert math.isclose(pcov_general(2.0, pa), pcov_general(2.0, pb), rel_tol=1e-10)
+        assert math.isclose(density_pcov(2.0, pa), density_pcov(2.0, pb), rel_tol=1e-10)
+        assert math.isclose(density_pcov(2.0, pb), pcov(2.0, 3.5), rel_tol=1e-10)
 
     def test_partial_load_route(self):
         p = NetworkParams(lambda_bs=1.0, beta=4.0)
-        want = pcov(1.0, 4.0, p_active=PA_RATIO_1)
+        want = density_pcov(1.0, p, p_active=PA_RATIO_1)
         assert math.isclose(pcov_general(1.0, p, p_active=PA_RATIO_1), want, rel_tol=1e-10)
 
     def test_noise_lowers_coverage(self):
@@ -102,8 +166,72 @@ class TestCoverageIntegralRoute:
         assert pcov_general(1.0, noisy) < pcov_general(1.0, quiet)
 
     def test_zero_threshold(self):
-        p = NetworkParams(lambda_bs=1.0, beta=4.0)
-        assert pcov_general(0.0, p) == 1.0
+        for sigma_n2 in (0.0, 1e-9):
+            p = NetworkParams(lambda_bs=1.27e-6, beta=4.0, sigma_n2=sigma_n2)
+            assert pcov_general(0.0, p) == 1.0
+
+
+class TestNoisyCoverage:
+    """pcov_general with noise: a panel rule in log t, held to quad over the distance."""
+
+    # the noise case the CLI once printed wrong: lambda 1.27e-6, beta 4, gamma 1
+    P_NOISY = NetworkParams(lambda_bs=1.27e-6, beta=4.0, sigma_n2=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        beta=st.floats(2.0, 5.0, exclude_min=True),
+        p_active=st.floats(1e-3, 1.0),
+        gamma=st.floats(0.0, 1e3),
+    )
+    def test_rule_without_noise_is_pcov(self, beta, p_active, gamma):
+        for kind in ("exact", "two_piece"):
+            a = 1.0 - p_active * bracket(beta, gamma, kind)
+            got = analytics._coverage_integral(np.asarray(a), np.asarray(0.0), beta)
+            assert abs(got - pcov(gamma, beta, kind, p_active)) <= 1e-14, kind
+
+    def test_matches_radial_quadrature(self):
+        for sigma_n2 in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8):
+            for beta in (2.5, 4.0, 5.0):
+                p = NetworkParams(lambda_bs=1.27e-6, beta=beta, kappa=2.0, p_tx=3.0, sigma_n2=sigma_n2)
+                for pa in (1.0, 0.1):
+                    gammas = np.array([0.01, 1.0, 100.0])
+                    got = pcov_general(gammas, p, pa)
+                    for g, v in zip(gammas.tolist(), got.tolist()):
+                        want = radial_pcov(g, p, pa)
+                        assert abs(v - want) <= 1e-12, (sigma_n2, beta, pa, g, v, want)
+
+    def test_regression_value(self):
+        # a quad over the path-loss density read 5.4e-15 here, with no error raised
+        assert math.isclose(pcov_general(1.0, self.P_NOISY), 0.098414, abs_tol=5e-7)
+        assert math.isclose(pcov_general(1.0, self.P_NOISY), radial_pcov(1.0, self.P_NOISY), abs_tol=1e-12)
+
+    def test_array_matches_pointwise(self):
+        grid = np.array([0.0, 0.1, 1.0, 10.0, 1e3])
+        for kind in ("exact", "two_piece"):
+            curve = pcov_general(grid, self.P_NOISY, 0.3, kind)
+            for g, c in zip(grid.tolist(), curve.tolist()):
+                assert math.isclose(c, pcov_general(g, self.P_NOISY, 0.3, kind), rel_tol=1e-13), (kind, g)
+            assert np.all(np.diff(curve) < 0.0)
+            assert np.all(curve <= pcov(grid, 4.0, kind, 0.3))
+
+    def test_density_enters_only_through_k(self):
+        # scaling lambda by s and sigma_n2 by s^(beta/2) leaves k unchanged
+        s = 7.0
+        p = NetworkParams(lambda_bs=1.27e-6 * s, beta=4.0, sigma_n2=1e-9 * s**2)
+        assert math.isclose(pcov_general(1.0, p), pcov_general(1.0, self.P_NOISY), rel_tol=1e-12)
+
+    def test_domains(self):
+        with pytest.raises(ValueError):
+            pcov_general(-0.1, self.P_NOISY)
+        with pytest.raises(ValueError):
+            pcov_general(1.0, self.P_NOISY, p_active=0.0)
+        with pytest.raises(ValueError):
+            pcov_general(1.0, self.P_NOISY, kind="Exact")
+
+    def test_unmet_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(analytics, "_QUAD_ERR_LIMIT", 1e-300)
+        with pytest.raises(NonConvergenceError, match="coverage quadrature"):
+            pcov_general(np.array([0.5, 1.0, 2.0]), self.P_NOISY)
 
 
 class TestCoverageCurve:

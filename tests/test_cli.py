@@ -8,12 +8,14 @@ import csv
 import io
 import math
 import textwrap
+from dataclasses import replace
 
 import pytest
 
 from ppcell import cli
-from ppcell.analytics import rate_actual, rate_quadrature
+from ppcell.analytics import pcov_general, rate_actual, rate_quadrature
 from ppcell.cli import ConfigError, main, parse_config
+from ppcell.mgf import NetworkParams
 
 
 def write_cfg(tmp_path, text, name="exp.ini"):
@@ -305,6 +307,111 @@ class TestMgfCommand:
         assert noted.err == (
             "mgf: MgfProfile does not use config keys network.sigma_n2, network.lambda_ue, sim.with_mc\n"
         )
+
+
+def ini_text(sections: dict) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
+
+
+class TestUnusedKeys:
+    """Every kind names the config keys a run leaves unread, and only those."""
+
+    LOAD = {"betas": "4.0", "ratios": "1.0"}
+    GAMMA = {"gamma_start": "0", "gamma_stop": "5", "gamma_step": "5"}
+
+    @pytest.mark.parametrize(
+        "command,kind,base,extra,named",
+        [
+            (
+                "coverage", "CoverageVsGamma", {"grid": {"betas": "4.0", **GAMMA}},
+                {"network": {"beta": "3.0", "lambda_ue": "5e-6", "kappa": "2.0"},
+                 "grid": {"x_values": "0 1"}, "sim": {"seed": "4"}},
+                "network.beta, network.lambda_ue, grid.x_values, sim.seed",
+            ),
+            (
+                "coverage", "CoverageVsGamma",
+                {"grid": {"betas": "4.0", **GAMMA}, "sim": {"with_mc": "true", "n_bs_target": "64", "n_realizations": "100"}},
+                {"network": {"beta": "3.0"}, "sim": {"seed": "0"}},
+                "network.beta",
+            ),
+            (
+                "rate", "RateVsBeta", {"grid": {"betas": "3.0 4.0"}},
+                {"network": {"beta": "3.5", "lambda_bs": "2e-6", "p_tx": "3.0"},
+                 "grid": {"gamma_step": "2", "ratios": "1"}, "sim": {"n_realizations": "50"}},
+                "network.beta, network.lambda_bs, network.p_tx, grid.gamma_step, grid.ratios, sim.n_realizations",
+            ),
+            (
+                "load-curves", "PeakRateVsRatio", {"grid": LOAD},
+                {"network": {"lambda_ue": "1e-6", "kappa": "3.0"}, "grid": {"gamma_unit": "linear"},
+                 "sim": {"idle_mode": "true"}},
+                "network.lambda_ue, network.kappa, grid.gamma_unit, sim.idle_mode",
+            ),
+            (
+                "load-curves", "ActualRateVsRatio", {"grid": LOAD},
+                {"network": {"beta": "3.0"}, "grid": {"x_values": "1"}, "sim": {"with_mc": "false", "seed": "2"}},
+                "network.beta, grid.x_values, sim.seed",
+            ),
+            (
+                "load-curves", "CoveragePartialLoad", {"grid": {**LOAD, **GAMMA}},
+                {"network": {"lambda_ue": "1e-6", "p_tx": "2.0"}, "grid": {"x_values": "0"},
+                 "sim": {"n_bs_target": "64", "idle_mode": "false"}},
+                "network.lambda_ue, grid.x_values, sim.n_bs_target, sim.idle_mode",
+            ),
+            (
+                "simulate", "RawSamples", {"sim": {"n_bs_target": "64", "n_realizations": "5"}},
+                {"grid": {"betas": "3.0", "gamma_start": "1"}, "sim": {"with_mc": "true"}},
+                "grid.betas, grid.gamma_start, sim.with_mc",
+            ),
+        ],
+        ids=["coverage", "coverage-mc", "rate", "peak", "actual", "partial", "simulate"],
+    )
+    def test_unread_keys_named_on_stderr(self, tmp_path, capsys, command, kind, base, extra, named):
+        base = {"experiment": {"kind": kind}, **base}
+        plain_cfg = write_cfg(tmp_path, ini_text(base), "base.ini")
+        assert main([command, "--config", plain_cfg]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        merged = {
+            name: {**base.get(name, {}), **extra.get(name, {})}
+            for name in ("experiment", "network", "grid", "sim") if name in base or name in extra
+        }
+        assert main([command, "--config", write_cfg(tmp_path, ini_text(merged), "extra.ini")]) == 0
+        noted = capsys.readouterr()
+        assert noted.out == plain.out
+        assert noted.err == f"{command}: {kind} does not use config keys {named}\n"
+
+
+class TestNoisyCoverage:
+    """Both coverage kinds account for network.sigma_n2 in their analytic columns."""
+
+    def test_analytic_column_within_three_stderr_of_monte_carlo(self, tmp_path):
+        cfg = (
+            "[network]\nsigma_n2 = 1e-9\n[grid]\nbetas = 4.0\ngamma_start = -5\ngamma_stop = 5\ngamma_step = 5\n"
+            "[sim]\nwith_mc = true\nn_realizations = 2000\n"
+        )
+        out = tmp_path / "noisy.csv"
+        assert main(["coverage", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 3
+        for row in rows:
+            exact, mc, stderr = float(row[3]), float(row[5]), float(row[6])
+            assert abs(exact - mc) <= 3.0 * stderr, row
+        # gamma = 0 dB: the noise-free column would read 0.5372
+        assert float(rows[1][3]) == pytest.approx(0.098414, abs=5e-7)
+
+    def test_partial_load_column_is_pcov_general(self, tmp_path, capsys):
+        cfg = (
+            "[experiment]\nkind = CoveragePartialLoad\n[network]\nsigma_n2 = 1e-9\n"
+            "[grid]\nbetas = 4.0\nratios = 1.0\ngamma_start = 0\ngamma_stop = 0\ngamma_step = 1\n"
+        )
+        assert main(["load-curves", "--config", write_cfg(tmp_path, cfg)]) == 0
+        row = read_rows(capsys)[1]
+        p = NetworkParams(lambda_bs=1.27e-6, beta=4.0, sigma_n2=1e-9)
+        p_active = float(row[2])
+        assert float(row[5]) == pcov_general(1.0, p, p_active, "exact")
+        assert float(row[6]) == pcov_general(1.0, p, p_active, "two_piece")
+        assert float(row[5]) < pcov_general(1.0, replace(p, sigma_n2=0.0), p_active)
 
 
 class TestSimulateCommand:

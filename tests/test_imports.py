@@ -1,11 +1,13 @@
 """Cold start: what `import ppcell.cli` and the commands after it load.
 
 Each case runs in a fresh interpreter, because this one has long since
-imported whatever the other tests needed. The analytic subcommands must
-run on numpy and scipy.special alone; scipy.optimize, scipy.integrate and
-scipy.spatial cost every CLI invocation several hundred ms to import.
+imported whatever the other tests needed. The analytic subcommands, noisy
+coverage included, must run on numpy and scipy.special alone;
+scipy.optimize, scipy.integrate and scipy.spatial cost every CLI invocation
+several hundred ms to import, and no library module imports scipy.integrate.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -21,6 +23,10 @@ HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.spatial")
 # tiny configs, one per analytic command (the three load-curves kinds apart)
 ANALYTIC_RUNS = {
     "coverage": ("coverage", "[grid]\ngamma_start = -5\ngamma_stop = 5\ngamma_step = 5\nbetas = 3 4\n"),
+    "noisy": (
+        "coverage",
+        "[network]\nsigma_n2 = 1e-9\n[grid]\ngamma_start = -5\ngamma_stop = 5\ngamma_step = 5\nbetas = 3 4\n",
+    ),
     "rate": ("rate", "[grid]\nbetas = 2.75 4.0\n"),
     "mgf": ("mgf", "[grid]\nx_values = 0 0.5 2\nbetas = 3.5\n"),
     "peak": ("load-curves", "[experiment]\nkind = PeakRateVsRatio\n[grid]\nbetas = 3 4.5\nratios = 0.5 2\n"),
@@ -122,3 +128,18 @@ def test_pool_after_lazy_kd_tree_import():
     # before the pool forks, and its samples must still match jobs=1 bitwise
     seen = run_fresh(POOL_SCRIPT)
     assert seen == {"before": False, "at_pool_start": [True], "same": True}
+
+
+def test_library_never_imports_scipy_integrate():
+    # the analytic routes are fixed Gauss-Legendre rules; quad stays in the tests
+    found = []
+    for path in sorted((SRC / "ppcell").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.startswith("scipy.integrate")]
+    assert found == []

@@ -34,4 +34,4 @@ def test_quick_start_analytic_values():
         decimals = len(stated.group(2))
         assert round(float(value), decimals) == float(stated.group(1)), (lines[node.lineno - 1], value)
         checked.append(stated.group(1))
-    assert checked == ["0.5372", "0.6649", "0.6722", "1.3914", "1.3970", "1.0930"]
+    assert checked == ["0.5372", "0.6649", "0.6722", "0.0984", "1.3914", "1.3970", "1.0930"]

@@ -402,7 +402,7 @@ def eager_bs_draws(cfg: SimConfig, rid: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestDeferredAngles:
-    """At full load the station angles are drawn when first read."""
+    """Station angles are never deferred: a Deployment draws them right after the radii."""
 
     @pytest.mark.parametrize("seed", [0, 2**32 + 5])
     def test_angles_match_an_eager_draw(self, seed):
@@ -410,44 +410,27 @@ class TestDeferredAngles:
         for rid in (0, 1, 7, 1234):
             u, theta = eager_bs_draws(cfg, rid)
             d = sample_deployment(P_FULL, cfg, rid)
-            assert "bs_theta" not in vars(d)
             assert np.array_equal(d.bs_u, u)
             assert np.array_equal(d.bs_theta, theta)
-            assert d.bs_theta is d.bs_theta
-            # positions first, angles never read before
-            d = sample_deployment(P_FULL, cfg, rid)
             assert np.array_equal(d.bs_positions, simulator._cartesian(u, theta, d.window_radius))
-            assert np.array_equal(d.bs_theta, theta)
 
     def test_block_route_matches(self):
         cfg = SimConfig(n_bs_target=64, n_realizations=1, seed=3)
-        for rid, (geometry,) in enumerate(simulator._lanes(cfg.seed, 10, 14, lanes=(0,)), 10):
-            d = simulator._draw_deployment(P_FULL, cfg, geometry)
-            u, theta = eager_bs_draws(cfg, rid)
-            assert np.array_equal(d.bs_u, u)
-            assert np.array_equal(d.bs_theta, theta)
+        for p in (P_FULL, P_LOADED):
+            for rid, (geometry,) in enumerate(simulator._lanes(cfg.seed, 10, 14, lanes=(0,)), 10):
+                d = simulator._draw_deployment(p, cfg, geometry)
+                u, theta = eager_bs_draws(cfg, rid)
+                assert np.array_equal(d.bs_u, u)
+                assert np.array_equal(d.bs_theta, theta)
 
     def test_users_draw_angles_in_order(self):
         d = sample_deployment(P_LOADED, small_cfg(1), 2)
-        assert "bs_theta" in vars(d)
         assert np.array_equal(d.bs_theta, eager_bs_draws(small_cfg(1), 2)[1])
 
     def test_idle_copy_shares_the_drawn_angles(self):
         d = sample_deployment(P_FULL, small_cfg(1), 0)
         masked = apply_idle_mode(d)
         assert masked.bs_theta is d.bs_theta
-
-    def test_deferred_needs_a_generator(self):
-        with pytest.raises(ValueError):
-            Deployment(
-                bs_u=np.zeros(2),
-                bs_theta=None,
-                ue_u=np.zeros(0),
-                ue_theta=np.zeros(0),
-                active_mask=np.ones(2, dtype=bool),
-                serving_index=0,
-                window_radius=1.0,
-            )
 
     @pytest.mark.parametrize("marks", [False, True])
     def test_full_load_jobs_invariance_bitwise(self, marks):
