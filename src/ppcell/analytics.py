@@ -215,12 +215,7 @@ def _panels(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (mids[:, None] + half * _GL_NODES).ravel(), np.tile(half * _GL_WEIGHTS, n)
 
 
-def _rate_integral(
-    beta: float,
-    p_active: np.ndarray,
-    kind: str,
-    c_value: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def _rate_integral(beta: float, p_active: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Peak-rate integral int_0^W Pcov(w)/(1+w) dw for every entry of p_active.
 
     The integral runs in v = log w over two pieces split at the branch point
@@ -231,7 +226,7 @@ def _rate_integral(
     sum is the value and the coarse-fine gap, plus the mass cut off below
     w_min and beyond W, the reported error bound.
     """
-    v_c = math.log(c_value)
+    v_c = math.log(solve_c(beta).c_exact)
     v_max = math.log(_w_max(beta, float(p_active.min())))
     rules = []
     for lo, hi in ((math.log(_W_MIN), v_c), (v_c, v_max)):
@@ -239,7 +234,7 @@ def _rate_integral(
         rules += [_panels(lo, hi, n), _panels(lo, hi, 2 * n)]
     v = np.concatenate([nodes for nodes, _ in rules])
     w = np.exp(v)
-    b = bracket(beta, w, kind, c_value)
+    b = bracket(beta, w, kind)
     # Pcov(w)/(1+w) dw = Pcov(w)/(1+1/w) dv
     f = np.concatenate([q for _, q in rules]) / ((1.0 - p_active[:, None] * b) * (1.0 + 1.0 / w))
     starts = np.cumsum([0] + [nodes.size for nodes, _ in rules[:-1]])
@@ -277,7 +272,7 @@ def rate_quadrature(
         )
     if not np.all(pa <= 1.0):
         raise ValueError(f"p_active must lie in [{_MIN_P_ACTIVE}, 1], got {np.max(pa)}")
-    values, errs = _rate_integral(beta, pa.ravel(), kind, solve_c(beta).c_exact)
+    values, errs = _rate_integral(beta, pa.ravel(), kind)
     results = [
         RateResult(value=v, method=RateMethod.QUADRATURE, stderr=e)
         for v, e in zip(values.tolist(), errs.tolist())

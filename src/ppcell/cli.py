@@ -243,9 +243,13 @@ def _gamma_grid(cfg: dict, force_db: bool) -> tuple[float, ...]:
 
 def _beta_axis(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
     betas = _get_list(cfg, "grid", "betas")
+    ranged = sorted({"beta_start", "beta_stop", "beta_step"} & set(cfg.get("grid", {})))
     if betas is not None:
+        if ranged:
+            keys = ", ".join(f"grid.{key}" for key in ranged)
+            raise ConfigError(f"grid.betas lists the betas; {keys} would be ignored, set one or the other")
         return betas
-    if "grid" in cfg and {"beta_start", "beta_stop", "beta_step"} & set(cfg["grid"]):
+    if ranged:
         start = _get_float(cfg, "grid", "beta_start", 2.5)
         stop = _get_float(cfg, "grid", "beta_stop", 5.0)
         step = _get_float(cfg, "grid", "beta_step", 0.125)
@@ -316,9 +320,13 @@ def _write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]
 
     if path is None:
         emit(sys.stdout)
-    else:
-        with open(path, "w", newline="") as fh:
-            emit(fh)
+        return
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+    with fh:
+        emit(fh)
 
 
 # what a runner returns: header, rows (None: write no CSV) and exit code;
@@ -412,10 +420,9 @@ def _run_mgf_profile(spec: ExperimentSpec) -> _Table:
 def _run_raw_samples(spec: ExperimentSpec) -> _Table:
     samples = run_simulation(spec.params, spec.sim, idle_mode=spec.idle_mode, jobs=spec.jobs)
     rows = [
-        [int(rid), float(sir), int(nu), int(na)]
-        for rid, sir, nu, na in zip(
-            samples.realization_ids, samples.sir_values,
-            samples.n_users_in_cell, samples.n_active_bs,
+        [rid, float(sir), int(nu), int(na)]
+        for rid, (sir, nu, na) in enumerate(
+            zip(samples.sir_values, samples.n_users_in_cell, samples.n_active_bs)
         )
     ]
     return ["realization_id", "sir", "n_users", "n_active_bs"], rows, 0

@@ -144,7 +144,7 @@ def upper_bracket(beta: float, x: float | np.ndarray) -> float | np.ndarray:
     return 1.0 - x**d * math.gamma(1.0 - d)
 
 
-def bracket(beta: float, x, kind: str = "exact", c_value: float | None = None) -> float | np.ndarray:
+def bracket(beta: float, x, kind: str = "exact") -> float | np.ndarray:
     """Exponent bracket B(x) for every argument x >= 0 of an array (or a scalar).
 
     kind "exact": B = 1 - 1F1(-d, 1-d, -x) with d = 2/beta, evaluated through
@@ -153,8 +153,8 @@ def bracket(beta: float, x, kind: str = "exact", c_value: float | None = None) -
         1F1(-d, 1-d, -x) = exp(-x) + x^d Gamma(1-d) P(1-d, x),
 
     P the regularized lower incomplete gamma function (DLMF §8, §13).
-    kind "two_piece": the two-term series up to the branch point c_value
-    (the solved root for beta when None), the closed form 1 - x^d Gamma(1-d)
+    kind "two_piece": the two-term series up to the branch point c, the
+    solved root solve_c(beta).c_exact, the closed form 1 - x^d Gamma(1-d)
     beyond it. Fully loaded coverage is 1/(1 - B(gamma)).
     kind "rayleigh": interferers carry independent unit-mean exponential
     fading marks, B = -(2x/(beta-2)) 2F1(1, 1-d; 2-d; -x), the rho function
@@ -168,12 +168,11 @@ def bracket(beta: float, x, kind: str = "exact", c_value: float | None = None) -
     if kind == "exact":
         return 1.0 - (np.exp(-x) + x**d * gammainc(1.0 - d, x) * math.gamma(1.0 - d))
     if kind == "two_piece":
-        if c_value is None:
-            c_value = solve_c(beta).c_exact
+        c = solve_c(beta).c_exact
         # each branch only sees arguments on its own side, so the series
         # never squares a huge argument; [()] turns a 0-d result into a scalar
-        lower = taylor_bracket(beta, np.minimum(x, c_value), 2)
-        return np.where(x <= c_value, lower, upper_bracket(beta, np.maximum(x, c_value)))[()]
+        lower = taylor_bracket(beta, np.minimum(x, c), 2)
+        return np.where(x <= c, lower, upper_bracket(beta, np.maximum(x, c)))[()]
     if kind == "rayleigh":
         return -(2.0 * x / (beta - 2.0)) * hyp2f1(1.0, 1.0 - d, 2.0 - d, -x)
     raise ValueError(f"bracket kind must be 'exact', 'two_piece' or 'rayleigh', got {kind!r}")

@@ -10,8 +10,8 @@ Determinism contract: realization rid consumes two independent generator
 lanes, default_rng([seed, rid, 0]) for geometry and [seed, rid, 1] for
 fading, so results are bitwise identical for any jobs count and any subset
 of realizations. Draw order within a lane is fixed: geometry draws BS radii,
-BS angles, user count, user radii, user angles; fading draws the serving
-gain first, then interferer marks when enabled.
+BS angles, user count, user radii, user angles; fading draws exactly one
+Exp(1) serving-link gain. Interferers see plain path loss.
 
 run_simulation seeds those lanes a block of realizations at a time: the
 SeedSequence hashing that default_rng does per call is done for the whole
@@ -32,11 +32,11 @@ so skipping them changes no other draw.
 Block SIR: _block_sir computes the SIR of one row or of a block of rows.
 When every station is active (no idle mode) each rid only fills row k of a
 (rows, n_bs_target) matrix with its station radii (and counts its users
-when lambda_ue > 0) and draws its fading; the block then takes each row's
-serving column by argmin, turns the matrix into path losses (one new array,
-then in place), drops the serving columns into a (rows, n_bs_target - 1)
-matrix and sums its rows with np.add.reduce(axis=-1), the reduction np.sum
-runs. A block holds at most _SIR_CELLS stations, or one row when a drop is
+when lambda_ue > 0) and draws its serving gain; the block then takes each
+row's serving column by argmin, turns the matrix into path losses (one new
+array, then in place), drops the serving columns into a (rows,
+n_bs_target - 1) matrix and sums its rows with np.add.reduce(axis=-1), the
+reduction np.sum runs. A block holds at most _SIR_CELLS stations, or one row when a drop is
 larger. numpy sums each C-contiguous row with the same pairwise summation
 as the 1-D sum of that row, and every other step is elementwise, so each
 SIR is bitwise the one the realization gets alone. np.add.reduceat would
@@ -90,22 +90,21 @@ _LANE_BLOCK = 1024
 _MAX_REALIZATIONS = 2**32
 # stations per full-load SIR block (rows x n_bs_target): 64 KB of path losses
 _SIR_CELLS = 8192
+# inactive_fraction_interior skips stations this many mean cell radii from the edge
+_EDGE_MARGIN = 1.5
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation protocol knobs.
 
-    rayleigh_on_serving draws an Exp(1) power gain on the serving link;
-    fading_on_interferers adds independent Exp(1) marks on every interferer,
-    matching the marked-process MGF variant.
+    The fading model is fixed: Rayleigh (an Exp(1) power gain) on the
+    serving link, plain path loss on every interferer.
     """
 
     n_bs_target: int = 500
     n_realizations: int = 10000
     seed: int = 0
-    rayleigh_on_serving: bool = True
-    fading_on_interferers: bool = False
 
     def __post_init__(self) -> None:
         if self.n_bs_target < 50:
@@ -148,11 +147,10 @@ class SirSampleSet:
     sir_values: np.ndarray
     n_users_in_cell: np.ndarray
     n_active_bs: np.ndarray
-    realization_ids: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.sir_values.size
-        for name in ("n_users_in_cell", "n_active_bs", "realization_ids"):
+        for name in ("n_users_in_cell", "n_active_bs"):
             if getattr(self, name).size != n:
                 raise ValueError(f"{name} length mismatch with sir_values ({n})")
 
@@ -163,10 +161,6 @@ class SirSampleSet:
     @property
     def rate_actual_samples(self) -> np.ndarray:
         return self.rate_peak_samples / self.n_users_in_cell
-
-    @property
-    def no_interference_fraction(self) -> float:
-        return float(np.mean(np.isinf(self.sir_values)))
 
 
 class _LaneSeed(ISeedSequence):
@@ -322,24 +316,11 @@ def apply_idle_mode(d: Deployment, assignments: np.ndarray | None = None) -> Dep
     return replace(d, active_mask=mask)
 
 
-def _draw_fading(rng: Generator, cfg: SimConfig, marks: np.ndarray | None) -> float:
-    """One realization's fading-lane draws, in order; returns the serving gain.
-
-    The serving gain comes first (1.0 without rayleigh_on_serving), then,
-    with fading_on_interferers, one Exp(1) mark per interferer into marks.
-    """
-    gain = rng.exponential() if cfg.rayleigh_on_serving else 1.0
-    if marks is not None:
-        rng.standard_exponential(out=marks)
-    return gain
-
-
 def _block_sir(
     u: np.ndarray,
     serving: tuple,
     interferer: np.ndarray,
     gains: float | np.ndarray,
-    marks: np.ndarray | None,
     radius: float,
     p: NetworkParams,
 ) -> float | np.ndarray:
@@ -348,18 +329,17 @@ def _block_sir(
     u holds station draws bs_u, shape (N,) for one row or (B, N) for a
     block. serving indexes u at each row's serving station: (column,) for
     one row, (rows, columns) for a block. interferer is a mask of u's shape
-    with the same number K of interfering stations in every row. gains are
-    the serving-link gains, one per row; marks, shape (..., K), the
-    interferer marks (None: unit marks). Rows with nothing interfering and
-    no noise get inf. Returns a float for one row, B values for a block.
+    with the same number of interfering stations in every row. gains are
+    the serving-link Exp(1) gains, one per row; interferers carry no
+    fading. Rows with nothing interfering and no noise get inf. Returns a
+    float for one row, B values for a block.
     """
     loss = radius**2 * u
     loss **= p.beta / 2.0
     loss *= p.kappa
     signal = p.p_tx * gains / loss[serving]
     loss_i = loss[interferer].reshape(*u.shape[:-1], -1)
-    power_i = p.p_tx / loss_i if marks is None else p.p_tx * marks / loss_i
-    denom = np.add.reduce(power_i, axis=-1) + p.sigma_n2
+    denom = np.add.reduce(p.p_tx / loss_i, axis=-1) + p.sigma_n2
     if u.ndim == 1:
         return math.inf if denom == 0.0 else float(signal / denom)
     sir = np.full_like(denom, math.inf)
@@ -369,15 +349,15 @@ def _block_sir(
 def sample_sir(d: Deployment, p: NetworkParams, cfg: SimConfig, rng: np.random.Generator) -> float:
     """SIR (or SINR when sigma_n2 > 0) at the origin for one deployment.
 
-    Draws the fading from rng and runs _block_sir on the deployment as one
-    row. Returns inf when nothing interferes and there is no noise; callers
-    count that as covered and keep it out of rate averages.
+    Draws the serving gain from rng (one exponential()) and runs _block_sir
+    on the deployment as one row. cfg is no longer read; it stays in the
+    signature for the callers that pass it. Returns inf when nothing
+    interferes and there is no noise; callers count that as covered and
+    keep it out of rate averages.
     """
     interferer = d.active_mask.copy()
     interferer[d.serving_index] = False
-    marks = np.empty(np.count_nonzero(interferer)) if cfg.fading_on_interferers else None
-    gain = _draw_fading(rng, cfg, marks)
-    return _block_sir(d.bs_u, (d.serving_index,), interferer, gain, marks, d.window_radius, p)
+    return _block_sir(d.bs_u, (d.serving_index,), interferer, rng.exponential(), d.window_radius, p)
 
 
 def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tuple[np.ndarray, ...]:
@@ -403,7 +383,6 @@ def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tu
     rows = min(n, max(1, _SIR_CELLS // n_bs))
     u = np.empty((rows, n_bs))
     gains = np.empty(rows)
-    marks = np.empty((rows, n_bs - 1)) if cfg.fading_on_interferers else None
     for lo in range(0, n, rows):
         b = min(rows, n - lo)
         for k, (geometry, fading) in zip(range(b), lanes):
@@ -412,12 +391,11 @@ def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tu
                 users[lo + k] = _cell_load(d, _ue_assignments(d))
             else:
                 geometry.random(out=u[k])
-            gains[k] = _draw_fading(fading, cfg, None if marks is None else marks[k])
+            gains[k] = fading.exponential()
         serving = (np.arange(b), np.argmin(u[:b], axis=1))
         interferer = np.ones((b, n_bs), dtype=bool)
         interferer[serving] = False
-        block_marks = None if marks is None else marks[:b]
-        sirs[lo : lo + b] = _block_sir(u[:b], serving, interferer, gains[:b], block_marks, radius, p)
+        sirs[lo : lo + b] = _block_sir(u[:b], serving, interferer, gains[:b], radius, p)
     return sirs, users, active
 
 
@@ -454,12 +432,7 @@ def run_simulation(
             blocks = list(pool.map(_simulate_block, tasks))
     # blocks arrive in submission order, which is rid order
     sirs, users, active = (np.concatenate(parts) for parts in zip(*blocks))
-    return SirSampleSet(
-        sir_values=sirs,
-        n_users_in_cell=users,
-        n_active_bs=active,
-        realization_ids=np.arange(n, dtype=np.int64),
-    )
+    return SirSampleSet(sir_values=sirs, n_users_in_cell=users, n_active_bs=active)
 
 
 def estimate_coverage(
@@ -512,15 +485,15 @@ def estimate_rates(samples: SirSampleSet) -> tuple[RateResult, RateResult]:
     return peak_res, actual_res
 
 
-def inactive_fraction_interior(d: Deployment, p: NetworkParams, margin_factor: float = 1.5) -> float:
+def inactive_fraction_interior(d: Deployment, p: NetworkParams) -> float:
     """Fraction of idle base stations among those away from the window edge.
 
     Cells near the boundary lose users to the void outside, biasing the idle
-    fraction high; restricting to base stations at least margin_factor mean
+    fraction high; restricting to base stations at least _EDGE_MARGIN mean
     cell radii (1/sqrt(lambda_bs)) inside the edge removes that truncation
     effect. Returns nan when the margin leaves no base stations.
     """
-    margin = margin_factor / math.sqrt(p.lambda_bs)
+    margin = _EDGE_MARGIN / math.sqrt(p.lambda_bs)
     dist = d.window_radius * np.sqrt(d.bs_u)
     interior = dist <= d.window_radius - margin
     if not np.any(interior):

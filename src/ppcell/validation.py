@@ -20,10 +20,9 @@ formulas, not implementation bugs (quadrature and series agree to 1e-10).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
@@ -367,19 +366,13 @@ def run_check(label: str, seed: int = 0, jobs: int = 1, quick: bool = False) -> 
     return CheckResult(label=label, passed=passed, message=message, elapsed_s=perf_counter() - t0)
 
 
-def run_all(
-    seed: int = 0,
-    jobs: int = 1,
-    quick: bool = False,
-    stream: TextIO | None = None,
-) -> list[CheckResult]:
-    """Run the whole validation suite, printing one PASS/FAIL line per check."""
-    out = stream if stream is not None else sys.stdout
+def run_all(seed: int = 0, jobs: int = 1, quick: bool = False) -> list[CheckResult]:
+    """Run the whole validation suite, printing one PASS/FAIL line per check to stdout."""
     results = []
     for label, _ in ALL_CHECKS:
         r = run_check(label, seed=seed, jobs=jobs, quick=quick)
         results.append(r)
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.label}: {r.message} [{r.elapsed_s:.1f}s]", file=out, flush=True)
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.label}: {r.message} [{r.elapsed_s:.1f}s]", flush=True)
     n_pass = sum(r.passed for r in results)
-    print(f"{n_pass}/{len(results)} checks passed", file=out, flush=True)
+    print(f"{n_pass}/{len(results)} checks passed", flush=True)
     return results

@@ -93,6 +93,37 @@ class TestConfigParsing:
         assert main(["coverage", "--config", path]) == 2
         assert "lambda_bs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rate", "coverage", "mgf"])
+    def test_beta_list_and_range_refused_together(self, tmp_path, capsys, command):
+        path = write_cfg(tmp_path, "[grid]\nbetas = 3 4\nbeta_start = 2.5\nbeta_step = 0.5\n")
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: grid.betas lists the betas; grid.beta_start, grid.beta_step "
+            "would be ignored, set one or the other\n"
+        )
+
+    def test_beta_range_alone_still_sweeps(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "[grid]\nbeta_start = 3\nbeta_stop = 4\nbeta_step = 0.5\n")
+        assert main(["rate", "--config", path]) == 0
+        assert [float(row[0]) for row in read_rows(capsys)[1:]] == [3.0, 3.5, 4.0]
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("via", ["--out", "experiment.output"])
+    def test_unwritable_path_is_a_config_error(self, tmp_path, capsys, via):
+        target = tmp_path / "missing" / "x.csv"
+        if via == "--out":
+            argv = ["rate", "--out", str(target)]
+        else:
+            argv = ["rate", "--config", write_cfg(tmp_path, f"[experiment]\noutput = {target}\n")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write {target}: ")
+        assert not target.exists()
+
 
 class TestCoverageCommand:
     def test_csv_shape_and_values(self, tmp_path, capsys):

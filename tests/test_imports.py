@@ -76,7 +76,7 @@ pooled = run_simulation(p, cfg, idle_mode=True, jobs=2)
 serial = run_simulation(p, cfg, idle_mode=True, jobs=1)
 same = all(
     np.array_equal(getattr(pooled, f), getattr(serial, f))
-    for f in ("sir_values", "n_users_in_cell", "n_active_bs", "realization_ids")
+    for f in ("sir_values", "n_users_in_cell", "n_active_bs")
 )
 print(json.dumps({"before": before, "at_pool_start": at_pool_start, "same": same}))
 """

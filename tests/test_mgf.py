@@ -264,8 +264,8 @@ class TestBrackets:
     def test_two_piece_selects_branch(self):
         beta = 4.0
         c = solve_c(beta).c_exact
-        assert bracket(beta, c - 0.01, "two_piece", c) == taylor_bracket(beta, c - 0.01, 2)
-        assert bracket(beta, c + 0.01, "two_piece", c) == upper_bracket(beta, c + 0.01)
+        assert bracket(beta, c - 0.01, "two_piece") == taylor_bracket(beta, c - 0.01, 2)
+        assert bracket(beta, c + 0.01, "two_piece") == upper_bracket(beta, c + 0.01)
 
     def test_taylor_two_terms_closed_form(self):
         # n=2: -2x/(beta-2) + x^2/(2 beta - 2)

@@ -8,6 +8,7 @@ sample accounting, and the no-interference sentinel.
 import concurrent.futures
 import math
 import os
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -60,7 +61,6 @@ class TestConfigValidation:
                 sir_values=np.ones(3),
                 n_users_in_cell=np.ones(2, dtype=np.int64),
                 n_active_bs=np.ones(3, dtype=np.int64),
-                realization_ids=np.arange(3),
             )
 
 
@@ -95,7 +95,8 @@ def cartesian_reference(p: NetworkParams, cfg: SimConfig, rid: int, idle: bool) 
     """One realization the Cartesian way: positions, norms, brute-force attachment.
 
     Redraws lane 0 in the documented order (BS radii, BS angles, user count,
-    user radii, user angles) and computes the SIR from x**2 + y**2.
+    user radii, user angles) and lane 1's serving gain, and computes the SIR
+    from x**2 + y**2.
     """
     rng = np.random.default_rng([cfg.seed, rid, 0])
     radius = math.sqrt(cfg.n_bs_target / (math.pi * p.lambda_bs))
@@ -119,12 +120,10 @@ def cartesian_reference(p: NetworkParams, cfg: SimConfig, rid: int, idle: bool) 
         mask[serving] = True
     fading = np.random.default_rng([cfg.seed, rid, 1])
     loss = p.kappa * sq ** (p.beta / 2.0)
-    gain = float(fading.exponential()) if cfg.rayleigh_on_serving else 1.0
+    gain = float(fading.exponential())
     interferer = mask.copy()
     interferer[serving] = False
-    loss_i = loss[interferer]
-    marks = fading.exponential(size=loss_i.size) if cfg.fading_on_interferers and loss_i.size else 1.0
-    denom = float(np.sum(p.p_tx * marks / loss_i)) + p.sigma_n2
+    denom = float(np.sum(p.p_tx / loss[interferer])) + p.sigma_n2
     return {
         "bs": bs,
         "ue": ue,
@@ -136,6 +135,7 @@ def cartesian_reference(p: NetworkParams, cfg: SimConfig, rid: int, idle: bool) 
     }
 
 
+# (params, idle mode, rids split between two workers)
 POLAR_CASES = [
     (NetworkParams(lambda_bs=1.0, beta=3.0), False, False),
     (NetworkParams(lambda_bs=1.0, beta=4.0), False, True),
@@ -151,10 +151,14 @@ class TestPolarDeployment:
     """The radial shortcut against the Cartesian route it replaces."""
 
     @pytest.mark.parametrize("seed", [0, 5, 2024])
-    @pytest.mark.parametrize(("p", "idle", "marks"), POLAR_CASES)
-    def test_run_matches_cartesian_reference(self, p, idle, marks, seed):
-        cfg = SimConfig(n_bs_target=96, n_realizations=12, seed=seed, fading_on_interferers=marks)
-        s = run_simulation(p, cfg, idle_mode=idle)
+    @pytest.mark.parametrize(("p", "idle", "split"), POLAR_CASES)
+    def test_run_matches_cartesian_reference(self, monkeypatch, p, idle, split, seed):
+        cfg = SimConfig(n_bs_target=96, n_realizations=12, seed=seed)
+        if split:
+            # two in-process workers take rids 0-5 and 6-11
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
+        s = run_simulation(p, cfg, idle_mode=idle, jobs=2 if split else 1)
         ref = [cartesian_reference(p, cfg, rid, idle) for rid in range(cfg.n_realizations)]
         assert np.array_equal(s.n_users_in_cell, [r["n_users"] for r in ref])
         assert np.array_equal(s.n_active_bs, [r["n_active"] for r in ref])
@@ -233,30 +237,29 @@ def two_station_deployment() -> Deployment:
 class TestSampleSir:
     def test_no_interferers_and_no_noise_is_inf(self):
         d = two_station_deployment()
-        cfg = SimConfig(n_bs_target=50, n_realizations=1, rayleigh_on_serving=False)
-        sir = sample_sir(d, P_FULL, cfg, np.random.default_rng(0))
+        cfg = SimConfig(n_bs_target=50, n_realizations=1)
+        sir = sample_sir(d, P_FULL, cfg, np.random.default_rng([0, 0, 1]))
         assert math.isinf(sir)
 
     def test_noise_keeps_it_finite(self):
+        # unit signal at distance 1 over noise 0.5, times the serving gain
         d = two_station_deployment()
-        cfg = SimConfig(n_bs_target=50, n_realizations=1, rayleigh_on_serving=False)
+        cfg = SimConfig(n_bs_target=50, n_realizations=1)
         noisy = NetworkParams(lambda_bs=1.0, beta=4.0, sigma_n2=0.5)
-        assert sample_sir(d, noisy, cfg, np.random.default_rng(0)) == pytest.approx(2.0)
+        gain = np.random.default_rng([0, 0, 1]).exponential()
+        assert sample_sir(d, noisy, cfg, np.random.default_rng([0, 0, 1])) == pytest.approx(2.0 * gain)
 
     def test_deterministic_without_fading(self):
+        # the SIR is the lane-1 gain times a ratio no generator touches
         d = sample_deployment(P_FULL, small_cfg(1), 0)
-        cfg = SimConfig(n_bs_target=64, n_realizations=1, rayleigh_on_serving=False)
-        a = sample_sir(d, P_FULL, cfg, np.random.default_rng(1))
-        b = sample_sir(d, P_FULL, cfg, np.random.default_rng(2))
-        assert a == b
-
-    def test_interferer_marks_change_the_draw(self):
-        d = sample_deployment(P_FULL, small_cfg(1), 0)
-        plain = SimConfig(n_bs_target=64, n_realizations=1)
-        marked = SimConfig(n_bs_target=64, n_realizations=1, fading_on_interferers=True)
-        a = sample_sir(d, P_FULL, plain, np.random.default_rng(3))
-        b = sample_sir(d, P_FULL, marked, np.random.default_rng(3))
+        cfg = SimConfig(n_bs_target=64, n_realizations=1)
+        a = sample_sir(d, P_FULL, cfg, np.random.default_rng([0, 0, 1]))
+        b = sample_sir(d, P_FULL, cfg, np.random.default_rng([0, 1, 1]))
+        assert a == sample_sir(d, P_FULL, cfg, np.random.default_rng([0, 0, 1]))
         assert a != b
+        gain_a = np.random.default_rng([0, 0, 1]).exponential()
+        gain_b = np.random.default_rng([0, 1, 1]).exponential()
+        assert a / gain_a == pytest.approx(b / gain_b, rel=1e-14)
 
 
 class TestRunSimulation:
@@ -267,11 +270,14 @@ class TestRunSimulation:
         assert np.array_equal(serial.sir_values, parallel.sir_values)
         assert np.array_equal(serial.n_users_in_cell, parallel.n_users_in_cell)
         assert np.array_equal(serial.n_active_bs, parallel.n_active_bs)
-        assert np.array_equal(serial.realization_ids, parallel.realization_ids)
 
     def test_rids_are_ordered(self):
-        s = run_simulation(P_FULL, small_cfg(17), jobs=4)
-        assert np.array_equal(s.realization_ids, np.arange(17))
+        # row rid holds realization rid, whatever the worker count
+        cfg = small_cfg(17)
+        s = run_simulation(P_FULL, cfg, jobs=4)
+        for rid in (0, 5, 16):
+            d = sample_deployment(P_FULL, cfg, rid)
+            assert s.sir_values[rid] == sample_sir(d, P_FULL, cfg, np.random.default_rng([0, rid, 1]))
 
     def test_prefix_stability(self):
         # rid fully determines the draw, so a longer run extends a shorter one
@@ -303,6 +309,42 @@ class TestRunSimulation:
         s = run_simulation(P_LOADED, small_cfg(30), idle_mode=True)
         want = np.log1p(s.sir_values) / s.n_users_in_cell
         assert np.array_equal(s.rate_actual_samples, want)
+
+
+# The first five realizations of run_simulation at seed 0, recorded once.
+# A change here changes the random stream, which the determinism contract
+# only allows together with a stream-version bump.
+STREAM_PINS = {
+    "full": (
+        NetworkParams(lambda_bs=1.0, beta=4.0), 500, False,
+        [35.91548191162189, 48.30813795645197, 0.6315772252235944, 0.04035879594424774, 0.9712852900659777],
+        [1, 1, 1, 1, 1], [500, 500, 500, 500, 500],
+    ),
+    "users": (
+        NetworkParams(lambda_bs=1.0, beta=3.5, lambda_ue=2.0), 100, False,
+        [4.8544878687916375, 118.03765706087752, 1.1738191893164762, 0.09963723927245194, 5.132646203781115],
+        [2, 3, 2, 6, 1], [100, 100, 100, 100, 100],
+    ),
+    "idle": (
+        NetworkParams(lambda_bs=1.0, beta=4.0, lambda_ue=1.0), 100, True,
+        [34.6945921345576, 1144.032944387404, 2.797518032285704, 0.1396546300891804, 21.71862812226402],
+        [2, 3, 1, 2, 1], [54, 60, 62, 56, 48],
+    ),
+    "noise": (
+        NetworkParams(lambda_bs=0.5, beta=3.0, sigma_n2=0.5), 200, False,
+        [0.7649288130714786, 25.06335724964249, 0.6324400118413187, 0.029430208969365216, 1.2647535948943516],
+        [1, 1, 1, 1, 1], [200, 200, 200, 200, 200],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_PINS))
+def test_stream_is_pinned(case):
+    p, n_bs, idle, sirs, users, active = STREAM_PINS[case]
+    s = run_simulation(p, SimConfig(n_bs_target=n_bs, n_realizations=5, seed=0), idle_mode=idle)
+    assert s.n_users_in_cell.tolist() == users
+    assert s.n_active_bs.tolist() == active
+    assert np.all(np.abs(s.sir_values - sirs) <= 1e-12 * np.abs(sirs))
 
 
 class StandInPool:
@@ -337,7 +379,7 @@ class TestWorkerCap:
         capped = run_simulation(P_LOADED, cfg, idle_mode=True, jobs=5000)
         assert pool.max_workers == [want]
         serial = run_simulation(P_LOADED, cfg, idle_mode=True, jobs=1)
-        for name in ("sir_values", "n_users_in_cell", "n_active_bs", "realization_ids"):
+        for name in ("sir_values", "n_users_in_cell", "n_active_bs"):
             assert np.array_equal(getattr(capped, name), getattr(serial, name))
 
     def test_unknown_cpu_count_runs_serially(self, pool, monkeypatch):
@@ -432,24 +474,23 @@ class TestDeferredAngles:
         masked = apply_idle_mode(d)
         assert masked.bs_theta is d.bs_theta
 
-    @pytest.mark.parametrize("marks", [False, True])
-    def test_full_load_jobs_invariance_bitwise(self, marks):
-        cfg = SimConfig(n_bs_target=64, n_realizations=30, seed=11, fading_on_interferers=marks)
-        serial = run_simulation(P_FULL, cfg, jobs=1)
-        parallel = run_simulation(P_FULL, cfg, jobs=2)
-        for name in ("sir_values", "n_users_in_cell", "n_active_bs", "realization_ids"):
+    @pytest.mark.parametrize("users", [False, True])
+    def test_full_load_jobs_invariance_bitwise(self, users):
+        p = P_LOADED if users else P_FULL
+        cfg = SimConfig(n_bs_target=64, n_realizations=30, seed=11)
+        serial = run_simulation(p, cfg, jobs=1)
+        parallel = run_simulation(p, cfg, jobs=2)
+        for name in ("sir_values", "n_users_in_cell", "n_active_bs"):
             assert np.array_equal(getattr(serial, name), getattr(parallel, name))
 
 
-def lone_sir(d: Deployment, p: NetworkParams, cfg: SimConfig, rng: np.random.Generator) -> float:
+def lone_sir(d: Deployment, p: NetworkParams, rng: np.random.Generator) -> float:
     """One deployment's SIR on its own, in 1-D numpy and Python floats."""
     loss = p.kappa * (d.window_radius**2 * d.bs_u) ** (p.beta / 2.0)
-    gain = float(rng.exponential()) if cfg.rayleigh_on_serving else 1.0
+    gain = float(rng.exponential())
     interferer = d.active_mask.copy()
     interferer[d.serving_index] = False
-    loss_i = loss[interferer]
-    marks = rng.exponential(size=loss_i.size) if cfg.fading_on_interferers and loss_i.size else 1.0
-    denom = float(np.sum(p.p_tx * marks / loss_i)) + p.sigma_n2
+    denom = float(np.sum(p.p_tx / loss[interferer])) + p.sigma_n2
     return math.inf if denom == 0.0 else p.p_tx * gain / loss[d.serving_index] / denom
 
 
@@ -464,7 +505,7 @@ def per_realization_sirs(p: NetworkParams, cfg: SimConfig, idle: bool = False) -
         if idle:
             d = apply_idle_mode(d)
         sir = sample_sir(d, p, cfg, np.random.default_rng([cfg.seed, rid, 1]))
-        want = lone_sir(d, p, cfg, np.random.default_rng([cfg.seed, rid, 1]))
+        want = lone_sir(d, p, np.random.default_rng([cfg.seed, rid, 1]))
         assert np.float64(sir).view(np.uint64) == np.float64(want).view(np.uint64)
         sirs.append(sir)
     return np.array(sirs)
@@ -481,46 +522,42 @@ class TestBlockSir:
     @given(
         n_bs=st.one_of(st.integers(50, 700), st.integers(700, 8000)),
         beta=st.floats(2.0, 5.0, exclude_min=True),
-        rayleigh=st.booleans(),
-        marks=st.booleans(),
         sigma_n2=st.sampled_from([0.0, 0.37]),
         lambda_ue=st.sampled_from([0.0, 0.8]),
         n_real=st.integers(1, 40),
         cells=st.sampled_from([simulator._SIR_CELLS, 1, 997, 4000]),
         seed=st.integers(0, 2**40),
     )
-    def test_block_matches_per_realization(self, n_bs, beta, rayleigh, marks, sigma_n2, lambda_ue, n_real, cells, seed):
+    def test_block_matches_per_realization(self, n_bs, beta, sigma_n2, lambda_ue, n_real, cells, seed):
         p = NetworkParams(lambda_bs=1.3, beta=beta, sigma_n2=sigma_n2, lambda_ue=lambda_ue)
-        cfg = SimConfig(
-            n_bs_target=n_bs, n_realizations=n_real, seed=seed,
-            rayleigh_on_serving=rayleigh, fading_on_interferers=marks,
-        )
+        cfg = SimConfig(n_bs_target=n_bs, n_realizations=n_real, seed=seed)
         # cells sets the block rows, so short last blocks and one-row blocks occur
         with mock.patch.object(simulator, "_SIR_CELLS", cells):
             s = run_simulation(p, cfg)
         assert np.array_equal(bits(s.sir_values), bits(per_realization_sirs(p, cfg)))
 
     @pytest.mark.parametrize(
-        ("p", "marks"),
+        ("p", "three_workers"),
         [
             (P_FULL, False),
             (NetworkParams(lambda_bs=1.0, beta=3.0, sigma_n2=0.2), True),
             (NetworkParams(lambda_bs=1.0, beta=5.0, lambda_ue=0.5), True),
         ],
     )
-    def test_worker_split_inside_a_block(self, monkeypatch, p, marks):
-        # 500 stations: 16-row blocks; two workers split the 37 rids at 19
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_worker_split_inside_a_block(self, monkeypatch, p, three_workers):
+        # 500 stations: 16-row blocks; two workers split the 37 rids at 19,
+        # three at 13 and 26
+        jobs = 3 if three_workers else 2
+        monkeypatch.setattr(os, "cpu_count", lambda: jobs)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
         StandInPool.max_workers = []
-        cfg = SimConfig(n_bs_target=500, n_realizations=37, seed=77, fading_on_interferers=marks)
-        split = run_simulation(p, cfg, jobs=2)
-        assert StandInPool.max_workers == [2]
+        cfg = SimConfig(n_bs_target=500, n_realizations=37, seed=77)
+        split = run_simulation(p, cfg, jobs=jobs)
+        assert StandInPool.max_workers == [jobs]
         assert np.array_equal(bits(split.sir_values), bits(per_realization_sirs(p, cfg)))
-        assert np.array_equal(split.realization_ids, np.arange(37))
 
     def test_idle_rows_match_per_realization(self):
-        cfg = SimConfig(n_bs_target=80, n_realizations=9, seed=4, fading_on_interferers=True)
+        cfg = SimConfig(n_bs_target=80, n_realizations=9, seed=4)
         s = run_simulation(P_LOADED, cfg, idle_mode=True)
         assert np.array_equal(bits(s.sir_values), bits(per_realization_sirs(P_LOADED, cfg, idle=True)))
 
@@ -548,7 +585,6 @@ class TestEstimators:
             sir_values=sir,
             n_users_in_cell=users,
             n_active_bs=np.full(150, 64, dtype=np.int64),
-            realization_ids=np.arange(150),
         )
 
     def test_coverage_counts_inf_as_covered(self):
@@ -562,7 +598,6 @@ class TestEstimators:
             sir_values=np.array([2.0, 1.0, np.inf, 2.0]),
             n_users_in_cell=np.ones(4, dtype=np.int64),
             n_active_bs=np.ones(4, dtype=np.int64),
-            realization_ids=np.arange(4),
         )
         pcov, _ = estimate_coverage(s, [1.0, 2.0, np.inf, 0.0])
         assert np.array_equal(pcov, [0.75, 0.25, 0.0, 1.0])
@@ -575,7 +610,6 @@ class TestEstimators:
             sir_values=sir,
             n_users_in_cell=np.ones(sir.size, dtype=np.int64),
             n_active_bs=np.ones(sir.size, dtype=np.int64),
-            realization_ids=np.arange(sir.size),
         )
         # thresholds equal to draws, zero, inf, and fresh values, unsorted
         grid = np.concatenate([[0.5, 0.0, 2.0, np.inf], sir[:25], rng.exponential(size=25)])
@@ -591,14 +625,12 @@ class TestEstimators:
         assert peak.value == pytest.approx(1.0)  # log1p(e - 1) = 1 on every finite draw
         assert peak.stderr == 0.0
         assert actual.value == pytest.approx(0.5)
-        assert self.mixed_samples().no_interference_fraction == pytest.approx(50 / 150)
 
     def test_all_inf_sentinel(self):
         s = SirSampleSet(
             sir_values=np.full(120, np.inf),
             n_users_in_cell=np.ones(120, dtype=np.int64),
             n_active_bs=np.ones(120, dtype=np.int64),
-            realization_ids=np.arange(120),
         )
         peak, actual = estimate_rates(s)
         assert peak.no_interference and actual.no_interference
@@ -630,5 +662,19 @@ class TestInactiveFraction:
         assert abs(float(np.mean(fracs)) - want) < 0.02
 
     def test_nan_when_margin_swallows_window(self):
-        d = sample_deployment(P_FULL, small_cfg(1), 0)
-        assert math.isnan(inactive_fraction_interior(d, P_FULL, margin_factor=100.0))
+        # radius-5 window at unit density: the margin is 1.5 and every
+        # station sits beyond radius 3.5
+        radii = np.array([3.6, 4.0, 4.5, 4.99])
+        d = Deployment(
+            bs_u=(radii / 5.0) ** 2,
+            bs_theta=np.zeros(4),
+            ue_u=np.zeros(0),
+            ue_theta=np.zeros(0),
+            active_mask=np.array([True, False, True, False]),
+            serving_index=0,
+            window_radius=5.0,
+        )
+        assert math.isnan(inactive_fraction_interior(d, P_FULL))
+        # one idle station moved inside the margin is the whole interior
+        inner = replace(d, bs_u=np.concatenate(([(3.4 / 5.0) ** 2], d.bs_u[1:])), active_mask=~d.active_mask)
+        assert inactive_fraction_interior(inner, P_FULL) == 1.0
