@@ -16,6 +16,7 @@ import argparse
 import configparser
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -321,12 +322,15 @@ def _write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]
     if path is None:
         emit(sys.stdout)
         return
+    with _open_output(path, "w") as fh:
+        emit(fh)
+
+
+def _open_output(path: str, mode: str):
     try:
-        fh = open(path, "w", newline="")
+        return open(path, mode, newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
-    with fh:
-        emit(fh)
 
 
 # what a runner returns: header, rows (None: write no CSV) and exit code;
@@ -411,7 +415,10 @@ def _run_mgf_profile(spec: ExperimentSpec) -> _Table:
         p = replace(spec.params, beta=beta)
         c = solve_c(beta)
         me, ma = mgf(xs, 1.0, p, "exact"), mgf(xs, 1.0, p, "two_piece")
-        rel = np.abs(ma - me) / me
+        # where the exact MGF underflows to 0 the relative error is nan
+        # (both 0) or inf; the cell says so, with no warning on stderr
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs(ma - me) / me
         for x, e, a, r in zip(spec.grid, me.tolist(), ma.tolist(), rel.tolist()):
             rows.append([beta, c.c_exact, c.c_fit, x, e, a, r])
     return ["beta", "c_exact", "c_fit", "x", "mgf_exact", "mgf_approx", "rel_error"], rows, 0
@@ -524,26 +531,50 @@ _KINDS = {
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
-    """Run one resolved experiment and write its CSV; returns the process exit code."""
+    """Run one resolved experiment and write its CSV; returns the process exit code.
+
+    An unwritable output path is refused before the run starts. Opening it
+    for append truncates nothing, and a run that fails removes the file
+    only if this call created it.
+    """
     row = _KINDS[spec.kind]
-    header, rows, code = row.runner(spec)
-    if spec.with_mc:
-        header += [f"{row.mc}_mc", f"{row.mc}_mc_stderr"]
-    if rows is not None:
-        _write_csv(spec.output_path, header, rows)
+    path = spec.output_path
+    created = False
+    if path is not None:
+        created = not os.path.lexists(path)
+        _open_output(path, "a").close()
+    try:
+        header, rows, code = row.runner(spec)
+        if spec.with_mc:
+            header += [f"{row.mc}_mc", f"{row.mc}_mc_stderr"]
+        if rows is not None:
+            _write_csv(path, header, rows)
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
     return code
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The CLI parser; with only the named subparser when argv[0] names one.
+
+    Building all six takes about 1 ms, as long as the maths of a typical
+    analytic call, so a call builds only the one it runs. Help, usage and error texts are the same either way:
+    the top-level usage names every subcommand, and the subparsers keep
+    the prefix "ppcell" that the default usage would give them.
+    """
     parser = argparse.ArgumentParser(
         prog="ppcell",
+        usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
         description=(
             "Coverage and ergodic-rate curves for Poisson cellular downlinks: "
             "closed forms, quadrature, and a Monte Carlo cross-check."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True, prog="ppcell")
+    commands = {argv[0]: _COMMANDS[argv[0]]} if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name, help_text in commands.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="experiment config file (INI syntax, strict keys)")
         sp.add_argument("--seed", type=int, help="override the simulation seed")
@@ -560,7 +591,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return run_experiment(_spec_from_args(args))
     except (ConfigError, ValueError) as exc:

@@ -4,18 +4,24 @@ Runs everything in-process through main(argv) so exit codes and output are
 observable without spawning a shell.
 """
 
+import argparse
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import textwrap
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from ppcell import cli
 from ppcell.analytics import pcov_general, rate_actual, rate_quadrature
-from ppcell.cli import ConfigError, main, parse_config
-from ppcell.mgf import NetworkParams
+from ppcell.cli import ConfigError, ExperimentKind, main, parse_config
+from ppcell.mgf import NetworkParams, NonConvergenceError
 
 
 def write_cfg(tmp_path, text, name="exp.ini"):
@@ -123,6 +129,35 @@ class TestOutputPath:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: cannot write {target}: ")
         assert not target.exists()
+
+    def test_unwritable_path_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def never(spec):
+            raise AssertionError("the run started before the output path was checked")
+
+        row = cli._KINDS[ExperimentKind.VALIDATE]
+        monkeypatch.setitem(cli._KINDS, ExperimentKind.VALIDATE, replace(row, runner=never))
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["validate", "--quick", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    def test_failing_run_leaves_output_as_it_was(self, tmp_path, capsys, monkeypatch, existing):
+        def fails(spec):
+            raise NonConvergenceError("injected")
+
+        row = cli._KINDS[ExperimentKind.RATE_VS_BETA]
+        monkeypatch.setitem(cli._KINDS, ExperimentKind.RATE_VS_BETA, replace(row, runner=fails))
+        target = tmp_path / "x.csv"
+        if existing:
+            target.write_text("earlier,run\n")
+        assert main(["rate", "--out", str(target)]) == 3
+        assert capsys.readouterr().err == "numerical failure: injected\n"
+        if existing:
+            assert target.read_text() == "earlier,run\n"
+        else:
+            assert not target.exists()
 
 
 class TestCoverageCommand:
@@ -338,6 +373,21 @@ class TestMgfCommand:
         assert noted.err == (
             "mgf: MgfProfile does not use config keys network.sigma_n2, network.lambda_ue, sim.with_mc\n"
         )
+
+    def test_underflowed_mgf_has_nan_error_and_no_warning(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "[grid]\nbetas = 2.05\nx_values = 1 100\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mgf", "--config", path]) == 0
+        captured = capsys.readouterr()
+        # both MGFs underflow to 0 at x = 100: 0/0 has no relative error
+        assert captured.out == (
+            "beta,c_exact,c_fit,x,mgf_exact,mgf_approx,rel_error\n"
+            "2.05,1.185888522059206,1.1836911580189515,1.0,6.385707026902129e-18,6.839551436897971e-18,"
+            "0.07107191233231586\n"
+            "2.05,1.185888522059206,1.1836911580189515,100.0,0.0,0.0,nan\n"
+        )
+        assert captured.err == ""
 
 
 def ini_text(sections: dict) -> str:
@@ -610,3 +660,50 @@ class TestNoiseRefusal:
             cfg = f"[experiment]\nkind = {kind}\n[network]\nsigma_n2 = 1e-12\n" + grid
             assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 0, kind
             assert len(read_rows(capsys)) == 2, kind
+
+
+def parse_outcome(capsys, parse, argv) -> tuple[object, str, str]:
+    """Exit code (None if parsed), stdout and stderr of parse(argv)."""
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    """A call builds only its subcommand's parser; every text stays that of the full parser."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_one_subparser_per_named_command(self, capsys, command):
+        parser = cli._build_parser([command])
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == [command]
+        assert parser.format_usage() == cli._build_parser().format_usage()
+        argv = [command, "--help"]
+        one = parse_outcome(capsys, parser.parse_args, argv)
+        assert one[0] == 0 and one[1].startswith(f"usage: ppcell {command} ")
+        assert one == parse_outcome(capsys, cli._build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["--help"], ["bogus"], ["rate", "--db"], ["coverage", "--jobs", "x"]],
+        ids=["none", "help", "bogus", "rate-db", "jobs-x"],
+    )
+    def test_texts_match_the_full_parser(self, capsys, argv):
+        got = parse_outcome(capsys, main, argv)
+        assert got == parse_outcome(capsys, cli._build_parser().parse_args, argv)
+        assert got[0] == (0 if argv == ["--help"] else 2)
+
+    def test_module_entry_point_reads_sys_argv(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppcell.cli", "rate", "--help"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: ppcell rate ")
+        assert proc.stderr == ""
