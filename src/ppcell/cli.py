@@ -316,8 +316,7 @@ def _write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]
     def emit(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
     if path is None:
         emit(sys.stdout)
@@ -335,7 +334,7 @@ def _open_output(path: str, mode: str):
 
 # what a runner returns: header, rows (None: write no CSV) and exit code;
 # run_experiment adds the Monte Carlo columns to the header and writes the CSV
-_Table = tuple[list[str], list[list] | None, int]
+_Table = tuple[list[str], list[Sequence] | None, int]
 
 
 def _mc_samples(spec: ExperimentSpec, beta: float, lambda_ue: float):
@@ -426,12 +425,8 @@ def _run_mgf_profile(spec: ExperimentSpec) -> _Table:
 
 def _run_raw_samples(spec: ExperimentSpec) -> _Table:
     samples = run_simulation(spec.params, spec.sim, idle_mode=spec.idle_mode, jobs=spec.jobs)
-    rows = [
-        [rid, float(sir), int(nu), int(na)]
-        for rid, (sir, nu, na) in enumerate(
-            zip(samples.sir_values, samples.n_users_in_cell, samples.n_active_bs)
-        )
-    ]
+    columns = (samples.sir_values.tolist(), samples.n_users_in_cell.tolist(), samples.n_active_bs.tolist())
+    rows = list(zip(range(len(columns[0])), *columns))
     return ["realization_id", "sir", "n_users", "n_active_bs"], rows, 0
 
 

@@ -22,28 +22,30 @@ numpy seeds itself and raises RuntimeError on a difference, so a numpy
 change cannot alter the streams silently.
 
 A Deployment keeps those polar draws. Station j lies at distance
-window_radius * sqrt(bs_u[j]) from the origin, so the SIR takes its squared
-distances straight from window_radius**2 * bs_u and never evaluates a sine
-or cosine; Cartesian positions are built on first use, for user
-attachment. The full-load block SIR below builds no Deployment and draws
-no station angles: with no users they are the geometry lane's last draw,
-so skipping them changes no other draw.
+window_radius * sqrt(bs_u[j]) from the origin, so the SIR works from bs_u
+itself and never evaluates a sine or cosine; Cartesian positions are built
+on first use, for user attachment. With no users the block SIR below
+builds no Deployment and draws no station angles: they are the geometry
+lane's last draw, so skipping them changes no other draw.
 
-Block SIR: _block_sir computes the SIR of one row or of a block of rows.
-When every station is active (no idle mode) each rid only fills row k of a
-(rows, n_bs_target) matrix with its station radii (and counts its users
-when lambda_ue > 0) and draws its serving gain; the block then takes each
-row's serving column by argmin, turns the matrix into path losses (one new
-array, then in place), drops the serving columns into a (rows,
-n_bs_target - 1) matrix and sums its rows with np.add.reduce(axis=-1), the
-reduction np.sum runs. A block holds at most _SIR_CELLS stations, or one row when a drop is
-larger. numpy sums each C-contiguous row with the same pairwise summation
-as the 1-D sum of that row, and every other step is elementwise, so each
-SIR is bitwise the one the realization gets alone. np.add.reduceat would
-sum ragged rows in one call, but it adds each segment sequentially, not
-pairwise, and so changes the last bits. Idle-mode rows have different
-interferer counts and go through the same kernel one row at a time; that
-one-row call is sample_sir.
+Block SIR: _block_sir computes the SIR of one row or of a block of rows,
+in place. Each rid fills row k of a (rows, n_bs_target) matrix with its
+station radii (attaching its users when lambda_ue > 0, and marking in a
+mask of the same shape every station idle mode puts to sleep) and draws
+its serving gain; the block then takes each row's serving column by
+argmin. The path-loss constants cancel, SINR = g u_s^(-beta/2) / (sum over
+the other active stations of u_i^(-beta/2) + sigma_n2 kappa R^beta / p_tx),
+so the kernel makes one np.power pass, reads the serving columns, zeroes
+them and the sleeping stations, and sums every row's N columns with
+np.add.reduce(axis=-1), the reduction np.sum runs. Sleeping stations are
+zeroed after the power, not set to inf before it: numpy's pow is about
+four times slower on inf. A block holds at most _SIR_CELLS stations, or one
+row when a drop is larger. numpy sums each C-contiguous row with the same
+pairwise summation as the 1-D sum of that row, and every other step is
+elementwise, so each SIR is bitwise the one the realization gets alone,
+through sample_sir on a copy of its draws, and the same for any jobs count.
+np.add.reduceat would sum ragged rows in one call, but it adds each segment
+sequentially, not pairwise, and so changes the last bits.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ _MASK32 = 0xFFFFFFFF
 _LANE_BLOCK = 1024
 # every rid must coerce to one 32-bit word for the block hashing
 _MAX_REALIZATIONS = 2**32
-# stations per full-load SIR block (rows x n_bs_target): 64 KB of path losses
+# stations per SIR block (rows x n_bs_target): 64 KB of path gains
 _SIR_CELLS = 8192
 # inactive_fraction_interior skips stations this many mean cell radii from the edge
 _EDGE_MARGIN = 1.5
@@ -319,7 +321,7 @@ def apply_idle_mode(d: Deployment, assignments: np.ndarray | None = None) -> Dep
 def _block_sir(
     u: np.ndarray,
     serving: tuple,
-    interferer: np.ndarray,
+    asleep: np.ndarray | None,
     gains: float | np.ndarray,
     radius: float,
     p: NetworkParams,
@@ -327,19 +329,21 @@ def _block_sir(
     """SIR (SINR when sigma_n2 > 0) at the origin for one row or a block of rows.
 
     u holds station draws bs_u, shape (N,) for one row or (B, N) for a
-    block. serving indexes u at each row's serving station: (column,) for
-    one row, (rows, columns) for a block. interferer is a mask of u's shape
-    with the same number of interfering stations in every row. gains are
-    the serving-link Exp(1) gains, one per row; interferers carry no
-    fading. Rows with nothing interfering and no noise get inf. Returns a
-    float for one row, B values for a block.
+    block, and is overwritten. serving indexes u at each row's serving
+    station: (column,) for one row, (rows, columns) for a block. asleep
+    masks the stations idle mode switched off (None: all are on). gains
+    are the serving-link Exp(1) gains, one per row; interferers carry no
+    fading. The path-loss constants cancel: SINR = g u_s^(-beta/2) / (sum
+    of the other active u_i^(-beta/2) + sigma_n2 kappa R^beta / p_tx). Rows
+    with nothing interfering and no noise get inf. Returns a float for one
+    row, B values for a block.
     """
-    loss = radius**2 * u
-    loss **= p.beta / 2.0
-    loss *= p.kappa
-    signal = p.p_tx * gains / loss[serving]
-    loss_i = loss[interferer].reshape(*u.shape[:-1], -1)
-    denom = np.add.reduce(p.p_tx / loss_i, axis=-1) + p.sigma_n2
+    np.power(u, -p.beta / 2.0, out=u)
+    signal = gains * u[serving]
+    u[serving] = 0.0
+    if asleep is not None:
+        u[asleep] = 0.0
+    denom = np.add.reduce(u, axis=-1) + p.sigma_n2 * p.kappa * radius**p.beta / p.p_tx
     if u.ndim == 1:
         return math.inf if denom == 0.0 else float(signal / denom)
     sir = np.full_like(denom, math.inf)
@@ -350,52 +354,44 @@ def sample_sir(d: Deployment, p: NetworkParams, cfg: SimConfig, rng: np.random.G
     """SIR (or SINR when sigma_n2 > 0) at the origin for one deployment.
 
     Draws the serving gain from rng (one exponential()) and runs _block_sir
-    on the deployment as one row. cfg is no longer read; it stays in the
+    as one row, on a copy of d.bs_u. cfg is no longer read; it stays in the
     signature for the callers that pass it. Returns inf when nothing
     interferes and there is no noise; callers count that as covered and
     keep it out of rate averages.
     """
-    interferer = d.active_mask.copy()
-    interferer[d.serving_index] = False
-    return _block_sir(d.bs_u, (d.serving_index,), interferer, rng.exponential(), d.window_radius, p)
+    return _block_sir(d.bs_u.copy(), (d.serving_index,), ~d.active_mask, rng.exponential(), d.window_radius, p)
 
 
 def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tuple[np.ndarray, ...]:
     """SIR, serving-cell load and active-station count of rids [rid_lo, rid_hi)."""
     p, cfg, idle_mode, rid_lo, rid_hi = args
     n = rid_hi - rid_lo
+    n_bs = cfg.n_bs_target
     sirs = np.empty(n)
     users = np.ones(n, dtype=np.int64)
-    active = np.full(n, cfg.n_bs_target, dtype=np.int64)
+    active = np.full(n, n_bs, dtype=np.int64)
     lanes = _lanes(cfg.seed, rid_lo, rid_hi)
-    if idle_mode:
-        # each row has its own interferer count, so rows go one at a time
-        for k, (geometry, fading) in enumerate(lanes):
-            d = _draw_deployment(p, cfg, geometry)
-            assignments = _ue_assignments(d)
-            users[k] = _cell_load(d, assignments)
-            d = apply_idle_mode(d, assignments)
-            sirs[k] = sample_sir(d, p, cfg, fading)
-            active[k] = np.count_nonzero(d.active_mask)
-        return sirs, users, active
-    n_bs = cfg.n_bs_target
     radius = _window_radius(p, cfg)
     rows = min(n, max(1, _SIR_CELLS // n_bs))
     u = np.empty((rows, n_bs))
+    asleep = np.empty((rows, n_bs), dtype=bool) if idle_mode else None
     gains = np.empty(rows)
     for lo in range(0, n, rows):
         b = min(rows, n - lo)
         for k, (geometry, fading) in zip(range(b), lanes):
             if p.lambda_ue > 0.0:
                 d = _draw_deployment(p, cfg, geometry, u[k])
-                users[lo + k] = _cell_load(d, _ue_assignments(d))
+                assignments = _ue_assignments(d)
+                users[lo + k] = _cell_load(d, assignments)
+                if idle_mode:
+                    awake = apply_idle_mode(d, assignments).active_mask
+                    active[lo + k] = np.count_nonzero(awake)
+                    np.logical_not(awake, out=asleep[k])
             else:
                 geometry.random(out=u[k])
             gains[k] = fading.exponential()
         serving = (np.arange(b), np.argmin(u[:b], axis=1))
-        interferer = np.ones((b, n_bs), dtype=bool)
-        interferer[serving] = False
-        sirs[lo : lo + b] = _block_sir(u[:b], serving, interferer, gains[:b], radius, p)
+        sirs[lo : lo + b] = _block_sir(u[:b], serving, asleep[:b] if idle_mode else None, gains[:b], radius, p)
     return sirs, users, active
 
 

@@ -144,6 +144,9 @@ POLAR_CASES = [
     (NetworkParams(lambda_bs=2.0, beta=3.5, lambda_ue=2.0), False, False),
     (NetworkParams(lambda_bs=1.0, beta=4.0, lambda_ue=1.0), True, False),
     (NetworkParams(lambda_bs=1.0, beta=3.0, lambda_ue=0.3), True, True),
+    # the kernel folds kappa, p_tx and R^beta into the noise term alone
+    (NetworkParams(lambda_bs=0.7, beta=3.5, kappa=2.5, p_tx=0.8, sigma_n2=0.05), False, False),
+    (NetworkParams(lambda_bs=1.5, beta=4.0, lambda_ue=1.0, kappa=0.4, p_tx=2.0, sigma_n2=0.5), True, True),
 ]
 
 
@@ -485,13 +488,17 @@ class TestDeferredAngles:
 
 
 def lone_sir(d: Deployment, p: NetworkParams, rng: np.random.Generator) -> float:
-    """One deployment's SIR on its own, in 1-D numpy and Python floats."""
-    loss = p.kappa * (d.window_radius**2 * d.bs_u) ** (p.beta / 2.0)
+    """One deployment's SINR on its own, in 1-D numpy and Python floats.
+
+    In the form where the path-loss constants cancel: g u_s^(-beta/2) over
+    the other active stations' u_i^(-beta/2) plus sigma_n2 kappa R^beta / p_tx.
+    """
+    path_gain = d.bs_u ** (-p.beta / 2.0)
     gain = float(rng.exponential())
-    interferer = d.active_mask.copy()
-    interferer[d.serving_index] = False
-    denom = float(np.sum(p.p_tx / loss[interferer])) + p.sigma_n2
-    return math.inf if denom == 0.0 else p.p_tx * gain / loss[d.serving_index] / denom
+    interference = np.where(d.active_mask, path_gain, 0.0)
+    interference[d.serving_index] = 0.0
+    denom = float(np.sum(interference)) + p.sigma_n2 * p.kappa * d.window_radius**p.beta / p.p_tx
+    return math.inf if denom == 0.0 else gain * float(path_gain[d.serving_index]) / denom
 
 
 def per_realization_sirs(p: NetworkParams, cfg: SimConfig, idle: bool = False) -> np.ndarray:
@@ -558,8 +565,37 @@ class TestBlockSir:
 
     def test_idle_rows_match_per_realization(self):
         cfg = SimConfig(n_bs_target=80, n_realizations=9, seed=4)
-        s = run_simulation(P_LOADED, cfg, idle_mode=True)
-        assert np.array_equal(bits(s.sir_values), bits(per_realization_sirs(P_LOADED, cfg, idle=True)))
+        want = bits(per_realization_sirs(P_LOADED, cfg, idle=True))
+        # 200 cells: two-row blocks and a short last one
+        for cells in (simulator._SIR_CELLS, 200):
+            with mock.patch.object(simulator, "_SIR_CELLS", cells):
+                s = run_simulation(P_LOADED, cfg, idle_mode=True)
+            assert np.array_equal(bits(s.sir_values), want)
+
+    def test_sample_sir_leaves_the_deployment_unchanged(self):
+        # the kernel writes in place, so sample_sir hands it a copy
+        d = sample_deployment(P_LOADED, small_cfg(1), 3)
+        for dep in (d, apply_idle_mode(d)):
+            before = dep.bs_u.copy()
+            sample_sir(dep, P_LOADED, small_cfg(1), np.random.default_rng([0, 3, 1]))
+            assert np.array_equal(bits(dep.bs_u), bits(before))
+
+    @pytest.mark.parametrize("idle", [False, True])
+    def test_run_attaches_on_the_drawn_radii(self, idle):
+        # each row's attachment reads its radii before the kernel overwrites the row
+        seen = []
+        attach = simulator._ue_assignments
+
+        def spy(d):
+            seen.append(d.bs_u.copy())
+            return attach(d)
+
+        cfg = SimConfig(n_bs_target=64, n_realizations=300, seed=9)
+        with mock.patch.object(simulator, "_ue_assignments", spy):
+            run_simulation(P_LOADED, cfg, idle_mode=idle)
+        assert len(seen) == cfg.n_realizations
+        for rid, u in enumerate(seen):
+            assert np.array_equal(bits(u), bits(eager_bs_draws(cfg, rid)[0]))
 
     def test_block_working_set_is_capped(self):
         # the kernel's rows x stations stays within _SIR_CELLS (one row above it)
