@@ -45,6 +45,9 @@ HARNESS_LIMITS = [
     "a recorder run of one commit against itself (BENCH_8_aa.json, seeds 8101-8110) read items_per_s "
     "-0.8% (mc-full) to -2.9% (curves) and curves op_p50_ms +3.0% on the change side, with no win count "
     "above 7/10; moves of that size are harness bias, not the change",
+    "the traced per-layer numbers come from one traced pass per side, with no spread: reruns of one "
+    "tree moved simulator.block_self_ms_per_op by 30% either way and read cli.self_ms_per_op as low "
+    "as -8.4 ms, so per-layer numbers are indicative only and cannot be read as a change's effect",
 ]
 
 

@@ -93,21 +93,12 @@ class ExperimentSpec:
                 raise ConfigError(f"grid.ratios must be positive, got {ratio}")
 
 
+# the grid keys that set a beta axis, by list or by range
+_BETA_KEYS = {"betas", "beta_start", "beta_stop", "beta_step"}
 _ALLOWED_KEYS = {
     "experiment": {"kind", "output"},
     "network": {"lambda_bs", "lambda_ue", "beta", "kappa", "p_tx", "sigma_n2"},
-    "grid": {
-        "gamma_start",
-        "gamma_stop",
-        "gamma_step",
-        "gamma_unit",
-        "x_values",
-        "ratios",
-        "betas",
-        "beta_start",
-        "beta_stop",
-        "beta_step",
-    },
+    "grid": {"gamma_start", "gamma_stop", "gamma_step", "gamma_unit", "x_values", "ratios", *_BETA_KEYS},
     "sim": {"n_bs_target", "n_realizations", "seed", "idle_mode", "with_mc"},
 }
 
@@ -244,7 +235,7 @@ def _gamma_grid(cfg: dict, force_db: bool) -> tuple[float, ...]:
 
 def _beta_axis(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
     betas = _get_list(cfg, "grid", "betas")
-    ranged = sorted({"beta_start", "beta_stop", "beta_step"} & set(cfg.get("grid", {})))
+    ranged = sorted((_BETA_KEYS - {"betas"}) & set(cfg.get("grid", {})))
     if betas is not None:
         if ranged:
             keys = ", ".join(f"grid.{key}" for key in ranged)
@@ -304,9 +295,9 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         jobs=args.jobs,
         quick=getattr(args, "quick", False),
     )
-    unread = row.ignores if spec.with_mc else row.ignores + row.mc_keys
+    used = _used_keys(spec, args, cfg)
     ignored = [f"{section}.{key}" for section, items in cfg.items() for key in items
-               if f"{section}.{key}" in unread]
+               if not used[f"{section}.{key}"]]
     if ignored:
         print(f"{args.command}: {kind.value} does not use config keys {', '.join(ignored)}", file=sys.stderr)
     return spec
@@ -446,10 +437,7 @@ class _Kind:
     beyond network, sim and betas ("gamma" thresholds, "x" MGF arguments,
     "ratios", "idle_mode"). betas: default betas from the network (None:
     betas unread). mc: prefix of the columns sim.with_mc adds (None: no
-    such columns). lambda_bs: default station density. ignores: config
-    keys ("section.key") the kind accepts but never reads; mc_keys: those
-    it reads only for the Monte Carlo columns. The ones a config sets and
-    the run leaves unread are named in one line on stderr.
+    such columns). lambda_bs: default station density.
     """
 
     command: str
@@ -459,24 +447,12 @@ class _Kind:
     betas: Callable[[NetworkParams], tuple[float, ...]] | None = None
     mc: str | None = None
     lambda_bs: float = _LAMBDA_REF
-    ignores: tuple[str, ...] = ()
-    mc_keys: tuple[str, ...] = ()
 
 
-def _keys(section: str, but: tuple[str, ...] = ()) -> tuple[str, ...]:
-    """Every allowed "section.key" of a config section, except those in but."""
-    return tuple(f"{section}.{key}" for key in sorted(_ALLOWED_KEYS[section]) if key not in but)
+def _network_beta(p: NetworkParams) -> tuple[float, ...]:
+    """The default beta axis of the kinds that read network.beta when no grid beta key is set."""
+    return (p.beta,)
 
-
-# keys that only the threshold axis reads, and those only the simulation reads
-_GAMMA_KEYS = ("grid.gamma_start", "grid.gamma_stop", "grid.gamma_step", "grid.gamma_unit")
-_SIM_KEYS = ("sim.n_bs_target", "sim.n_realizations", "sim.seed")
-# the ratio kinds take the user density from the ratio; without noise the
-# rates cancel power and path-loss prefactor, so only the simulation reads them
-_RATIO_RATE_KEYS = dict(
-    ignores=("network.beta", "network.lambda_ue", *_GAMMA_KEYS, "grid.x_values", "sim.idle_mode"),
-    mc_keys=(*_SIM_KEYS, "network.kappa", "network.p_tx"),
-)
 
 # Table order fixes each subcommand's default kind (its first) and the
 # order of the kinds named in its refusal message.
@@ -484,45 +460,66 @@ _KINDS = {
     ExperimentKind.COVERAGE_VS_GAMMA: _Kind(
         "coverage", _run_coverage, axis="grid", reads=("gamma",),
         betas=lambda p: (2.5, 3.0, 3.5, 4.0, 4.5, 5.0), mc="pcov",
-        ignores=("network.beta", "network.lambda_ue", "grid.x_values", "grid.ratios", "sim.idle_mode"),
-        mc_keys=_SIM_KEYS,
     ),
     ExperimentKind.RATE_VS_BETA: _Kind(
         "rate", _run_rate_vs_beta, axis="betas",
         betas=lambda p: tuple(float(b) for b in np.arange(2.5, 5.001, 0.125)), mc="rate",
-        ignores=("network.beta", "network.lambda_ue", *_GAMMA_KEYS, "grid.x_values", "grid.ratios", "sim.idle_mode"),
-        mc_keys=(*_SIM_KEYS, "network.lambda_bs", "network.kappa", "network.p_tx"),
     ),
     ExperimentKind.PEAK_RATE_VS_RATIO: _Kind(
         "load-curves", partial(_run_rate_vs_ratio, actual=False), axis="ratios",
-        reads=("ratios",), betas=lambda p: (3.0, 4.0, 5.0), mc="rate", **_RATIO_RATE_KEYS,
+        reads=("ratios",), betas=lambda p: (3.0, 4.0, 5.0), mc="rate",
     ),
     ExperimentKind.ACTUAL_RATE_VS_RATIO: _Kind(
         "load-curves", partial(_run_rate_vs_ratio, actual=True), axis="ratios",
-        reads=("ratios",), betas=lambda p: (3.0, 4.0, 5.0), mc="rate", **_RATIO_RATE_KEYS,
+        reads=("ratios",), betas=lambda p: (3.0, 4.0, 5.0), mc="rate",
     ),
     ExperimentKind.COVERAGE_PARTIAL_LOAD: _Kind(
         "load-curves", _run_coverage_partial_load, axis="grid",
-        reads=("gamma", "ratios"), betas=lambda p: (p.beta,), mc="pcov",
-        ignores=("network.lambda_ue", "grid.x_values", "sim.idle_mode"), mc_keys=_SIM_KEYS,
+        reads=("gamma", "ratios"), betas=_network_beta, mc="pcov",
     ),
     # the default density gives a unit exponent prefactor at l0 = 1
     ExperimentKind.MGF_PROFILE: _Kind(
-        "mgf", _run_mgf_profile, axis="grid", reads=("x",), betas=lambda p: (p.beta,),
-        lambda_bs=1.0 / math.pi,
-        ignores=(
-            "network.lambda_ue", "network.sigma_n2", *_keys("sim"),
-            *_keys("grid", but=("x_values", "betas", "beta_start", "beta_stop", "beta_step")),
-        ),
+        "mgf", _run_mgf_profile, axis="grid", reads=("x",), betas=_network_beta, lambda_bs=1.0 / math.pi,
     ),
-    ExperimentKind.RAW_SAMPLES: _Kind(
-        "simulate", _run_raw_samples, reads=("idle_mode",), ignores=(*_keys("grid"), "sim.with_mc"),
-    ),
+    ExperimentKind.RAW_SAMPLES: _Kind("simulate", _run_raw_samples, reads=("idle_mode",)),
     # the suite runs on its own fixed scenarios; only the seed comes from the config
-    ExperimentKind.VALIDATE: _Kind(
-        "validate", _run_validate, ignores=(*_keys("network"), *_keys("grid"), *_keys("sim", but=("seed",))),
-    ),
+    ExperimentKind.VALIDATE: _Kind("validate", _run_validate),
 }
+
+
+def _used_keys(spec: ExperimentSpec, args: argparse.Namespace, cfg: dict) -> dict[str, bool]:
+    """Whether the run of spec reads the value of each config key ("section.key").
+
+    Coverage and rate are interference-limited: without noise they depend
+    on neither the transmit power nor the path-loss prefactor, and on the
+    station density only through the ratios. So a key counts as used only
+    on the branches a run takes: noise, Monte Carlo, the kind's reads and
+    betas, and the --out, --seed and --db overrides.
+    """
+    row = _KINDS[spec.kind]
+    mgf, raw, gamma, ratios = (name in row.reads for name in ("x", "idle_mode", "gamma", "ratios"))
+    simulates = raw or spec.with_mc
+    # the coverage kinds and simulate add the noise; the rate kinds read it to refuse it
+    reads_noise = row.mc is not None or raw
+    noisy = reads_noise and spec.params.sigma_n2 > 0.0
+    own_beta = row.betas is _network_beta and not _BETA_KEYS & set(cfg.get("grid", {}))
+    return {key: on for keys, on in (
+        ("experiment.kind", True),
+        ("experiment.output", not args.out),
+        ("network.lambda_bs", mgf or simulates or noisy or ratios),
+        ("network.lambda_ue sim.idle_mode", raw),
+        ("network.beta", raw or own_beta),
+        ("network.kappa network.p_tx", mgf or noisy),
+        ("network.sigma_n2", reads_noise),
+        ("grid.gamma_start grid.gamma_stop grid.gamma_step", gamma),
+        ("grid.gamma_unit", gamma and not args.db),
+        ("grid.x_values", mgf),
+        ("grid.ratios", ratios),
+        (" ".join(f"grid.{key}" for key in _BETA_KEYS), row.betas is not None),
+        ("sim.with_mc", row.mc is not None),
+        ("sim.n_bs_target sim.n_realizations", simulates),
+        ("sim.seed", (simulates or spec.kind is ExperimentKind.VALIDATE) and args.seed is None),
+    ) for key in keys.split()}
 
 
 def run_experiment(spec: ExperimentSpec) -> int:

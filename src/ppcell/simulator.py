@@ -343,7 +343,9 @@ def _block_sir(
     u[serving] = 0.0
     if asleep is not None:
         u[asleep] = 0.0
-    denom = np.add.reduce(u, axis=-1) + p.sigma_n2 * p.kappa * radius**p.beta / p.p_tx
+    denom = np.add.reduce(u, axis=-1)
+    if p.sigma_n2 > 0.0:  # radius**beta can overflow at a tiny density
+        denom += p.sigma_n2 * p.kappa * radius**p.beta / p.p_tx
     if u.ndim == 1:
         return math.inf if denom == 0.0 else float(signal / denom)
     sir = np.full_like(denom, math.inf)

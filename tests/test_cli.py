@@ -9,6 +9,7 @@ import csv
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -22,6 +23,7 @@ from ppcell import cli
 from ppcell.analytics import pcov_general, rate_actual, rate_quadrature
 from ppcell.cli import ConfigError, ExperimentKind, main, parse_config
 from ppcell.mgf import NetworkParams, NonConvergenceError
+from ppcell.simulator import SimConfig
 
 
 def write_cfg(tmp_path, text, name="exp.ini"):
@@ -394,72 +396,192 @@ def ini_text(sections: dict) -> str:
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
 
 
+def written_csvs(directory) -> dict[str, bytes]:
+    """The CSV files in directory by name, removed once read."""
+    files = {path.name: path.read_bytes() for path in sorted(directory.glob("*.csv"))}
+    for path in directory.glob("*.csv"):
+        path.unlink()
+    return files
+
+
+# values that differ from the defaults, on small grids
+_KEY_POOLS = {
+    "experiment": {"output": ["cfg.csv"]},
+    "network": {
+        "lambda_bs": ["1e-6", "1e-3"], "lambda_ue": ["5e-6"], "beta": ["3.0", "4.5"],
+        "kappa": ["2.0"], "p_tx": ["0.5"], "sigma_n2": ["1e-9"],
+    },
+    "grid": {
+        "gamma_start": ["0", "2"], "gamma_stop": ["8"], "gamma_step": ["4"], "gamma_unit": ["linear"],
+        "x_values": ["0 1.5"],
+    },
+    "sim": {"seed": ["7"], "idle_mode": ["true"], "with_mc": ["true"]},
+}
+
+
+def random_run(kind: ExperimentKind, rng: random.Random) -> tuple[str, dict, list[str]]:
+    """A config that sets each key with probability 1/2, and an argv: (command, sections, argv)."""
+    sections = {
+        name: {key: rng.choice(values) for key, values in pool.items() if rng.random() < 0.5}
+        for name, pool in _KEY_POOLS.items()
+    }
+    # a list or a range of betas: both together are refused
+    ranged = {"beta_start": "3.5", "beta_stop": "4.0", "beta_step": "0.5"}
+    sections["grid"].update(rng.choice([{}, {"betas": "3.0 4.0"}, ranged]))
+    command = cli._KINDS[kind].command
+    if rng.random() < 0.5 or cli._resolve_kind({}, command) is not kind:
+        sections["experiment"]["kind"] = kind.value
+    # set always, and so deleted wherever they are named: small sizes for the Monte Carlo runs
+    sections["grid"]["ratios"] = "0.5 2"
+    sections["sim"].update(n_bs_target="64", n_realizations="100")
+    argv = [*rng.choice([[], ["--out", "out.csv"]]), *rng.choice([[], ["--seed", "3"]])]
+    if "gamma" in cli._KINDS[kind].reads and rng.random() < 0.5:
+        argv.append("--db")
+    return command, sections, argv
+
+
 class TestUnusedKeys:
     """Every kind names the config keys a run leaves unread, and only those."""
 
     LOAD = {"betas": "4.0", "ratios": "1.0"}
     GAMMA = {"gamma_start": "0", "gamma_stop": "5", "gamma_step": "5"}
+    MC = {"with_mc": "true", "n_bs_target": "64", "n_realizations": "100"}
 
     @pytest.mark.parametrize(
-        "command,kind,base,extra,named",
+        "command,kind,argv,base,extra,named",
         [
             (
-                "coverage", "CoverageVsGamma", {"grid": {"betas": "4.0", **GAMMA}},
+                "coverage", "CoverageVsGamma", (), {"grid": {"betas": "4.0", **GAMMA}},
                 {"network": {"beta": "3.0", "lambda_ue": "5e-6", "kappa": "2.0"},
                  "grid": {"x_values": "0 1"}, "sim": {"seed": "4"}},
-                "network.beta, network.lambda_ue, grid.x_values, sim.seed",
+                "network.beta, network.lambda_ue, network.kappa, grid.x_values, sim.seed",
             ),
             (
-                "coverage", "CoverageVsGamma",
-                {"grid": {"betas": "4.0", **GAMMA}, "sim": {"with_mc": "true", "n_bs_target": "64", "n_realizations": "100"}},
+                "coverage", "CoverageVsGamma", (), {"grid": {"betas": "4.0", **GAMMA}, "sim": MC},
                 {"network": {"beta": "3.0"}, "sim": {"seed": "0"}},
                 "network.beta",
             ),
             (
-                "rate", "RateVsBeta", {"grid": {"betas": "3.0 4.0"}},
+                "rate", "RateVsBeta", (), {"grid": {"betas": "3.0 4.0"}},
                 {"network": {"beta": "3.5", "lambda_bs": "2e-6", "p_tx": "3.0"},
                  "grid": {"gamma_step": "2", "ratios": "1"}, "sim": {"n_realizations": "50"}},
                 "network.beta, network.lambda_bs, network.p_tx, grid.gamma_step, grid.ratios, sim.n_realizations",
             ),
             (
-                "load-curves", "PeakRateVsRatio", {"grid": LOAD},
+                "load-curves", "PeakRateVsRatio", (), {"grid": LOAD},
                 {"network": {"lambda_ue": "1e-6", "kappa": "3.0"}, "grid": {"gamma_unit": "linear"},
                  "sim": {"idle_mode": "true"}},
                 "network.lambda_ue, network.kappa, grid.gamma_unit, sim.idle_mode",
             ),
             (
-                "load-curves", "ActualRateVsRatio", {"grid": LOAD},
+                "load-curves", "ActualRateVsRatio", (), {"grid": LOAD},
                 {"network": {"beta": "3.0"}, "grid": {"x_values": "1"}, "sim": {"with_mc": "false", "seed": "2"}},
                 "network.beta, grid.x_values, sim.seed",
             ),
             (
-                "load-curves", "CoveragePartialLoad", {"grid": {**LOAD, **GAMMA}},
+                "load-curves", "CoveragePartialLoad", (), {"grid": {**LOAD, **GAMMA}},
                 {"network": {"lambda_ue": "1e-6", "p_tx": "2.0"}, "grid": {"x_values": "0"},
                  "sim": {"n_bs_target": "64", "idle_mode": "false"}},
-                "network.lambda_ue, grid.x_values, sim.n_bs_target, sim.idle_mode",
+                "network.lambda_ue, network.p_tx, grid.x_values, sim.n_bs_target, sim.idle_mode",
             ),
             (
-                "simulate", "RawSamples", {"sim": {"n_bs_target": "64", "n_realizations": "5"}},
+                "simulate", "RawSamples", (), {"sim": {"n_bs_target": "64", "n_realizations": "5"}},
                 {"grid": {"betas": "3.0", "gamma_start": "1"}, "sim": {"with_mc": "true"}},
                 "grid.betas, grid.gamma_start, sim.with_mc",
             ),
+            # without noise the coverage is free of power, prefactor and density
+            (
+                "coverage", "CoverageVsGamma", (), {"grid": {"betas": "4.0", **GAMMA}},
+                {"network": {"kappa": "2", "p_tx": "0.5", "lambda_bs": "1e-3"}},
+                "network.kappa, network.p_tx, network.lambda_bs",
+            ),
+            (
+                "rate", "RateVsBeta", (), {"grid": {"betas": "3.0"}, "sim": MC},
+                {"network": {"kappa": "2", "p_tx": "3"}},
+                "network.kappa, network.p_tx",
+            ),
+            (
+                "load-curves", "CoveragePartialLoad", (), {"grid": {**LOAD, **GAMMA}},
+                {"network": {"beta": "3", "kappa": "2"}},
+                "network.beta, network.kappa",
+            ),
+            (
+                "mgf", "MgfProfile", (), {"grid": {"betas": "4.0", "x_values": "0 1"}},
+                {"network": {"beta": "3.0"}},
+                "network.beta",
+            ),
+            (
+                "simulate", "RawSamples", (), {"sim": {"n_bs_target": "64", "n_realizations": "5"}},
+                {"network": {"kappa": "2", "p_tx": "0.5"}},
+                "network.kappa, network.p_tx",
+            ),
+            (
+                "coverage", "CoverageVsGamma", ("--out", "out.csv"), {"grid": {"betas": "4.0", **GAMMA}},
+                {"experiment": {"output": "unused.csv"}},
+                "experiment.output",
+            ),
+            (
+                "simulate", "RawSamples", ("--seed", "3"), {"sim": {"n_bs_target": "64", "n_realizations": "5"}},
+                {"sim": {"seed": "4"}},
+                "sim.seed",
+            ),
         ],
-        ids=["coverage", "coverage-mc", "rate", "peak", "actual", "partial", "simulate"],
+        ids=[
+            "coverage", "coverage-mc", "rate", "peak", "actual", "partial", "simulate", "coverage-noiseless",
+            "rate-mc", "partial-grid-betas", "mgf-grid-betas", "simulate-noiseless", "output-and-out",
+            "seed-and-seed",
+        ],
     )
-    def test_unread_keys_named_on_stderr(self, tmp_path, capsys, command, kind, base, extra, named):
+    def test_unread_keys_named_on_stderr(self, tmp_path, capsys, monkeypatch, command, kind, argv, base, extra, named):
+        monkeypatch.chdir(tmp_path)
         base = {"experiment": {"kind": kind}, **base}
         plain_cfg = write_cfg(tmp_path, ini_text(base), "base.ini")
-        assert main([command, "--config", plain_cfg]) == 0
+        assert main([command, "--config", plain_cfg, *argv]) == 0
         plain = capsys.readouterr()
+        plain_csvs = written_csvs(tmp_path)
         assert plain.err == ""
         merged = {
             name: {**base.get(name, {}), **extra.get(name, {})}
             for name in ("experiment", "network", "grid", "sim") if name in base or name in extra
         }
-        assert main([command, "--config", write_cfg(tmp_path, ini_text(merged), "extra.ini")]) == 0
+        assert main([command, "--config", write_cfg(tmp_path, ini_text(merged), "extra.ini"), *argv]) == 0
         noted = capsys.readouterr()
         assert noted.out == plain.out
+        assert written_csvs(tmp_path) == plain_csvs
         assert noted.err == f"{command}: {kind} does not use config keys {named}\n"
+
+    def test_every_allowed_key_has_a_rule(self):
+        spec = cli.ExperimentSpec(ExperimentKind.RAW_SAMPLES, NetworkParams(1e-6, 4.0), SimConfig())
+        args = argparse.Namespace(out=None, seed=None, db=False)
+        allowed = {f"{section}.{key}" for section, keys in cli._ALLOWED_KEYS.items() for key in keys}
+        assert set(cli._used_keys(spec, args, {})) == allowed
+
+    @pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda kind: kind.value)
+    def test_deleting_the_named_keys_changes_nothing(self, tmp_path, capsys, monkeypatch, kind):
+        """Delete every key the stderr line names: stdout, CSV bytes and exit code stay."""
+        monkeypatch.chdir(tmp_path)
+
+        def suite(seed, jobs, quick):  # the suite's report depends on these alone
+            print(f"seed {seed}, jobs {jobs}, quick {quick}")
+            return [argparse.Namespace(label="stub", passed=True, message=f"seed {seed}", elapsed_s=0.0)]
+
+        monkeypatch.setattr(cli, "run_all", suite)
+
+        def outcome(command, cfg, argv):
+            code = main([command, "--config", write_cfg(tmp_path, ini_text(cfg)), *argv])
+            captured = capsys.readouterr()
+            return (code, captured.out, written_csvs(tmp_path)), captured.err
+
+        rng = random.Random(kind.value)
+        for _ in range(12):
+            command, sections, argv = random_run(kind, rng)
+            result, err = outcome(command, sections, argv)
+            prefix = f"{command}: {kind.value} does not use config keys "
+            line = err.splitlines(keepends=True)[0] if err.startswith(prefix) else ""
+            named = set(line[len(prefix):].strip().split(", ")) if line else set()
+            pruned = {name: {k: v for k, v in keys.items() if f"{name}.{k}" not in named}
+                      for name, keys in sections.items()}
+            assert outcome(command, pruned, argv) == (result, err[len(line):]), (sections, argv)
 
 
 class TestNoisyCoverage:
@@ -544,6 +666,25 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path, "--out", str(out1), "--jobs", "1"]) == 0
         assert main(["simulate", "--config", path, "--out", str(out2), "--jobs", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "command,cfg",
+        [
+            ("simulate", "[network]\nbeta = 5.0\n{density}[sim]\nn_bs_target = 64\nn_realizations = 20\n"),
+            ("coverage", "[network]\n{density}[grid]\nbetas = 5.0\n[sim]\nwith_mc = true\nn_bs_target = 64\n"
+                         "n_realizations = 20\n"),
+        ],
+    )
+    def test_noiseless_run_at_a_vanishing_density(self, tmp_path, command, cfg):
+        # a 64-station window at 1e-300 has radius 4.5e150, and radius**5 overflows a float
+        csvs = []
+        for density in ("", "lambda_bs = 1e-300\n"):
+            out = tmp_path / f"{len(csvs)}.csv"
+            path = write_cfg(tmp_path, cfg.format(density=density))
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[1] == csvs[0]
 
 
 class TestValidateCommand:
