@@ -7,13 +7,14 @@ The change is the committed tree at HEAD, the parent the commit named by
 its own temporary directory, so both run identical benchmark code from the
 same kind of checkout. For every workload and seed the two sides run
 `perfbench/run.py --trace 0` back to back, alternating which goes first;
-then each side runs one `--trace 1` pass per workload on the first seed.
-Every run lasts BENCHMARK.json's run_seconds. Runs are sequential, one
-interpreter at a time.
+then each side runs `--trace 1` passes per workload on the first three
+seeds, alternating in the same way. Every run lasts BENCHMARK.json's
+run_seconds. Runs are sequential, one interpreter at a time.
 
 The output JSON holds every run's end-to-end metrics, the median and
 quartiles per side, the pairs the change won and the parent's quartile
-spread (the gain rule of the benchmark's method), the environment and code
+spread (the gain rule of the benchmark's method), each per-layer metric's
+traced runs with their median and range per side, the environment and code
 size lines perfbench prints, and the known limits of the harness, so a
 reader can tell a gain from a move within noise.
 """
@@ -34,6 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("curves", "mc-full", "mc-idle")
+# traced passes per side and workload, on the first seeds of the run
+TRACED_SEEDS = 3
 
 # what earlier runs of identical trees showed the harness cannot resolve
 HARNESS_LIMITS = [
@@ -45,9 +48,9 @@ HARNESS_LIMITS = [
     "a recorder run of one commit against itself (BENCH_8_aa.json, seeds 8101-8110) read items_per_s "
     "-0.8% (mc-full) to -2.9% (curves) and curves op_p50_ms +3.0% on the change side, with no win count "
     "above 7/10; moves of that size are harness bias, not the change",
-    "the traced per-layer numbers come from one traced pass per side, with no spread: reruns of one "
-    "tree moved simulator.block_self_ms_per_op by 30% either way and read cli.self_ms_per_op as low "
-    "as -8.4 ms, so per-layer numbers are indicative only and cannot be read as a change's effect",
+    "single traced passes of one tree moved simulator.block_self_ms_per_op by 30% either way and read "
+    "cli.self_ms_per_op as low as -8.4 ms; the per-layer numbers are the median of three traced passes "
+    "per side with their range, and a move inside either side's range is not a change's effect",
 ]
 
 
@@ -121,6 +124,11 @@ def compare(parent: list[dict], change: list[dict], contract: list[dict]) -> dic
     return out
 
 
+def spread(values: list[float]) -> dict:
+    """Median and range of a few traced passes."""
+    return {"median": statistics.median(values), "min": min(values), "max": max(values), "runs": values}
+
+
 def code_counts(line: str | None) -> dict:
     match = re.search(r"(\d+) lines, (\d+) public exports", line or "")
     return {"src_ppcell_lines": int(match[1]), "public_exports": int(match[2])} if match else {}
@@ -150,9 +158,11 @@ def main(argv: list[str] | None = None) -> int:
                     runs[side][workload].append(r)
                     print(f"{workload} seed {seed} {side}: exit {r['exit_code']}, "
                           f"failed {r['failed']}/{r['attempted']}", file=sys.stderr, flush=True)
-        traced = {
-            side: {w: run_bench(trees[side], w, seeds[0], seconds, 1) for w in WORKLOADS} for side in trees
-        }
+        traced: dict[str, dict[str, list[dict]]] = {side: {w: [] for w in WORKLOADS} for side in trees}
+        for workload in WORKLOADS:
+            for k, seed in enumerate(seeds[:TRACED_SEEDS]):
+                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                    traced[side][workload].append(run_bench(trees[side], workload, seed, seconds, 1))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -173,14 +183,18 @@ def main(argv: list[str] | None = None) -> int:
             }
             for w in WORKLOADS
         },
-        "traced_seed": seeds[0],
+        "traced_seeds": seeds[:TRACED_SEEDS],
         "traced": {
-            side: {w: {name: m["value"] for name, m in r["metrics"].items()} for w, r in traced[side].items()}
+            side: {
+                w: {name: spread([r["metrics"][name]["value"] for r in rs]) for name in rs[0]["metrics"]}
+                for w, rs in traced[side].items()
+            }
             for side in trees
         },
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    bad = [(side, w) for side in trees for w in WORKLOADS if any(r["exit_code"] for r in runs[side][w])]
+    bad = [(side, w) for side in trees for w in WORKLOADS
+           if any(r["exit_code"] for r in runs[side][w] + traced[side][w])]
     if bad:
         print(f"runs with a nonzero exit: {bad}", file=sys.stderr)
         return 1

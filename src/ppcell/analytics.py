@@ -152,10 +152,15 @@ def pcov_general(gamma, p: NetworkParams, p_active: float = 1.0, kind: str = "ex
         return pcov(gamma, p.beta, kind, p_active)
     _check_p_active(p_active)
     gamma = np.asarray(gamma, dtype=float)
-    a = 1.0 - p_active * bracket(p.beta, gamma, kind)
-    k = p.sigma_n2 * p.kappa / (p.p_tx * (math.pi * p.lambda_bs) ** (p.beta / 2.0))
     # the SINR is positive, so every user is covered at gamma = 0
-    return np.where(gamma == 0.0, 1.0, _coverage_integral(a, k * gamma, p.beta))[()]
+    scale = p.p_tx * (math.pi * p.lambda_bs) ** (p.beta / 2.0)
+    k = p.sigma_n2 * p.kappa / scale if scale > 0.0 else math.inf
+    if k == math.inf:  # a vanishing density: the noise-limited limit
+        return np.where(gamma == 0.0, 1.0, 0.0)[()]
+    a = 1.0 - p_active * bracket(p.beta, gamma, kind)
+    # a noise term past the float range is inf, and exp(-inf) = 0 is that limit
+    with np.errstate(over="ignore"):
+        return np.where(gamma == 0.0, 1.0, _coverage_integral(a, k * gamma, p.beta))[()]
 
 
 def _coverage_integral(a: np.ndarray, noise: np.ndarray, beta: float) -> np.ndarray:

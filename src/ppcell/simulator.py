@@ -35,17 +35,21 @@ mask of the same shape every station idle mode puts to sleep) and draws
 its serving gain; the block then takes each row's serving column by
 argmin. The path-loss constants cancel, SINR = g u_s^(-beta/2) / (sum over
 the other active stations of u_i^(-beta/2) + sigma_n2 kappa R^beta / p_tx),
-so the kernel makes one np.power pass, reads the serving columns, zeroes
-them and the sleeping stations, and sums every row's N columns with
-np.add.reduce(axis=-1), the reduction np.sum runs. Sleeping stations are
-zeroed after the power, not set to inf before it: numpy's pow is about
-four times slower on inf. A block holds at most _SIR_CELLS stations, or one
-row when a drop is larger. numpy sums each C-contiguous row with the same
-pairwise summation as the 1-D sum of that row, and every other step is
-elementwise, so each SIR is bitwise the one the realization gets alone,
-through sample_sir on a copy of its draws, and the same for any jobs count.
-np.add.reduceat would sum ragged rows in one call, but it adds each segment
-sequentially, not pairwise, and so changes the last bits.
+so the kernel turns the block into path gains u^(-beta/2), reads the
+serving columns, zeroes them and the sleeping stations, and sums every
+row's N columns with np.add.reduce(axis=-1), the reduction np.sum runs.
+At an integer beta (3, 4 or 5) the gains are products of u, u and sqrt(u)
+followed by one reciprocal, elementwise operations that round correctly;
+any other beta takes one np.power pass. Sleeping stations are zeroed after
+the gains, not set to inf before them: numpy's pow is about four times
+slower on inf. A block holds at most _SIR_CELLS stations (256 KB of
+gains, and as much sqrt scratch), or one row when a drop is larger. numpy
+sums each C-contiguous row with the same pairwise summation as the 1-D sum
+of that row, and every other step is elementwise, so each SIR is bitwise
+the one the realization gets alone, through sample_sir on a copy of its
+draws, and the same for any jobs count. np.add.reduceat would sum ragged
+rows in one call, but it adds each segment sequentially, not pairwise, and
+so changes the last bits.
 """
 
 from __future__ import annotations
@@ -90,8 +94,8 @@ _MASK32 = 0xFFFFFFFF
 _LANE_BLOCK = 1024
 # every rid must coerce to one 32-bit word for the block hashing
 _MAX_REALIZATIONS = 2**32
-# stations per SIR block (rows x n_bs_target): 64 KB of path gains
-_SIR_CELLS = 8192
+# stations per SIR block (rows x n_bs_target): 256 KB of path gains
+_SIR_CELLS = 32768
 # inactive_fraction_interior skips stations this many mean cell radii from the edge
 _EDGE_MARGIN = 1.5
 
@@ -318,34 +322,69 @@ def apply_idle_mode(d: Deployment, assignments: np.ndarray | None = None) -> Dep
     return replace(d, active_mask=mask)
 
 
+def _noise(p: NetworkParams, radius: float) -> float:
+    """The noise term sigma_n2 kappa R^beta / p_tx in the kernel's units.
+
+    0 without noise. inf where R^beta leaves the float range: at such a
+    vanishing density the SINR underflows to 0, the noise-limited limit.
+    """
+    if p.sigma_n2 == 0.0:
+        return 0.0
+    try:
+        return p.sigma_n2 * p.kappa * radius**p.beta / p.p_tx
+    except OverflowError:
+        return math.inf
+
+
+def _path_gains(u: np.ndarray, root: np.ndarray, beta: float) -> None:
+    """u**(-beta/2) in place; root is scratch of u's shape.
+
+    At an integer beta (3, 4 or 5 in its range) u**(beta/2) is a product
+    of u, u and sqrt(u), and one reciprocal follows. Each step rounds
+    correctly, so a gain is off the exact one by at most 3.5e-16 relative
+    (np.power: 1.3e-16), and every step is cheaper than the pow. Any other
+    beta goes through np.power.
+    """
+    if not float(beta).is_integer():
+        np.power(u, -beta / 2.0, out=u)
+        return
+    odd = beta % 2.0 == 1.0
+    if odd:
+        np.sqrt(u, out=root)
+    if beta >= 4.0:
+        np.multiply(u, u, out=u)
+    if odd:
+        np.multiply(u, root, out=u)
+    np.reciprocal(u, out=u)
+
+
 def _block_sir(
     u: np.ndarray,
+    root: np.ndarray,
     serving: tuple,
     asleep: np.ndarray | None,
     gains: float | np.ndarray,
-    radius: float,
-    p: NetworkParams,
+    noise: float,
+    beta: float,
 ) -> float | np.ndarray:
-    """SIR (SINR when sigma_n2 > 0) at the origin for one row or a block of rows.
+    """SIR (SINR when noise > 0) at the origin for one row or a block of rows.
 
     u holds station draws bs_u, shape (N,) for one row or (B, N) for a
-    block, and is overwritten. serving indexes u at each row's serving
-    station: (column,) for one row, (rows, columns) for a block. asleep
-    masks the stations idle mode switched off (None: all are on). gains
-    are the serving-link Exp(1) gains, one per row; interferers carry no
-    fading. The path-loss constants cancel: SINR = g u_s^(-beta/2) / (sum
-    of the other active u_i^(-beta/2) + sigma_n2 kappa R^beta / p_tx). Rows
-    with nothing interfering and no noise get inf. Returns a float for one
-    row, B values for a block.
+    block, and is overwritten; root is scratch of the same shape. serving
+    indexes u at each row's serving station: (column,) for one row, (rows,
+    columns) for a block. asleep masks the stations idle mode switched off
+    (None: all are on). gains are the serving-link Exp(1) gains, one per
+    row; interferers carry no fading. noise is _noise(p, R). The path-loss
+    constants cancel: SINR = g u_s^(-beta/2) / (sum of the other active
+    u_i^(-beta/2) + noise). Rows with nothing interfering and no noise get
+    inf. Returns a float for one row, B values for a block.
     """
-    np.power(u, -p.beta / 2.0, out=u)
+    _path_gains(u, root, beta)
     signal = gains * u[serving]
     u[serving] = 0.0
     if asleep is not None:
         u[asleep] = 0.0
-    denom = np.add.reduce(u, axis=-1)
-    if p.sigma_n2 > 0.0:  # radius**beta can overflow at a tiny density
-        denom += p.sigma_n2 * p.kappa * radius**p.beta / p.p_tx
+    denom = np.add.reduce(u, axis=-1) + noise
     if u.ndim == 1:
         return math.inf if denom == 0.0 else float(signal / denom)
     sir = np.full_like(denom, math.inf)
@@ -361,7 +400,9 @@ def sample_sir(d: Deployment, p: NetworkParams, cfg: SimConfig, rng: np.random.G
     interferes and there is no noise; callers count that as covered and
     keep it out of rate averages.
     """
-    return _block_sir(d.bs_u.copy(), (d.serving_index,), ~d.active_mask, rng.exponential(), d.window_radius, p)
+    u = d.bs_u.copy()
+    noise = _noise(p, d.window_radius)
+    return _block_sir(u, np.empty_like(u), (d.serving_index,), ~d.active_mask, rng.exponential(), noise, p.beta)
 
 
 def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tuple[np.ndarray, ...]:
@@ -373,9 +414,10 @@ def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tu
     users = np.ones(n, dtype=np.int64)
     active = np.full(n, n_bs, dtype=np.int64)
     lanes = _lanes(cfg.seed, rid_lo, rid_hi)
-    radius = _window_radius(p, cfg)
+    noise = _noise(p, _window_radius(p, cfg))
     rows = min(n, max(1, _SIR_CELLS // n_bs))
     u = np.empty((rows, n_bs))
+    root = np.empty((rows, n_bs))
     asleep = np.empty((rows, n_bs), dtype=bool) if idle_mode else None
     gains = np.empty(rows)
     for lo in range(0, n, rows):
@@ -391,9 +433,11 @@ def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tu
                     np.logical_not(awake, out=asleep[k])
             else:
                 geometry.random(out=u[k])
-            gains[k] = fading.exponential()
+            # bitwise exponential(), which only scales by 1.0, and cheaper
+            gains[k] = fading.standard_exponential()
         serving = (np.arange(b), np.argmin(u[:b], axis=1))
-        sirs[lo : lo + b] = _block_sir(u[:b], serving, asleep[:b] if idle_mode else None, gains[:b], radius, p)
+        sleeping = asleep[:b] if idle_mode else None
+        sirs[lo : lo + b] = _block_sir(u[:b], root[:b], serving, sleeping, gains[:b], noise, p.beta)
     return sirs, users, active
 
 

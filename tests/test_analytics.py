@@ -8,6 +8,7 @@ path-loss density (noise-free) and over the serving distance (noisy).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,19 @@ class TestCoverageIntegralRoute:
         for sigma_n2 in (0.0, 1e-9):
             p = NetworkParams(lambda_bs=1.27e-6, beta=4.0, sigma_n2=sigma_n2)
             assert pcov_general(0.0, p) == 1.0
+
+    @pytest.mark.parametrize(
+        ("beta", "lambda_bs"), [(5.0, 1e-131), (4.0, 1e-170), (5.0, 1e-300), (5.0, 1e-125), (4.0, 1e-156)]
+    )
+    def test_vanishing_density_is_noise_limited(self, beta, lambda_bs):
+        # the first three underflow (pi lambda)^(beta/2), the last two
+        # overflow the noise term k gamma t^(beta/2): both give the limit
+        # coverage 0 above gamma = 0, with no error and no warning
+        p = NetworkParams(lambda_bs=lambda_bs, beta=beta, sigma_n2=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pcov_general(np.array([0.0, 1e-3, 1.0, 1e3]), p)
+        assert got.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 class TestNoisyCoverage:

@@ -659,7 +659,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("network", ["beta = 3.0", "beta = 5.0\nlambda_ue = 1.0e-6"])
     def test_full_load_csv_is_jobs_invariant(self, tmp_path, network):
-        # 500 stations: 16-realization SIR blocks; two workers split 37 rids inside one
+        # 500 stations: 65-realization SIR blocks; two workers split the 37 rids of one
         path = write_cfg(tmp_path, f"[network]\n{network}\n[sim]\nn_bs_target = 500\nn_realizations = 37\n")
         out1 = tmp_path / "j1.csv"
         out2 = tmp_path / "j2.csv"
@@ -685,6 +685,38 @@ class TestSimulateCommand:
             assert main([command, "--config", path, "--out", str(out)]) == 0
             csvs.append(out.read_bytes())
         assert csvs[1] == csvs[0]
+
+
+    @pytest.mark.parametrize(
+        "command,cfg",
+        [
+            ("simulate", "[network]\nbeta = 5.0\n{network}[sim]\nn_bs_target = 64\nn_realizations = 20\n"),
+            ("coverage", "[network]\n{network}[grid]\nbetas = 5.0\n"),
+            ("coverage", "[network]\n{network}[grid]\nbetas = 5.0\n[sim]\nwith_mc = true\nn_bs_target = 64\n"
+                         "n_realizations = 20\n"),
+        ],
+    )
+    def test_noisy_run_at_a_vanishing_density_is_noise_limited(self, tmp_path, capsys, command, cfg):
+        # radius**5 and (pi lambda)**2.5 leave the float range: every SINR
+        # takes its limit 0 and every coverage above gamma = 0 reads 0
+        runs = []
+        for network in ("", "lambda_bs = 1e-300\nsigma_n2 = 1e-9\n"):
+            path = write_cfg(tmp_path, cfg.format(network=network))
+            assert main([command, "--config", path]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            runs.append(list(csv.DictReader(io.StringIO(captured.out))))
+        quiet, noisy = runs
+        assert len(noisy) == len(quiet) > 0
+        if command == "simulate":
+            assert [r["sir"] for r in noisy] == ["0.0"] * len(noisy)
+            keep = ("realization_id", "n_users", "n_active_bs")
+            assert [[r[k] for k in keep] for r in noisy] == [[r[k] for k in keep] for r in quiet]
+        else:
+            assert all(float(r["gamma"]) > 0.0 for r in noisy)
+            values = {k for r in noisy for k, v in r.items() if k.startswith("pcov")}
+            assert {r[k] for r in noisy for k in values} == {"0.0"}
+            assert [r["gamma"] for r in noisy] == [r["gamma"] for r in quiet]
 
 
 class TestValidateCommand:

@@ -11,6 +11,7 @@ import os
 from dataclasses import replace
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,15 @@ class TestSampleSir:
         gain = np.random.default_rng([0, 0, 1]).exponential()
         assert sample_sir(d, noisy, cfg, np.random.default_rng([0, 0, 1])) == pytest.approx(2.0 * gain)
 
+    def test_noise_past_the_float_range_is_noise_limited(self):
+        # a 64-station window at 1e-300 has radius 4.5e150, and radius**5
+        # overflows: the noise term is inf and every SINR its limit, 0
+        p = NetworkParams(lambda_bs=1e-300, beta=5.0, sigma_n2=1e-9)
+        cfg = small_cfg(8)
+        assert simulator._noise(p, simulator._window_radius(p, cfg)) == math.inf
+        assert run_simulation(p, cfg).sir_values.tolist() == [0.0] * 8
+        assert sample_sir(sample_deployment(p, cfg, 0), p, cfg, np.random.default_rng([0, 0, 1])) == 0.0
+
     def test_deterministic_without_fading(self):
         # the SIR is the lane-1 gain times a ratio no generator touches
         d = sample_deployment(P_FULL, small_cfg(1), 0)
@@ -487,13 +497,24 @@ class TestDeferredAngles:
             assert np.array_equal(getattr(serial, name), getattr(parallel, name))
 
 
+def lone_path_gains(u: np.ndarray, beta: float) -> np.ndarray:
+    """u**(-beta/2) by the kernel's route: products and a reciprocal at beta 3, 4, 5."""
+    if beta == 3.0:
+        return 1.0 / (u * np.sqrt(u))
+    if beta == 4.0:
+        return 1.0 / (u * u)
+    if beta == 5.0:
+        return 1.0 / (u * u * np.sqrt(u))
+    return u ** (-beta / 2.0)
+
+
 def lone_sir(d: Deployment, p: NetworkParams, rng: np.random.Generator) -> float:
     """One deployment's SINR on its own, in 1-D numpy and Python floats.
 
     In the form where the path-loss constants cancel: g u_s^(-beta/2) over
     the other active stations' u_i^(-beta/2) plus sigma_n2 kappa R^beta / p_tx.
     """
-    path_gain = d.bs_u ** (-p.beta / 2.0)
+    path_gain = lone_path_gains(d.bs_u, p.beta)
     gain = float(rng.exponential())
     interference = np.where(d.active_mask, path_gain, 0.0)
     interference[d.serving_index] = 0.0
@@ -528,7 +549,8 @@ class TestBlockSir:
     @settings(max_examples=30, deadline=None)
     @given(
         n_bs=st.one_of(st.integers(50, 700), st.integers(700, 8000)),
-        beta=st.floats(2.0, 5.0, exclude_min=True),
+        # the integer betas take the kernel's product route, the rest np.power
+        beta=st.one_of(st.sampled_from([3.0, 4.0, 5.0]), st.floats(2.0, 5.0, exclude_min=True)),
         sigma_n2=st.sampled_from([0.0, 0.37]),
         lambda_ue=st.sampled_from([0.0, 0.8]),
         n_real=st.integers(1, 40),
@@ -552,8 +574,8 @@ class TestBlockSir:
         ],
     )
     def test_worker_split_inside_a_block(self, monkeypatch, p, three_workers):
-        # 500 stations: 16-row blocks; two workers split the 37 rids at 19,
-        # three at 13 and 26
+        # 500 stations: 65-row blocks, so the 37 rids are one block, which two
+        # workers split at 19 and three at 13 and 26
         jobs = 3 if three_workers else 2
         monkeypatch.setattr(os, "cpu_count", lambda: jobs)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
@@ -598,18 +620,50 @@ class TestBlockSir:
             assert np.array_equal(bits(u), bits(eager_bs_draws(cfg, rid)[0]))
 
     def test_block_working_set_is_capped(self):
-        # the kernel's rows x stations stays within _SIR_CELLS (one row above it)
-        seen = []
+        # rows x stations stays within _SIR_CELLS, or is one row when a drop
+        # is larger, and only the last block of a run is short
         kernel = simulator._block_sir
+        for n_bs, n_real in ((50, 2000), (500, 150), (9000, 7), (40000, 2)):
+            seen = []
 
-        def spy(u, *args):
-            seen.append(u.shape)
-            return kernel(u, *args)
+            def spy(u, root, *args):
+                seen.append((u.shape, root.shape))
+                return kernel(u, root, *args)
 
-        with mock.patch.object(simulator, "_block_sir", spy):
-            run_simulation(P_FULL, SimConfig(n_bs_target=500, n_realizations=40))
-            run_simulation(P_FULL, SimConfig(n_bs_target=9000, n_realizations=2))
-        assert seen == [(16, 500), (16, 500), (8, 500), (1, 9000), (1, 9000)]
+            with mock.patch.object(simulator, "_block_sir", spy):
+                run_simulation(P_FULL, SimConfig(n_bs_target=n_bs, n_realizations=n_real))
+            full = max(1, simulator._SIR_CELLS // n_bs)
+            rows = [u_shape[0] for u_shape, _ in seen]
+            assert all(u_shape == root_shape and u_shape[1] == n_bs for u_shape, root_shape in seen)
+            assert sum(rows) == n_real
+            assert all(r * n_bs <= simulator._SIR_CELLS or r == 1 for r in rows)
+            assert rows[:-1] == [full] * (len(rows) - 1)
+            assert 1 <= rows[-1] <= full
+
+
+class TestKernelAgainstMpmath:
+    """The kernel's path gains and SIRs against 40-digit mpmath, a route that shares no code with it."""
+
+    @pytest.mark.parametrize("beta", [3.0, 4.0, 5.0])
+    def test_gains_and_sirs_within_1e15(self, beta):
+        p = NetworkParams(lambda_bs=1.0, beta=beta)
+        cfg = SimConfig(n_bs_target=500, n_realizations=100, seed=17)
+        sirs = run_simulation(p, cfg).sir_values
+        worst_gain = worst_sir = mpmath.mpf(0)
+        with mpmath.workdps(40):
+            half = mpmath.mpf(beta) / 2
+            for rid in range(cfg.n_realizations):
+                d = sample_deployment(p, cfg, rid)
+                gains = d.bs_u.copy()
+                simulator._path_gains(gains, np.empty_like(gains), beta)
+                exact = [mpmath.mpf(u) ** -half for u in d.bs_u.tolist()]
+                worst_gain = max(worst_gain, *(abs(g - e) / e for g, e in zip(gains.tolist(), exact)))
+                fading = mpmath.mpf(np.random.default_rng([cfg.seed, rid, 1]).exponential())
+                s = d.serving_index
+                want = fading * exact[s] / (mpmath.fsum(exact) - exact[s])
+                worst_sir = max(worst_sir, abs(sirs[rid] - want) / want)
+        assert worst_gain <= 1e-15
+        assert worst_sir <= 1e-15
 
 
 class TestEstimators:
