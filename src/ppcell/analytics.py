@@ -147,18 +147,20 @@ def pcov_general(gamma, p: NetworkParams, p_active: float = 1.0, kind: str = "ex
     """Coverage P(SINR > gamma) at every threshold, noise included.
 
     pcov() when p.sigma_n2 == 0, else the integral of the module docstring.
+    Where k or the noise term leaves the float range, at a vanishing
+    density, coverage above gamma = 0 takes its noise-limited limit 0.
     """
     if p.sigma_n2 == 0.0:
         return pcov(gamma, p.beta, kind, p_active)
     _check_p_active(p_active)
     gamma = np.asarray(gamma, dtype=float)
-    # the SINR is positive, so every user is covered at gamma = 0
     scale = p.p_tx * (math.pi * p.lambda_bs) ** (p.beta / 2.0)
     k = p.sigma_n2 * p.kappa / scale if scale > 0.0 else math.inf
+    # the SINR is positive, so every user is covered at gamma = 0
     if k == math.inf:  # a vanishing density: the noise-limited limit
         return np.where(gamma == 0.0, 1.0, 0.0)[()]
     a = 1.0 - p_active * bracket(p.beta, gamma, kind)
-    # a noise term past the float range is inf, and exp(-inf) = 0 is that limit
+    # a noise term past the float range is inf, and exp(-inf) = 0 is the limit
     with np.errstate(over="ignore"):
         return np.where(gamma == 0.0, 1.0, _coverage_integral(a, k * gamma, p.beta))[()]
 

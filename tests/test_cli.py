@@ -686,7 +686,6 @@ class TestSimulateCommand:
             csvs.append(out.read_bytes())
         assert csvs[1] == csvs[0]
 
-
     @pytest.mark.parametrize(
         "command,cfg",
         [
@@ -714,8 +713,8 @@ class TestSimulateCommand:
             assert [[r[k] for k in keep] for r in noisy] == [[r[k] for k in keep] for r in quiet]
         else:
             assert all(float(r["gamma"]) > 0.0 for r in noisy)
-            values = {k for r in noisy for k, v in r.items() if k.startswith("pcov")}
-            assert {r[k] for r in noisy for k in values} == {"0.0"}
+            columns = [k for k in noisy[0] if k.startswith("pcov")]
+            assert {r[k] for r in noisy for k in columns} == {"0.0"}
             assert [r["gamma"] for r in noisy] == [r["gamma"] for r in quiet]
 
 
