@@ -622,14 +622,15 @@ class TestBlockSir:
     def test_block_working_set_is_capped(self):
         # rows x stations stays within _SIR_CELLS, or is one row when a drop
         # is larger, and only the last block of a run is short
+        seen = []
         kernel = simulator._block_sir
+
+        def spy(u, root, *args):
+            seen.append((u.shape, root.shape))
+            return kernel(u, root, *args)
+
         for n_bs, n_real in ((50, 2000), (500, 150), (9000, 7), (40000, 2)):
-            seen = []
-
-            def spy(u, root, *args):
-                seen.append((u.shape, root.shape))
-                return kernel(u, root, *args)
-
+            seen.clear()
             with mock.patch.object(simulator, "_block_sir", spy):
                 run_simulation(P_FULL, SimConfig(n_bs_target=n_bs, n_realizations=n_real))
             full = max(1, simulator._SIR_CELLS // n_bs)
@@ -661,7 +662,7 @@ class TestKernelAgainstMpmath:
                 fading = mpmath.mpf(np.random.default_rng([cfg.seed, rid, 1]).exponential())
                 s = d.serving_index
                 want = fading * exact[s] / (mpmath.fsum(exact) - exact[s])
-                worst_sir = max(worst_sir, abs(sirs[rid] - want) / want)
+                worst_sir = max(worst_sir, abs(float(sirs[rid]) - want) / want)
         assert worst_gain <= 1e-15
         assert worst_sir <= 1e-15
 
