@@ -48,6 +48,9 @@ HARNESS_LIMITS = [
     "a recorder run of one commit against itself (BENCH_8_aa.json, seeds 8101-8110) read items_per_s "
     "-0.8% (mc-full) to -2.9% (curves) and curves op_p50_ms +3.0% on the change side, with no win count "
     "above 7/10; moves of that size are harness bias, not the change",
+    "mc-idle: with the code an idle simulate runs unchanged between the sides, BENCH_7.json read "
+    "items_per_s -4.4% (2/10 wins), op_p50_ms +3.6% and cpu_ms_per_item +5.0% on the change side, and "
+    "BENCH_6.json and its rerun -5.9% and -3.2%; a move of about 6% on mc-idle is not a change's effect",
     "single traced passes of one tree moved simulator.block_self_ms_per_op by 30% either way and read "
     "cli.self_ms_per_op as low as -8.4 ms; the per-layer numbers are the median of three traced passes "
     "per side with their range, and a move inside either side's range is not a change's effect",

@@ -313,7 +313,7 @@ def rate_closed_general(beta: float) -> RateResult:
     )
     t3 = (beta - 2.0) / quad_factor * math.log(cv + 1.0)
     tail = beta * cv ** (-d) / (2.0 * math.gamma(1.0 - d)) * hyp2f1(1.0, d, 1.0 + d, -1.0 / cv)
-    return RateResult(value=big_a * (t1 + t2 + t3) + tail, method=RateMethod.CLOSED_FORM_GENERAL)
+    return RateResult(value=float(big_a * (t1 + t2 + t3) + tail), method=RateMethod.CLOSED_FORM_GENERAL)
 
 
 def rate_actual(beta: float, lambda_ue: float, lambda_bs: float) -> RateResult:

@@ -15,11 +15,14 @@ Exp(1) serving-link gain. Interferers see plain path loss.
 
 run_simulation seeds those lanes a block of realizations at a time: the
 SeedSequence hashing that default_rng does per call is done for the whole
-block in numpy (_lane_states) and each PCG64 is built from its row, so the
-streams are still exactly the default_rng([seed, rid, lane]) ones. Every
-block checks the PCG64 state seeded from its first row against the one
-numpy seeds itself and raises RuntimeError on a difference, so a numpy
-change cannot alter the streams silently.
+block in numpy (_lane_states), and so is PCG64's seeding step, one 128-bit
+LCG step (_pcg_states). One PCG64 and one Generator per lane serve the
+whole run; per realization each PCG64's state and increment are written
+into its memory in place, so the streams are still exactly the
+default_rng([seed, rid, lane]) ones. Every block checks its first row's
+hash against numpy's SeedSequence and its first written PCG64 state
+against the one numpy seeds itself, and raises RuntimeError on a
+difference, so a numpy change cannot alter the streams silently.
 
 A Deployment keeps those polar draws. Station j lies at distance
 window_radius * sqrt(bs_u[j]) from the origin, so the SIR works from bs_u
@@ -54,6 +57,7 @@ so changes the last bits.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from collections.abc import Iterator
@@ -62,7 +66,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 from .analytics import RateMethod, RateResult
 from .mgf import NetworkParams
@@ -90,12 +93,17 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # realizations whose lane states are hashed together; bounds the state memory
 _LANE_BLOCK = 1024
 # every rid must coerce to one 32-bit word for the block hashing
 _MAX_REALIZATIONS = 2**32
 # stations per SIR block (rows x n_bs_target): 256 KB of path gains
 _SIR_CELLS = 32768
+# the largest mean Generator.poisson accepts (POISSON_LAM_MAX in numpy/random/_generator.pyx)
+_POISSON_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 # inactive_fraction_interior skips stations this many mean cell radii from the edge
 _EDGE_MARGIN = 1.5
 
@@ -169,19 +177,6 @@ class SirSampleSet:
         return self.rate_peak_samples / self.n_users_in_cell
 
 
-class _LaneSeed(ISeedSequence):
-    """A precomputed SeedSequence state row, handed to PCG64 as its seed."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: np.ndarray) -> None:
-        self._state = state
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        # PCG64 asks for exactly the row's four uint64 words
-        return self._state
-
-
 def _uint32_words(n: int) -> list[int]:
     """Little-endian 32-bit words of n >= 0, as SeedSequence coerces an int."""
     words = [n & _MASK32]
@@ -236,9 +231,10 @@ def _lane_states(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...]) ->
         value = value * np.uint32(hash_const)
         words[:, i] = value ^ (value >> np.uint32(16))
     states = words.astype("<u4").view("<u8").astype(np.uint64).reshape(len(lanes), n, 4)
-    # numpy's own seeding of the first rid, through SeedSequence and PCG64
+    # numpy's own hashing of the first rid
     for k, lane_id in enumerate(lanes):
-        if PCG64(_LaneSeed(states[k, 0])).state != PCG64([seed, rid_lo, lane_id]).state:
+        want = np.random.SeedSequence([seed, rid_lo, lane_id]).generate_state(4, np.uint64)
+        if not np.array_equal(states[k, 0], want):
             raise RuntimeError(
                 f"block lane seeding disagrees with numpy's SeedSequence at seed={seed}, rid={rid_lo}, "
                 f"lane={lane_id}; numpy {np.__version__} changed its seeding"
@@ -246,17 +242,102 @@ def _lane_states(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...]) ->
     return states
 
 
-def _lanes(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...] = (0, 1)) -> Iterator[list[Generator]]:
-    """For each rid in [rid_lo, rid_hi), the generators default_rng([seed, rid, lane]).
+def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a*b of uint64 arrays, by 32-bit halves."""
+    m32, s32 = np.uint64(_MASK32), np.uint64(32)
+    a0, a1, b0, b1 = a & m32, a >> s32, b & m32, b >> s32
+    cross = a1 * b0
+    mid = (a0 * b0 >> s32) + (cross & m32) + (a0 * b1 & m32)
+    return a1 * b1 + (cross >> s32) + (a0 * b1 >> s32) + (mid >> s32)
 
-    Bitwise the default_rng streams, seeded _LANE_BLOCK rids at a time; one
-    rid's generators are built only when it is reached.
+
+def _pcg_states(words: np.ndarray) -> np.ndarray:
+    """The (state, inc) PCG64 seeds from SeedSequence words, for a whole table.
+
+    The last axis of words holds generate_state(4, np.uint64) rows w0..w3.
+    PCG64 takes s = w0*2**64 + w1 and i = w2*2**64 + w3, sets inc = 2i + 1
+    and state = ((inc + s)*M + inc) mod 2**128 (pcg64_srandom_r's two LCG
+    steps from 0). Returns the words (state_lo, state_hi, inc_lo, inc_hi)
+    along the last axis, in uint64 arithmetic that wraps mod 2**64.
     """
+    one, s63 = np.uint64(1), np.uint64(63)
+    m_lo, m_hi = np.uint64(_PCG_MULT & _MASK64), np.uint64(_PCG_MULT >> 64)
+    s_hi, s_lo, i_hi, i_lo = np.moveaxis(words, -1, 0)
+    inc_lo = i_lo << one | one
+    inc_hi = i_hi << one | i_lo >> s63
+    a_lo = inc_lo + s_lo
+    a_hi = inc_hi + s_hi + (a_lo < inc_lo)
+    state_lo = a_lo * m_lo + inc_lo
+    state_hi = _mul_hi(a_lo, m_lo) + a_hi * m_lo + a_lo * m_hi + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=-1)
+
+
+def _word_order(memory: list[int], state: int, inc: int) -> list[int]:
+    """Which of (state_lo, state_hi, inc_lo, inc_hi) each word of a PCG64's memory holds.
+
+    memory is the four native uint64 words of a PCG64's (state, inc) and
+    state, inc the values its .state reports. The low word comes first
+    where the compiler has a 128-bit integer, the high word in numpy's
+    emulated pcg128_t; anything else raises RuntimeError.
+    """
+    words = [state & _MASK64, state >> 64, inc & _MASK64, inc >> 64]
+    for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
+        if [words[i] for i in order] == memory:
+            return order
+    raise RuntimeError(f"PCG64 keeps its state in an unknown layout under numpy {np.__version__}")
+
+
+def _pcg_memory(bit_generator: PCG64) -> tuple[memoryview, ctypes.c_uint64, list[int]]:
+    """Writable views of a numpy-seeded PCG64's seeding state, with its word order.
+
+    numpy's pcg64_state (at ctypes.state_address) is a pointer to the
+    32 bytes of (state, inc), then the int has_uint32 and the uint32
+    uinteger that buffer half of a 64-bit draw. Returns the 32 bytes as a
+    memoryview, the two flags as one c_uint64 (0 clears both, as PCG64
+    seeding does) and _word_order's order. One float32 draw buffers a half
+    first, so the flags' place is checked against .state too.
+    """
+    Generator(bit_generator).random(dtype=np.float32)
+    address = bit_generator.ctypes.state_address
+    words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
+    flags_address = address + ctypes.sizeof(ctypes.c_void_p)
+    st = bit_generator.state
+    if list((ctypes.c_uint32 * 2).from_address(flags_address)) != [st["has_uint32"], st["uinteger"]]:
+        raise RuntimeError(f"PCG64 keeps its buffered draw in an unknown layout under numpy {np.__version__}")
+    order = _word_order(list(words), st["state"]["state"], st["state"]["inc"])
+    return memoryview(words).cast("B"), ctypes.c_uint64.from_address(flags_address), order
+
+
+def _lanes(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...] = (0, 1)) -> Iterator[list[Generator]]:
+    """For each rid in [rid_lo, rid_hi), generators that draw default_rng([seed, rid, lane]).
+
+    One PCG64 and one Generator per lane serve the whole call, and every
+    step yields the same list: its generators are valid only until the
+    next step. Per rid, each PCG64's (state, inc) is overwritten in place
+    from a _pcg_states table computed _LANE_BLOCK rids at a time, and its
+    buffered half draw is cleared, which is all that PCG64 seeding sets.
+    After the first rid of each block every lane's full .state must equal
+    the PCG64([seed, rid, lane]) one numpy seeds, or RuntimeError is raised.
+    """
+    gens = [Generator(PCG64(0)) for _ in lanes]
+    views = [_pcg_memory(g.bit_generator) for g in gens]
     for lo in range(rid_lo, rid_hi, _LANE_BLOCK):
         hi = min(lo + _LANE_BLOCK, rid_hi)
-        states = _lane_states(seed, lo, hi, lanes)
-        for k in range(hi - lo):
-            yield [Generator(PCG64(_LaneSeed(row))) for row in states[:, k]]
+        states = _pcg_states(_lane_states(seed, lo, hi, lanes))
+        slots = [(words, flags, memoryview(np.ascontiguousarray(table[:, order])).cast("B"))
+                 for (words, flags, order), table in zip(views, states)]
+        for start in range(0, 32 * (hi - lo), 32):
+            for words, flags, rows in slots:
+                words[:] = rows[start : start + 32]
+                flags.value = 0
+            if start == 0:
+                for lane_id, g in zip(lanes, gens):
+                    if g.bit_generator.state != PCG64([seed, lo, lane_id]).state:
+                        raise RuntimeError(
+                            f"block PCG64 seeding disagrees with numpy's at seed={seed}, rid={lo}, "
+                            f"lane={lane_id}; numpy {np.__version__} changed PCG64"
+                        )
+            yield gens
 
 
 def _cartesian(u: np.ndarray, theta: np.ndarray, radius: float) -> np.ndarray:
@@ -267,6 +348,11 @@ def _cartesian(u: np.ndarray, theta: np.ndarray, radius: float) -> np.ndarray:
 def _window_radius(p: NetworkParams, cfg: SimConfig) -> float:
     """Disc radius that holds n_bs_target stations at density lambda_bs."""
     return math.sqrt(cfg.n_bs_target / (math.pi * p.lambda_bs))
+
+
+def _user_mean(p: NetworkParams, radius: float) -> float:
+    """Mean number of users on the window disc, lambda_ue * pi * R^2."""
+    return p.lambda_ue * math.pi * radius * radius
 
 
 def sample_deployment(p: NetworkParams, cfg: SimConfig, rid: int) -> Deployment:
@@ -282,7 +368,7 @@ def _draw_deployment(p: NetworkParams, cfg: SimConfig, rng: Generator, bs_u: np.
     radius = _window_radius(p, cfg)
     bs_u = rng.random(cfg.n_bs_target, out=bs_u)
     bs_theta = 2.0 * math.pi * rng.random(cfg.n_bs_target)
-    n_ue = int(rng.poisson(p.lambda_ue * math.pi * radius * radius))
+    n_ue = int(rng.poisson(_user_mean(p, radius)))
     ue_u = rng.random(n_ue)
     ue_theta = 2.0 * math.pi * rng.random(n_ue)
     return Deployment(
@@ -456,6 +542,12 @@ def run_simulation(
         raise ValueError("idle mode needs lambda_ue > 0, otherwise every interferer sleeps")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
+    if _user_mean(p, _window_radius(p, cfg)) > _POISSON_MAX:
+        mean = p.lambda_ue / p.lambda_bs * cfg.n_bs_target
+        raise ValueError(
+            f"the mean user count lambda_ue / lambda_bs * n_bs_target = {mean:.3g} is past numpy's "
+            f"Poisson limit {_POISSON_MAX:.3g}; raise lambda_bs or lower lambda_ue or n_bs_target"
+        )
     n = cfg.n_realizations
     jobs = min(jobs, n, os.cpu_count() or 1)
     if jobs == 1:

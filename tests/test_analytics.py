@@ -37,6 +37,7 @@ from ppcell.mgf import (
     taylor_bracket,
     upper_bracket,
 )
+from ppcell.simulator import SirSampleSet, estimate_rates
 
 PA_RATIO_1 = 0.585051349019134  # active probability at lambda_ue = lambda_bs
 
@@ -420,6 +421,24 @@ class TestRateResult:
             RateResult(value=1.0, method=RateMethod.QUADRATURE, stderr=-0.1)
         with pytest.raises(ValueError):
             RateResult(value=-1.0, method=RateMethod.QUADRATURE)
+
+    def test_values_are_plain_floats(self):
+        singular = (11.0 + math.sqrt(41.0)) / 4.0
+        samples = SirSampleSet(
+            sir_values=np.linspace(0.5, 5.0, 100), n_users_in_cell=np.full(100, 2), n_active_bs=np.full(100, 50)
+        )
+        results = [
+            rate_closed_general(3.0),
+            rate_closed_general(singular),
+            rate_quadrature(3.0),
+            *rate_quadrature(3.0, [0.5, 1.0]),
+            rate_actual(4.0, 1.0, 1.0),
+            rate_actual(4.0, 1e-12, 1.0),
+            *estimate_rates(samples),
+        ]
+        assert [type(r.value) for r in results] == [float] * len(results)
+        assert results[0].method is RateMethod.CLOSED_FORM_GENERAL
+        assert results[1].method is RateMethod.QUADRATURE
 
     def test_method_labels(self):
         assert RateMethod.CLOSED_FORM_GENERAL.value == "ClosedFormGeneral"

@@ -686,6 +686,19 @@ class TestSimulateCommand:
             csvs.append(out.read_bytes())
         assert csvs[1] == csvs[0]
 
+    def test_user_mean_past_the_poisson_limit_is_a_config_error(self, tmp_path, capsys):
+        # 1.27e-6 / 1e-300 * 64 users on average: numpy's Poisson draw takes at most about 9.2e18
+        path = write_cfg(
+            tmp_path,
+            "[network]\nlambda_bs = 1e-300\nlambda_ue = 1.27e-6\n[sim]\nidle_mode = true\nn_bs_target = 64\n"
+            "n_realizations = 5\n",
+        )
+        assert main(["simulate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: the mean user count lambda_ue / lambda_bs * n_bs_target = 8.13e+295")
+        assert "Poisson limit 9.22e+18" in captured.err
+
     @pytest.mark.parametrize(
         "command,cfg",
         [

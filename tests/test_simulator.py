@@ -402,6 +402,7 @@ class TestWorkerCap:
         assert np.array_equal(s.sir_values, run_simulation(P_FULL, small_cfg(10)).sir_values)
 
 
+WORDS = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3]), st.integers(0, 2**96))
 
 
@@ -423,15 +424,72 @@ class TestLaneStates:
                 want = np.random.SeedSequence([seed, rid, lane]).generate_state(4, np.uint64)
                 assert np.array_equal(states[lane, k], want)
 
-    @pytest.mark.parametrize("seed", [0, 4242424242, 2**70 + 3])
-    def test_lanes_are_default_rng_streams(self, seed):
+    @pytest.mark.parametrize(
+        "seed,lanes",
+        # both lanes, as run_simulation takes them, and lane 0 alone, as validation's KS check does
+        [pytest.param(seed, (0, 1), id=str(seed)) for seed in (0, 4242424242, 2**70 + 3)]
+        + [pytest.param(seed, (0,), id=f"{seed}-lane0") for seed in (0, 2**70 + 3)],
+    )
+    def test_lanes_are_default_rng_streams(self, seed, lanes):
         # crosses a block boundary, so the second block's states are used too
         lo, hi = simulator._LANE_BLOCK - 2, simulator._LANE_BLOCK + 2
-        for rid, gens in enumerate(simulator._lanes(seed, lo, hi), lo):
-            for lane, gen in enumerate(gens):
+        for rid, gens in enumerate(simulator._lanes(seed, lo, hi, lanes), lo):
+            assert len(gens) == len(lanes)
+            for lane, gen in zip(lanes, gens):
                 ref = np.random.default_rng([seed, rid, lane])
                 assert np.array_equal(gen.random(5), ref.random(5))
                 assert gen.exponential() == ref.exponential()
+
+    def test_lanes_reuse_their_generators(self):
+        # every step hands out the same objects, reseeded in place; a
+        # buffered 32-bit half draw does not leak into the next rid
+        steps = simulator._lanes(5, 0, 3)
+        first = next(steps)
+        ids = [id(g) for g in first]
+        first[0].random(dtype=np.float32)
+        for rid, gens in enumerate(steps, 1):
+            assert [id(g) for g in gens] == ids
+            for lane, gen in enumerate(gens):
+                assert gen.bit_generator.state == np.random.PCG64([5, rid, lane]).state
+                assert gen.random(dtype=np.float32) == np.random.default_rng([5, rid, lane]).random(dtype=np.float32)
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.lists(WORDS, min_size=4, max_size=4), min_size=1, max_size=8))
+    def test_pcg_states_are_the_seeding_formula(self, words):
+        table = simulator._pcg_states(np.array(words, dtype=np.uint64))
+        for w, row in zip(words, table.tolist()):
+            s, i = w[0] << 64 | w[1], w[2] << 64 | w[3]
+            inc = (2 * i + 1) % 2**128
+            state = ((inc + s) * simulator._PCG_MULT + inc) % 2**128
+            assert row == [state % 2**64, state >> 64, inc % 2**64, inc >> 64]
+
+    def test_pcg_states_are_numpy_seeding(self):
+        states = simulator._pcg_states(simulator._lane_states(11, 0, 64, (0, 1)))
+        for lane in (0, 1):
+            for rid in range(64):
+                want = np.random.PCG64([11, rid, lane]).state["state"]
+                lo_s, hi_s, lo_i, hi_i = states[lane, rid].tolist()
+                assert (hi_s << 64 | lo_s, hi_i << 64 | lo_i) == (want["state"], want["inc"])
+
+    def test_guard_catches_a_changed_multiplier(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_PCG_MULT", simulator._PCG_MULT ^ 2)
+        with pytest.raises(RuntimeError, match="PCG64"):
+            run_simulation(P_FULL, small_cfg(3))
+
+    def test_guard_catches_a_wrong_word_order(self, monkeypatch):
+        # the other build's order: high word first where this build has a 128-bit integer
+        true_order = simulator._word_order
+        swapped = {(0, 1, 2, 3): [1, 0, 3, 2], (1, 0, 3, 2): [0, 1, 2, 3]}
+        monkeypatch.setattr(simulator, "_word_order", lambda *args: swapped[tuple(true_order(*args))])
+        with pytest.raises(RuntimeError, match="PCG64"):
+            run_simulation(P_FULL, small_cfg(3))
+
+    def test_word_order(self):
+        state, inc = 3 << 64 | 5, 7 << 64 | 9
+        assert simulator._word_order([5, 3, 9, 7], state, inc) == [0, 1, 2, 3]
+        assert simulator._word_order([3, 5, 7, 9], state, inc) == [1, 0, 3, 2]
+        with pytest.raises(RuntimeError, match="layout"):
+            simulator._word_order([5, 3, 7, 9], state, inc)
 
     def test_last_one_word_rid(self):
         states = simulator._lane_states(7, 2**32 - 1, 2**32, (1,))
