@@ -696,8 +696,10 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("config error: the mean user count lambda_ue / lambda_bs * n_bs_target = 8.13e+295")
-        assert "Poisson limit 9.22e+18" in captured.err
+        assert captured.err == (
+            "config error: the mean user count lambda_ue / lambda_bs * n_bs_target = 8.13e+295 is past numpy's "
+            "Poisson limit 9.22e+18; raise lambda_bs or lower lambda_ue or n_bs_target\n"
+        )
 
     @pytest.mark.parametrize(
         "command,cfg",
