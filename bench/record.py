@@ -54,6 +54,10 @@ HARNESS_LIMITS = [
     "single traced passes of one tree moved simulator.block_self_ms_per_op by 30% either way and read "
     "cli.self_ms_per_op as low as -8.4 ms; the per-layer numbers are the median of three traced passes "
     "per side with their range, and a move inside either side's range is not a change's effect",
+    "setup_s times a fresh `import ppcell.cli` plus solve_c at beta 3, 4 and 5, the same code on every "
+    "workload; since scipy.special loads on first use, curves commands load it at their first bracket and "
+    "idle simulate through scipy.spatial, so a setup_s drop on curves or mc-idle is not a per-call gain: "
+    "bench/startup.py times whole fresh-process commands",
 ]
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .mgf import (
     NetworkParams,
@@ -296,6 +295,8 @@ def rate_closed_general(beta: float) -> RateResult:
     around that root the quadrature value is substituted instead, which the
     method field of the result reports.
     """
+    from scipy.special import hyp2f1
+
     _check_beta(beta)
     if abs(beta - _SINGULAR_BETA) < _SINGULAR_HALFWIDTH:
         return rate_quadrature(beta, 1.0, "two_piece")

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
-from scipy.special import gammainc, hyp2f1, zeta
 
 __all__ = [
     "IntersectionConstant",
@@ -49,11 +48,8 @@ _C_MAX_STEPS = 60
 _C_STEP_ULPS = 4.0
 # Below t = 1 - 2/beta = _NEAR_TWO_T (beta < 2.22) the residual's terms
 # -2c/(beta-2) and c^d Gamma(1-d) nearly cancel, so _bracket_gap takes their
-# sum from the series of ln Gamma(1 + t): -euler_gamma t + sum_{k>=2}
-# (-1)^k zeta(k) t^k / k (DLMF §5.7). Its coefficients, highest power
-# first; the first omitted term is below 1e-19 of the sum there.
+# sum from the series of ln Gamma(1 + t) (see _lgamma1p_coefs).
 _NEAR_TWO_T = 0.1
-_LGAMMA1P_COEFS = tuple(float((-1) ** k * zeta(k) / k) for k in range(19, 1, -1)) + (-float(np.euler_gamma),)
 
 
 class NonConvergenceError(ArithmeticError):
@@ -165,7 +161,11 @@ def bracket(beta: float, x, kind: str = "exact") -> float | np.ndarray:
     if np.any(x < 0.0):
         raise ValueError(f"bracket arguments must be nonnegative, got {x}")
     d = 2.0 / beta
+    # scipy.special is imported on first use: solve_c for beta >= 2.22 and
+    # the Monte Carlo need only math and numpy, so they never load it
     if kind == "exact":
+        from scipy.special import gammainc
+
         return 1.0 - (np.exp(-x) + x**d * gammainc(1.0 - d, x) * math.gamma(1.0 - d))
     if kind == "two_piece":
         c = solve_c(beta).c_exact
@@ -174,8 +174,23 @@ def bracket(beta: float, x, kind: str = "exact") -> float | np.ndarray:
         lower = taylor_bracket(beta, np.minimum(x, c), 2)
         return np.where(x <= c, lower, upper_bracket(beta, np.maximum(x, c)))[()]
     if kind == "rayleigh":
+        from scipy.special import hyp2f1
+
         return -(2.0 * x / (beta - 2.0)) * hyp2f1(1.0, 1.0 - d, 2.0 - d, -x)
     raise ValueError(f"bracket kind must be 'exact', 'two_piece' or 'rayleigh', got {kind!r}")
+
+
+@cache
+def _lgamma1p_coefs() -> tuple[float, ...]:
+    """Coefficients of ln Gamma(1 + t) / t, highest power first, built on first use.
+
+    The series is -euler_gamma t + sum_{k>=2} (-1)^k zeta(k) t^k / k
+    (DLMF §5.7); below t = _NEAR_TWO_T the first omitted term is below 1e-19
+    of the sum.
+    """
+    from scipy.special import zeta
+
+    return tuple(float((-1) ** k * zeta(k) / k) for k in range(19, 1, -1)) + (-float(np.euler_gamma),)
 
 
 def _near_two_terms(beta: float, c: float) -> tuple[float, float]:
@@ -186,7 +201,7 @@ def _near_two_terms(beta: float, c: float) -> tuple[float, float]:
     t = (beta - 2.0) / beta
     # ln Gamma(1 + t) / t by Horner's rule
     lgamma1p_t = 0.0
-    for coef in _LGAMMA1P_COEFS:
+    for coef in _lgamma1p_coefs():
         lgamma1p_t = lgamma1p_t * t + coef
     return t, math.expm1(t * (lgamma1p_t - math.log(c))) / t
 

@@ -355,8 +355,19 @@ def _user_mean(p: NetworkParams, radius: float) -> float:
     return p.lambda_ue * math.pi * radius * radius
 
 
+def _check_user_mean(p: NetworkParams, cfg: SimConfig) -> None:
+    """Refuse a mean user count that numpy's Poisson draw would reject, naming the inputs."""
+    if _user_mean(p, _window_radius(p, cfg)) > _POISSON_MAX:
+        mean = p.lambda_ue / p.lambda_bs * cfg.n_bs_target
+        raise ValueError(
+            f"the mean user count lambda_ue / lambda_bs * n_bs_target = {mean:.3g} is past numpy's "
+            f"Poisson limit {_POISSON_MAX:.3g}; raise lambda_bs or lower lambda_ue or n_bs_target"
+        )
+
+
 def sample_deployment(p: NetworkParams, cfg: SimConfig, rid: int) -> Deployment:
     """Draw geometry for realization rid (lane 0 of the seed tree)."""
+    _check_user_mean(p, cfg)
     return _draw_deployment(p, cfg, np.random.default_rng([cfg.seed, rid, 0]))
 
 
@@ -542,12 +553,7 @@ def run_simulation(
         raise ValueError("idle mode needs lambda_ue > 0, otherwise every interferer sleeps")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if _user_mean(p, _window_radius(p, cfg)) > _POISSON_MAX:
-        mean = p.lambda_ue / p.lambda_bs * cfg.n_bs_target
-        raise ValueError(
-            f"the mean user count lambda_ue / lambda_bs * n_bs_target = {mean:.3g} is past numpy's "
-            f"Poisson limit {_POISSON_MAX:.3g}; raise lambda_bs or lower lambda_ue or n_bs_target"
-        )
+    _check_user_mean(p, cfg)
     n = cfg.n_realizations
     jobs = min(jobs, n, os.cpu_count() or 1)
     if jobs == 1:

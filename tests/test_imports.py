@@ -1,10 +1,13 @@
 """Cold start: what `import ppcell.cli` and the commands after it load.
 
 Each case runs in a fresh interpreter, because this one has long since
-imported whatever the other tests needed. The analytic subcommands, noisy
-coverage included, must run on numpy and scipy.special alone;
-scipy.optimize, scipy.integrate and scipy.spatial cost every CLI invocation
-several hundred ms to import, and no library module imports scipy.integrate.
+imported whatever the other tests needed. The import, solve_c at beta >= 2.22
+and a full-load simulate load no scipy at all: scipy.special is imported at
+the first analytic bracket, scipy.spatial at the first user attachment. The
+analytic subcommands, noisy coverage included, load no scipy subpackage but
+scipy.special; scipy.optimize, scipy.integrate and scipy.spatial cost every
+CLI invocation several hundred ms to import, and no library module imports
+scipy.integrate.
 """
 
 import ast
@@ -42,6 +45,7 @@ IDLE_SIMULATE = (
     "simulate",
     "[network]\nlambda_ue = 1.27e-6\n[sim]\nn_bs_target = 64\nn_realizations = 5\nidle_mode = true\n",
 )
+FULL_SIMULATE = ("simulate", "[sim]\nn_bs_target = 64\nn_realizations = 200\n")
 
 CLI_SCRIPT = """
 import json, sys
@@ -49,9 +53,16 @@ heavy = tuple(json.loads(sys.argv[1]))
 def loaded():
     return sorted(m for m in sys.modules if m.startswith(heavy))
 import ppcell.cli
-after_import = loaded()
-codes = {name: ppcell.cli.main(argv) for name, argv in json.loads(sys.argv[2]).items()}
-print(json.dumps({"codes": codes, "after_import": after_import, "after_runs": loaded()}))
+seen = {"import": loaded()}
+from ppcell.mgf import solve_c
+for beta in (3.0, 4.0, 5.0):
+    solve_c(beta)
+seen["solve_c"] = loaded()
+codes = {}
+for name, argv in json.loads(sys.argv[2]).items():
+    codes[name] = ppcell.cli.main(argv)
+    seen[name] = loaded()
+print(json.dumps({"codes": codes, "loaded": seen}))
 """
 
 POOL_SCRIPT = """
@@ -93,17 +104,17 @@ def run_fresh(script: str, *args: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_cli(tmp_path, runs: dict) -> dict:
-    """`main` for each (command, config) after `import ppcell.cli`, in a fresh interpreter.
+def run_cli(tmp_path, runs: dict, watched: tuple[str, ...] = HEAVY) -> dict:
+    """`main` for each (command, config) in turn, in a fresh interpreter.
 
-    Returns the exit codes and the heavy scipy subpackages loaded right after
-    the import and after all the runs.
+    Returns the exit codes and, under "loaded", the watched modules loaded
+    after the import, after solve_c at beta 3, 4 and 5, and after each run.
     """
     argvs = {}
     for name, (command, text) in runs.items():
         (tmp_path / f"{name}.ini").write_text(text)
         argvs[name] = [command, "--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / f"{name}.csv")]
-    return run_fresh(CLI_SCRIPT, json.dumps(HEAVY), json.dumps(argvs))
+    return run_fresh(CLI_SCRIPT, json.dumps(watched), json.dumps(argvs))
 
 
 def test_analytic_commands_load_no_heavy_scipy(tmp_path):
@@ -111,16 +122,25 @@ def test_analytic_commands_load_no_heavy_scipy(tmp_path):
     assert seen["codes"] == {name: 0 for name in ANALYTIC_RUNS}
     for name in ANALYTIC_RUNS:
         assert (tmp_path / f"{name}.csv").read_text().count("\n") >= 2, name
-    assert seen["after_import"] == []
-    assert seen["after_runs"] == []
+    assert all(mods == [] for mods in seen["loaded"].values())
 
 
 def test_idle_simulate_loads_the_kd_tree(tmp_path):
     # the guard above is not vacuous: attachment does pull scipy.spatial in
     seen = run_cli(tmp_path, {"idle": IDLE_SIMULATE})
     assert seen["codes"] == {"idle": 0}
-    assert seen["after_import"] == []
-    assert "scipy.spatial" in seen["after_runs"]
+    assert seen["loaded"]["solve_c"] == []
+    assert "scipy.spatial" in seen["loaded"]["idle"]
+
+
+def test_full_load_simulate_loads_no_scipy(tmp_path):
+    # the import, solve_c and a full-load run need only math and numpy; the
+    # coverage run after them shows the guard is not vacuous
+    seen = run_cli(tmp_path, {"full": FULL_SIMULATE, "coverage": ANALYTIC_RUNS["coverage"]}, watched=("scipy",))
+    assert seen["codes"] == {"full": 0, "coverage": 0}
+    assert (tmp_path / "full.csv").read_text().count("\n") == 201
+    assert seen["loaded"]["import"] == seen["loaded"]["solve_c"] == seen["loaded"]["full"] == []
+    assert "scipy.special" in seen["loaded"]["coverage"]
 
 
 def test_pool_after_lazy_kd_tree_import():

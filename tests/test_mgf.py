@@ -22,6 +22,7 @@ from ppcell.mgf import (
     _NEAR_TWO_T,
     _bracket_gap,
     _bracket_gap_slope,
+    _lgamma1p_coefs,
     bracket,
     exponent_prefactor,
     mgf,
@@ -253,6 +254,25 @@ class TestSolveCNearTwo:
         switch = 2.0 / (1.0 - _NEAR_TWO_T)
         for beta in (switch - 1e-9, switch + 1e-9, np.nextafter(2.0, 3.0)):
             assert math.isclose(solve_c(float(beta)).c_exact, mpmath_c(float(beta)), rel_tol=1e-12), beta
+
+    # roots on the series branch from when the series table was built at import
+    PINNED = {2.05: "0x1.2f9663e2f2314p+0", 2.1: "0x1.30e5263d4c6ccp+0", 2.2: "0x1.3352229896b46p+0"}
+
+    @pytest.mark.parametrize("beta", sorted(PINNED))
+    def test_pinned_roots(self, beta):
+        assert solve_c(beta).c_exact == float.fromhex(self.PINNED[beta])
+
+    def test_series_table(self):
+        # (-1)^k zeta(k)/k for k = 19 down to 2, then -euler_gamma: bitwise
+        # scipy's values, and each within an ulp of a 30-digit evaluation
+        from scipy.special import zeta
+
+        coefs = _lgamma1p_coefs()
+        assert coefs == tuple(float((-1) ** k * zeta(k) / k) for k in range(19, 1, -1)) + (-float(np.euler_gamma),)
+        with mpmath.workdps(30):
+            exact = [(-1) ** k * mpmath.zeta(k) / k for k in range(19, 1, -1)] + [-mpmath.euler]
+        for got, want in zip(coefs, exact, strict=True):
+            assert abs(got - float(want)) <= math.ulp(got), got
 
 
 class TestBrackets:

@@ -91,6 +91,17 @@ class TestDeployment:
         b = sample_deployment(P_FULL, small_cfg(5), 1)
         assert not np.array_equal(a.bs_positions, b.bs_positions)
 
+    @pytest.mark.parametrize("draw", ["sample_deployment", "run_simulation"])
+    def test_user_mean_past_the_poisson_limit(self, draw):
+        # 1.27e-6 / 1e-300 * 64 users on average; numpy's Poisson draw takes at most about 9.2e18
+        p = NetworkParams(lambda_bs=1e-300, beta=4.0, lambda_ue=1.27e-6)
+        message = r"lambda_ue / lambda_bs \* n_bs_target = 8\.13e\+295 is past numpy's Poisson limit"
+        with pytest.raises(ValueError, match=message):
+            if draw == "sample_deployment":
+                sample_deployment(p, small_cfg(1), 0)
+            else:
+                run_simulation(p, small_cfg(1), idle_mode=True)
+
 
 def cartesian_reference(p: NetworkParams, cfg: SimConfig, rid: int, idle: bool) -> dict:
     """One realization the Cartesian way: positions, norms, brute-force attachment.
