@@ -139,73 +139,55 @@ def parse_config(path: str) -> dict[str, dict[str, str]]:
     return out
 
 
-def _get_float(cfg: dict, section: str, key: str, default: float) -> float:
+def _get(cfg: dict, section: str, key: str, default, parse: Callable[[str], object], what: str):
+    """parse(value) of section.key, or default when the config leaves it out.
+
+    A ValueError from parse is a config error saying the value must be what.
+    """
     raw = cfg.get(section, {}).get(key)
     if raw is None:
         return default
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key} must be a number, got {raw!r}")
+        raise ConfigError(f"{section}.{key} must be {what}, got {raw!r}")
 
 
-def _get_int(cfg: dict, section: str, key: str, default: int) -> int:
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}")
-
-
-def _get_bool(cfg: dict, section: str, key: str, default: bool) -> bool:
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        return default
+def _bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{section}.{key} must be a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
-def _get_list(cfg: dict, section: str, key: str) -> tuple[float, ...] | None:
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        return None
-    parts = [t for t in raw.replace(",", " ").split() if t]
-    try:
-        return tuple(float(t) for t in parts)
-    except ValueError:
-        raise ConfigError(f"{section}.{key} must be a list of numbers, got {raw!r}")
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in raw.replace(",", " ").split())
 
 
 def _network_from_config(cfg: dict, default_lambda: float = _LAMBDA_REF) -> NetworkParams:
+    # keys parse in this fixed order, so a config with two bad values names
+    # the same one first on every run; NetworkParams supplies the defaults
+    # but of the kind's lambda_bs and beta 4
+    given = cfg.get("network", {})
+    values = {key: _get(cfg, "network", key, None, float, "a number")
+              for key in ("lambda_bs", "lambda_ue", "beta", "kappa", "p_tx", "sigma_n2") if key in given}
     try:
-        return NetworkParams(
-            lambda_bs=_get_float(cfg, "network", "lambda_bs", default_lambda),
-            lambda_ue=_get_float(cfg, "network", "lambda_ue", 0.0),
-            beta=_get_float(cfg, "network", "beta", 4.0),
-            kappa=_get_float(cfg, "network", "kappa", 1.0),
-            p_tx=_get_float(cfg, "network", "p_tx", 1.0),
-            sigma_n2=_get_float(cfg, "network", "sigma_n2", 0.0),
-        )
+        return NetworkParams(**{"lambda_bs": default_lambda, "beta": 4.0, **values})
     except ValueError as exc:
         raise ConfigError(f"network: {exc}")
 
 
 def _sim_from_config(cfg: dict, seed_override: int | None) -> SimConfig:
-    seed = _get_int(cfg, "sim", "seed", 0)
+    # SimConfig supplies the defaults; a bad sim.seed is refused even under --seed
+    given = cfg.get("sim", {})
+    values = {key: _get(cfg, "sim", key, None, int, "an integer")
+              for key in ("seed", "n_bs_target", "n_realizations") if key in given}
     if seed_override is not None:
-        seed = seed_override
+        values["seed"] = seed_override
     try:
-        return SimConfig(
-            n_bs_target=_get_int(cfg, "sim", "n_bs_target", 500),
-            n_realizations=_get_int(cfg, "sim", "n_realizations", 10000),
-            seed=seed,
-        )
+        return SimConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}")
 
@@ -215,9 +197,9 @@ def _gamma_grid(cfg: dict, force_db: bool) -> tuple[float, ...]:
     unit = cfg.get("grid", {}).get("gamma_unit", "db").strip().lower()
     if unit not in ("db", "linear"):
         raise ConfigError(f"grid.gamma_unit must be 'db' or 'linear', got {unit!r}")
-    start = _get_float(cfg, "grid", "gamma_start", -10.0)
-    stop = _get_float(cfg, "grid", "gamma_stop", 30.0)
-    step = _get_float(cfg, "grid", "gamma_step", 1.0)
+    start = _get(cfg, "grid", "gamma_start", -10.0, float, "a number")
+    stop = _get(cfg, "grid", "gamma_stop", 30.0, float, "a number")
+    step = _get(cfg, "grid", "gamma_step", 1.0, float, "a number")
     if step <= 0.0:
         raise ConfigError(f"grid.gamma_step must be positive, got {step}")
     if stop < start:
@@ -234,7 +216,7 @@ def _gamma_grid(cfg: dict, force_db: bool) -> tuple[float, ...]:
 
 
 def _beta_axis(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
-    betas = _get_list(cfg, "grid", "betas")
+    betas = _get(cfg, "grid", "betas", None, _floats, "a list of numbers")
     ranged = sorted((_BETA_KEYS - {"betas"}) & set(cfg.get("grid", {})))
     if betas is not None:
         if ranged:
@@ -242,9 +224,9 @@ def _beta_axis(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
             raise ConfigError(f"grid.betas lists the betas; {keys} would be ignored, set one or the other")
         return betas
     if ranged:
-        start = _get_float(cfg, "grid", "beta_start", 2.5)
-        stop = _get_float(cfg, "grid", "beta_stop", 5.0)
-        step = _get_float(cfg, "grid", "beta_step", 0.125)
+        start = _get(cfg, "grid", "beta_start", 2.5, float, "a number")
+        stop = _get(cfg, "grid", "beta_stop", 5.0, float, "a number")
+        step = _get(cfg, "grid", "beta_step", 0.125, float, "a number")
         if step <= 0.0:
             raise ConfigError(f"grid.beta_step must be positive, got {step}")
         return tuple(float(v) for v in np.arange(start, stop + step / 2.0, step))
@@ -275,17 +257,16 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     row = _KINDS[kind]
     output = args.out if args.out else cfg.get("experiment", {}).get("output")
     sim = _sim_from_config(cfg, args.seed)
-    idle_mode = _get_bool(cfg, "sim", "idle_mode", False)
-    with_mc = _get_bool(cfg, "sim", "with_mc", False)
+    idle_mode = _get(cfg, "sim", "idle_mode", False, _bool, "a boolean")
+    with_mc = _get(cfg, "sim", "with_mc", False, _bool, "a boolean")
     params = _network_from_config(cfg, row.lambda_bs)
     grid: tuple[float, ...] = ()
     if "gamma" in row.reads:
         grid = _gamma_grid(cfg, args.db)
     if "x" in row.reads:
-        grid = _get_list(cfg, "grid", "x_values")
-        if grid is None:
-            grid = tuple(float(v) for v in np.arange(0.0, 20.001, 0.25))
-    ratios = (_get_list(cfg, "grid", "ratios") or _RATIO_GRID) if "ratios" in row.reads else ()
+        default = tuple(float(v) for v in np.arange(0.0, 20.001, 0.25))
+        grid = _get(cfg, "grid", "x_values", default, _floats, "a list of numbers")
+    ratios = (_get(cfg, "grid", "ratios", None, _floats, "a list of numbers") or _RATIO_GRID) if "ratios" in row.reads else ()
     spec = ExperimentSpec(
         kind=kind, params=params, sim=sim, output_path=output, grid=grid,
         betas=_beta_axis(cfg, row.betas(params)) if row.betas else (),

@@ -31,11 +31,13 @@ on first use, for user attachment. With no users the block SIR below
 builds no Deployment and draws no station angles: they are the geometry
 lane's last draw, so skipping them changes no other draw.
 
-Block SIR: _block_sir computes the SIR of one row or of a block of rows,
-in place. Each rid fills row k of a (rows, n_bs_target) matrix with its
-station radii (attaching its users when lambda_ue > 0, and marking in a
-mask of the same shape every station idle mode puts to sleep) and draws
-its serving gain; the block then takes each row's serving column by
+Block SIR: _block_sir computes the SIRs of a (B, n_bs_target) block of
+rows in place, one realization per row. Each rid fills its row with its
+station radii and draws its serving gain. With users it also counts, with
+one bincount of its users' nearest stations plus the tagged user, every
+station's load: the serving station's entry is the serving-cell load, and
+in idle mode the zero entries mark, in a mask of the block's shape, the
+stations that sleep. The block then takes each row's serving column by
 argmin. The path-loss constants cancel, SINR = g u_s^(-beta/2) / (sum over
 the other active stations of u_i^(-beta/2) + sigma_n2 kappa R^beta / p_tx),
 so the kernel turns the block into path gains u^(-beta/2), reads the
@@ -49,8 +51,8 @@ slower on inf. A block holds at most _SIR_CELLS stations (256 KB of
 gains, and as much sqrt scratch), or one row when a drop is larger. numpy
 sums each C-contiguous row with the same pairwise summation as the 1-D sum
 of that row, and every other step is elementwise, so each SIR is bitwise
-the one the realization gets alone, through sample_sir on a copy of its
-draws, and the same for any jobs count. np.add.reduceat would sum ragged
+the one the realization gets alone, through sample_sir's one-row block on
+a copy of its draws, and the same for any jobs count. np.add.reduceat would sum ragged
 rows in one call, but it adds each segment sequentially, not pairwise, and
 so changes the last bits.
 """
@@ -96,6 +98,8 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 2**64 - 1
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# the generator lanes of every realization: 0 draws the geometry, 1 the fading
+_LANES = (0, 1)
 # realizations whose lane states are hashed together; bounds the state memory
 _LANE_BLOCK = 1024
 # every rid must coerce to one 32-bit word for the block hashing
@@ -187,18 +191,18 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _lane_states(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...]) -> np.ndarray:
+def _lane_states(seed: int, rid_lo: int, rid_hi: int) -> np.ndarray:
     """SeedSequence([seed, rid, lane]).generate_state(4, np.uint64) for a block.
 
-    Returns shape (len(lanes), rid_hi - rid_lo, 4). The hash constants
+    Returns shape (len(_LANES), rid_hi - rid_lo, 4). The hash constants
     evolve the same way for every entropy of one length, so the rows are
     hashed side by side as uint32 arrays; rids must be below 2**32.
     """
     if not 0 <= rid_lo < rid_hi <= _MAX_REALIZATIONS:
         raise ValueError(f"rids must lie in [0, 2**32), got [{rid_lo}, {rid_hi})")
     n = rid_hi - rid_lo
-    rid = np.tile(np.arange(rid_lo, rid_hi, dtype=np.uint32), len(lanes))
-    lane = np.repeat(np.asarray(lanes, dtype=np.uint32), n)
+    rid = np.tile(np.arange(rid_lo, rid_hi, dtype=np.uint32), len(_LANES))
+    lane = np.repeat(np.asarray(_LANES, dtype=np.uint32), n)
     entropy = [np.full(rid.size, w, dtype=np.uint32) for w in _uint32_words(seed)] + [rid, lane]
     hash_const = _INIT_A
 
@@ -230,9 +234,9 @@ def _lane_states(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...]) ->
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         words[:, i] = value ^ (value >> np.uint32(16))
-    states = words.astype("<u4").view("<u8").astype(np.uint64).reshape(len(lanes), n, 4)
+    states = words.astype("<u4").view("<u8").astype(np.uint64).reshape(len(_LANES), n, 4)
     # numpy's own hashing of the first rid
-    for k, lane_id in enumerate(lanes):
+    for k, lane_id in enumerate(_LANES):
         want = np.random.SeedSequence([seed, rid_lo, lane_id]).generate_state(4, np.uint64)
         if not np.array_equal(states[k, 0], want):
             raise RuntimeError(
@@ -308,8 +312,8 @@ def _pcg_memory(bit_generator: PCG64) -> tuple[memoryview, ctypes.c_uint64, list
     return memoryview(words).cast("B"), ctypes.c_uint64.from_address(flags_address), order
 
 
-def _lanes(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...] = (0, 1)) -> Iterator[list[Generator]]:
-    """For each rid in [rid_lo, rid_hi), generators that draw default_rng([seed, rid, lane]).
+def _lanes(seed: int, rid_lo: int, rid_hi: int) -> Iterator[list[Generator]]:
+    """For each rid in [rid_lo, rid_hi), one generator per lane of _LANES, drawing default_rng([seed, rid, lane]).
 
     One PCG64 and one Generator per lane serve the whole call, and every
     step yields the same list: its generators are valid only until the
@@ -319,11 +323,11 @@ def _lanes(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...] = (0, 1))
     After the first rid of each block every lane's full .state must equal
     the PCG64([seed, rid, lane]) one numpy seeds, or RuntimeError is raised.
     """
-    gens = [Generator(PCG64(0)) for _ in lanes]
+    gens = [Generator(PCG64(0)) for _ in _LANES]
     views = [_pcg_memory(g.bit_generator) for g in gens]
     for lo in range(rid_lo, rid_hi, _LANE_BLOCK):
         hi = min(lo + _LANE_BLOCK, rid_hi)
-        states = _pcg_states(_lane_states(seed, lo, hi, lanes))
+        states = _pcg_states(_lane_states(seed, lo, hi))
         slots = [(words, flags, memoryview(np.ascontiguousarray(table[:, order])).cast("B"))
                  for (words, flags, order), table in zip(views, states)]
         for start in range(0, 32 * (hi - lo), 32):
@@ -331,7 +335,7 @@ def _lanes(seed: int, rid_lo: int, rid_hi: int, lanes: tuple[int, ...] = (0, 1))
                 words[:] = rows[start : start + 32]
                 flags.value = 0
             if start == 0:
-                for lane_id, g in zip(lanes, gens):
+                for lane_id, g in zip(_LANES, gens):
                     if g.bit_generator.state != PCG64([seed, lo, lane_id]).state:
                         raise RuntimeError(
                             f"block PCG64 seeding disagrees with numpy's at seed={seed}, rid={lo}, "
@@ -404,19 +408,16 @@ def _ue_assignments(d: Deployment) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
-def _cell_load(d: Deployment, assignments: np.ndarray) -> int:
-    """Users in the serving cell, the tagged user included."""
-    return int(np.count_nonzero(assignments == d.serving_index)) + 1
+def _station_loads(d: Deployment) -> np.ndarray:
+    """Users attached to each base station, the tagged user counted at the serving one."""
+    loads = np.bincount(_ue_assignments(d), minlength=d.bs_u.size)
+    loads[d.serving_index] += 1
+    return loads
 
 
-def apply_idle_mode(d: Deployment, assignments: np.ndarray | None = None) -> Deployment:
+def apply_idle_mode(d: Deployment) -> Deployment:
     """Switch off base stations with no attached user; the serving one stays on."""
-    if assignments is None:
-        assignments = _ue_assignments(d)
-    mask = np.zeros(d.bs_u.size, dtype=bool)
-    mask[assignments] = True
-    mask[d.serving_index] = True
-    return replace(d, active_mask=mask)
+    return replace(d, active_mask=_station_loads(d) > 0)
 
 
 def _noise(p: NetworkParams, radius: float) -> float:
@@ -458,32 +459,30 @@ def _path_gains(u: np.ndarray, root: np.ndarray, beta: float) -> None:
 def _block_sir(
     u: np.ndarray,
     root: np.ndarray,
-    serving: tuple,
+    serving: np.ndarray,
     asleep: np.ndarray | None,
     gains: float | np.ndarray,
     noise: float,
     beta: float,
-) -> float | np.ndarray:
-    """SIR (SINR when noise > 0) at the origin for one row or a block of rows.
+) -> np.ndarray:
+    """SIR (SINR when noise > 0) at the origin for each row of a block.
 
-    u holds station draws bs_u, shape (N,) for one row or (B, N) for a
-    block, and is overwritten; root is scratch of the same shape. serving
-    indexes u at each row's serving station: (column,) for one row, (rows,
-    columns) for a block. asleep masks the stations idle mode switched off
-    (None: all are on). gains are the serving-link Exp(1) gains, one per
-    row; interferers carry no fading. noise is _noise(p, R). The path-loss
-    constants cancel: SINR = g u_s^(-beta/2) / (sum of the other active
-    u_i^(-beta/2) + noise). Rows with nothing interfering and no noise get
-    inf. Returns a float for one row, B values for a block.
+    u holds the station draws bs_u of B realizations, shape (B, N), and is
+    overwritten; root is scratch of the same shape. serving holds each
+    row's serving column, shape (B,). asleep masks the stations idle mode
+    switched off, shape (B, N) (None: all are on). gains are the rows'
+    serving-link Exp(1) gains; interferers carry no fading. noise is
+    _noise(p, R). The path-loss constants cancel: SINR = g u_s^(-beta/2) /
+    (sum of the other active u_i^(-beta/2) + noise). Rows with nothing
+    interfering and no noise get inf. Returns the B values.
     """
     _path_gains(u, root, beta)
-    signal = gains * u[serving]
-    u[serving] = 0.0
+    cells = (np.arange(serving.size), serving)
+    signal = gains * u[cells]
+    u[cells] = 0.0
     if asleep is not None:
         u[asleep] = 0.0
     denom = np.add.reduce(u, axis=-1) + noise
-    if u.ndim == 1:
-        return math.inf if denom == 0.0 else float(signal / denom)
     sir = np.full_like(denom, math.inf)
     return np.divide(signal, denom, out=sir, where=denom != 0.0)
 
@@ -492,14 +491,15 @@ def sample_sir(d: Deployment, p: NetworkParams, cfg: SimConfig, rng: np.random.G
     """SIR (or SINR when sigma_n2 > 0) at the origin for one deployment.
 
     Draws the serving gain from rng (one exponential()) and runs _block_sir
-    as one row, on a copy of d.bs_u. cfg is no longer read; it stays in the
-    signature for the callers that pass it. Returns inf when nothing
-    interferes and there is no noise; callers count that as covered and
-    keep it out of rate averages.
+    on a one-row block copied from d.bs_u. cfg is not read. Returns inf
+    when nothing interferes and there is no noise; callers count that as
+    covered and keep it out of rate averages.
     """
-    u = d.bs_u.copy()
+    u = d.bs_u[None].copy()
+    serving = np.array([d.serving_index])
     noise = _noise(p, d.window_radius)
-    return _block_sir(u, np.empty_like(u), (d.serving_index,), ~d.active_mask, rng.exponential(), noise, p.beta)
+    sir = _block_sir(u, np.empty_like(u), serving, ~d.active_mask[None], rng.exponential(), noise, p.beta)
+    return float(sir[0])
 
 
 def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tuple[np.ndarray, ...]:
@@ -522,19 +522,17 @@ def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tu
         for k, (geometry, fading) in zip(range(b), lanes):
             if p.lambda_ue > 0.0:
                 d = _draw_deployment(p, cfg, geometry, u[k])
-                assignments = _ue_assignments(d)
-                users[lo + k] = _cell_load(d, assignments)
+                loads = _station_loads(d)
+                users[lo + k] = loads[d.serving_index]
                 if idle_mode:
-                    awake = apply_idle_mode(d, assignments).active_mask
-                    active[lo + k] = np.count_nonzero(awake)
-                    np.logical_not(awake, out=asleep[k])
+                    active[lo + k] = np.count_nonzero(loads)
+                    np.equal(loads, 0, out=asleep[k])
             else:
                 geometry.random(out=u[k])
             # bitwise exponential(), which only scales by 1.0, and cheaper
             gains[k] = fading.standard_exponential()
-        serving = (np.arange(b), np.argmin(u[:b], axis=1))
         sleeping = asleep[:b] if idle_mode else None
-        sirs[lo : lo + b] = _block_sir(u[:b], root[:b], serving, sleeping, gains[:b], noise, p.beta)
+        sirs[lo : lo + b] = _block_sir(u[:b], root[:b], np.argmin(u[:b], axis=1), sleeping, gains[:b], noise, p.beta)
     return sirs, users, active
 
 
@@ -561,7 +559,7 @@ def run_simulation(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        if idle_mode or p.lambda_ue > 0.0:
+        if p.lambda_ue > 0.0:
             # attachment needs the kd-tree; loaded once here, the forked
             # workers inherit it instead of each importing it again
             import scipy.spatial  # noqa: F401
@@ -610,19 +608,15 @@ def estimate_rates(samples: SirSampleSet) -> tuple[RateResult, RateResult]:
             value=math.inf, method=RateMethod.MONTE_CARLO, stderr=0.0, no_interference=True
         )
         return sentinel, sentinel
-    peak = samples.rate_peak_samples[finite]
-    actual = samples.rate_actual_samples[finite]
-    peak_res = RateResult(
-        value=float(np.mean(peak)),
-        method=RateMethod.MONTE_CARLO,
-        stderr=float(np.std(peak, ddof=1) / math.sqrt(n_fin)) if n_fin > 1 else 0.0,
+    peak, actual = (
+        RateResult(
+            value=float(np.mean(rates)),
+            method=RateMethod.MONTE_CARLO,
+            stderr=float(np.std(rates, ddof=1) / math.sqrt(n_fin)) if n_fin > 1 else 0.0,
+        )
+        for rates in (samples.rate_peak_samples[finite], samples.rate_actual_samples[finite])
     )
-    actual_res = RateResult(
-        value=float(np.mean(actual)),
-        method=RateMethod.MONTE_CARLO,
-        stderr=float(np.std(actual, ddof=1) / math.sqrt(n_fin)) if n_fin > 1 else 0.0,
-    )
-    return peak_res, actual_res
+    return peak, actual
 
 
 def inactive_fraction_interior(d: Deployment, p: NetworkParams) -> float:

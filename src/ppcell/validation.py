@@ -316,7 +316,7 @@ def check_property_suite(seed: int = 0, jobs: int = 1, quick: bool = False) -> t
     # Deployment.bs_positions builds every station's, so this route stays
     # independent of the radial shortcut the SIR takes
     polar = np.empty((n_ks, 2))
-    for rid, (geometry,) in enumerate(_lanes(cfg.seed, 0, n_ks, lanes=(0,))):
+    for rid, (geometry, _) in enumerate(_lanes(cfg.seed, 0, n_ks)):
         d = _draw_deployment(pk, cfg, geometry)
         polar[rid] = d.bs_u[d.serving_index], d.bs_theta[d.serving_index]
     b = _cartesian(polar[:, 0], polar[:, 1], d.window_radius)

@@ -101,6 +101,38 @@ class TestConfigParsing:
         assert main(["coverage", "--config", path]) == 2
         assert "lambda_bs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,text,line",
+        [
+            ("mgf", "[network]\nkappa = abc\n", "network.kappa must be a number, got 'abc'"),
+            ("simulate", "[sim]\nn_realizations = 1e3\n", "sim.n_realizations must be an integer, got '1e3'"),
+            ("load-curves", "[sim]\nwith_mc = maybe\n", "sim.with_mc must be a boolean, got 'maybe'"),
+            ("rate", "[grid]\nbetas = 3 x\n", "grid.betas must be a list of numbers, got '3 x'"),
+        ],
+        ids=["number", "integer", "boolean", "list"],
+    )
+    def test_bad_value_error_line(self, tmp_path, capsys, command, text, line):
+        assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {line}\n"
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_first_bad_value_is_the_same_in_every_process(self, tmp_path, hash_seed):
+        # network keys parse in a fixed order, not the config's and not a
+        # set's, whose order changes with the hash seed
+        path = write_cfg(tmp_path, "[network]\nkappa = abc\nlambda_ue = many\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppcell.cli", "rate", "--config", path],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "config error: network.lambda_ue must be a number, got 'many'\n"
+
     @pytest.mark.parametrize("command", ["rate", "coverage", "mgf"])
     def test_beta_list_and_range_refused_together(self, tmp_path, capsys, command):
         path = write_cfg(tmp_path, "[grid]\nbetas = 3 4\nbeta_start = 2.5\nbeta_step = 0.5\n")

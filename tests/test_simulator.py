@@ -428,7 +428,7 @@ class TestLaneStates:
     )
     def test_states_are_seed_sequence_states(self, seed, rid_lo, n):
         rid_hi = min(rid_lo + n, 2**32)
-        states = simulator._lane_states(seed, rid_lo, rid_hi, (0, 1))
+        states = simulator._lane_states(seed, rid_lo, rid_hi)
         assert states.shape == (2, rid_hi - rid_lo, 4)
         for lane in (0, 1):
             for k, rid in enumerate(range(rid_lo, rid_hi)):
@@ -437,16 +437,17 @@ class TestLaneStates:
 
     @pytest.mark.parametrize(
         "seed,lanes",
-        # both lanes, as run_simulation takes them, and lane 0 alone, as validation's KS check does
+        # both lanes drawn, as run_simulation draws them, and lane 0 alone, as validation's KS check does
         [pytest.param(seed, (0, 1), id=str(seed)) for seed in (0, 4242424242, 2**70 + 3)]
         + [pytest.param(seed, (0,), id=f"{seed}-lane0") for seed in (0, 2**70 + 3)],
     )
     def test_lanes_are_default_rng_streams(self, seed, lanes):
         # crosses a block boundary, so the second block's states are used too
         lo, hi = simulator._LANE_BLOCK - 2, simulator._LANE_BLOCK + 2
-        for rid, gens in enumerate(simulator._lanes(seed, lo, hi, lanes), lo):
-            assert len(gens) == len(lanes)
-            for lane, gen in zip(lanes, gens):
+        for rid, gens in enumerate(simulator._lanes(seed, lo, hi), lo):
+            assert len(gens) == len(simulator._LANES)
+            for lane in lanes:
+                gen = gens[lane]
                 ref = np.random.default_rng([seed, rid, lane])
                 assert np.array_equal(gen.random(5), ref.random(5))
                 assert gen.exponential() == ref.exponential()
@@ -496,17 +497,17 @@ class TestLaneStates:
             simulator._word_order([5, 3, 7, 9], state, inc)
 
     def test_last_one_word_rid(self):
-        states = simulator._lane_states(7, 2**32 - 1, 2**32, (1,))
+        states = simulator._lane_states(7, 2**32 - 1, 2**32)
         want = np.random.SeedSequence([7, 2**32 - 1, 1]).generate_state(4, np.uint64)
-        assert np.array_equal(states[0, 0], want)
+        assert np.array_equal(states[1, 0], want)
         with pytest.raises(ValueError):
-            simulator._lane_states(7, 2**32 - 1, 2**32 + 1, (0,))
+            simulator._lane_states(7, 2**32 - 1, 2**32 + 1)
 
     @pytest.mark.parametrize("constant", ["_INIT_A", "_MULT_B", "_MIX_MULT_R"])
     def test_guard_catches_a_changed_constant(self, monkeypatch, constant):
         monkeypatch.setattr(simulator, constant, getattr(simulator, constant) ^ 1)
         with pytest.raises(RuntimeError, match="SeedSequence"):
-            simulator._lane_states(0, 0, 4, (0, 1))
+            simulator._lane_states(0, 0, 4)
         with pytest.raises(RuntimeError, match="SeedSequence"):
             run_simulation(P_FULL, small_cfg(3))
 
@@ -534,7 +535,7 @@ class TestDeferredAngles:
     def test_block_route_matches(self):
         cfg = SimConfig(n_bs_target=64, n_realizations=1, seed=3)
         for p in (P_FULL, P_LOADED):
-            for rid, (geometry,) in enumerate(simulator._lanes(cfg.seed, 10, 14, lanes=(0,)), 10):
+            for rid, (geometry, _) in enumerate(simulator._lanes(cfg.seed, 10, 14), 10):
                 d = simulator._draw_deployment(p, cfg, geometry)
                 u, theta = eager_bs_draws(cfg, rid)
                 assert np.array_equal(d.bs_u, u)

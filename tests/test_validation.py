@@ -2,6 +2,7 @@
 
 Each reference walks its grid one point at a time and keeps the first
 strict maximum; the array check must print the same message byte for byte.
+The property suite's path-loss KS value is pinned as well.
 """
 
 import math
@@ -10,7 +11,7 @@ import numpy as np
 
 from ppcell.analytics import pcov
 from ppcell.mgf import NetworkParams, mgf, solve_c
-from ppcell.validation import _BETA_GRID, check_coverage_overlap, check_mgf_tightness
+from ppcell.validation import _BETA_GRID, check_coverage_overlap, check_mgf_tightness, run_check
 
 
 def test_mgf_tightness_matches_scalar_scan():
@@ -41,3 +42,10 @@ def test_coverage_overlap_matches_scalar_scan():
                 worst, worst_at = diff, (beta, float(gdb))
     want = f"max |pcov_approx - pcov_exact| = {worst:.4f} at beta={worst_at[0]:g}, gamma={worst_at[1]:g} dB (gate 0.02)"
     assert check_coverage_overlap() == (True, want)
+
+
+def test_property_suite_ks_value():
+    # the KS loop reads only lane 0 of the two seeded lanes; lane 1 draws nothing
+    result = run_check("property-suite", seed=0, quick=True)
+    assert result.passed
+    assert "path-loss KS 0.0057 over 20000 samples" in result.message
