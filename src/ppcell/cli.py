@@ -169,7 +169,7 @@ def _floats(raw: str) -> tuple[float, ...]:
 def _network_from_config(cfg: dict, default_lambda: float = _LAMBDA_REF) -> NetworkParams:
     # keys parse in this fixed order, so a config with two bad values names
     # the same one first on every run; NetworkParams supplies the defaults
-    # but of the kind's lambda_bs and beta 4
+    # except the kind's lambda_bs and beta 4
     given = cfg.get("network", {})
     values = {key: _get(cfg, "network", key, None, float, "a number")
               for key in ("lambda_bs", "lambda_ue", "beta", "kappa", "p_tx", "sigma_n2") if key in given}
