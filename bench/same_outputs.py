@@ -6,10 +6,13 @@ The change is the committed tree at HEAD, the parent the commit named by
 --base; each is exported with `git archive` as bench/record.py does. Every
 case of a fixed matrix runs as one fresh interpreter per side, from its own
 empty working directory, with the same config file and argv on both sides.
-The matrix covers every subcommand; `simulate` at full load, in idle mode,
-with users but no idle mode and with noise, at --jobs 1 and 2; curves with
-their Monte Carlo columns; configs with bad values; and `validate --quick
---seed 0`, whose per-check times are stripped before the comparison. Prints
+The matrix covers every subcommand; the argument parser's texts (each
+subcommand's --help, top-level --help, no arguments, an unknown command or
+option, a bad --seed, an abbreviated option and a missing option value);
+`simulate` at full load, in idle mode, with users but no idle mode and with
+noise, at --jobs 1 and 2; curves with their Monte Carlo columns; configs
+with bad values; and `validate --quick --seed 0`, whose per-check times are
+stripped before the comparison. Prints
 per case whether the exit code, stdout, stderr and --out file bytes are
 identical, and exits 1 on any difference.
 """
@@ -30,11 +33,18 @@ OUT = "out.csv"
 SIM = "[sim]\nn_realizations = 300\n"
 USERS = "[network]\nlambda_ue = 5.5118e-6\n"
 NOISE = "[network]\nsigma_n2 = 1e-9\n"
+COMMANDS = ("coverage", "rate", "load-curves", "mgf", "simulate", "validate")
 
 # (name, argv, config text or "" for none); argv gets --config when there is a config
 CASES = [
     ("no-arguments", [], ""),
-    ("rate-help", ["rate", "--help"], ""),
+    ("top-help", ["--help"], ""),
+    *((f"{name}-help", [name, "--help"], "") for name in COMMANDS),
+    ("unknown-command", ["bogus"], ""),
+    ("unknown-option", ["rate", "--db"], ""),
+    ("bad-seed-option", ["simulate", "--seed", "x"], ""),
+    ("abbreviation", ["mgf", "--o", OUT, "--se", "4"], ""),
+    ("missing-value", ["coverage", "--out"], ""),
     ("coverage", ["coverage", "--out", OUT], ""),
     ("coverage-noise-db", ["coverage", "--db", "--out", OUT],
      NOISE + "[grid]\ngamma_unit = linear\ngamma_start = -10\ngamma_stop = 20\ngamma_step = 5\n"),

@@ -64,8 +64,9 @@ _W_MIN = 1e-12
 # reported absolute quadrature error beyond this is treated as failure
 _QUAD_ERR_LIMIT = 1e-8
 
-# rate rule: Gauss-Legendre nodes on [-1, 1], computed once, placed on equal
-# panels in v = log w no wider than _PANEL_WIDTH. The coverage pole nearest
+# rate rule: Gauss-Legendre nodes on [-1, 1], computed once; _rules, the one
+# rule builder, places them on equal panels in v = log w no wider than
+# _PANEL_WIDTH, all four rules of a rate in one pass. The coverage pole nearest
 # the origin, at w ~ -(beta-2)/(2 p_active), sits at Im v = pi in v, so the
 # panels converge geometrically even for beta near 2, where a few linear
 # panels on [0, c] do not.
@@ -173,9 +174,9 @@ def _coverage_integral(a: np.ndarray, noise: np.ndarray, beta: float) -> np.ndar
     lo = math.log(_T_MIN)
     span = np.log(_T_EFOLDS / a) - lo
     n = math.ceil(float(np.max(span)))
+    nodes, weights = _rules((0.0, 0.0), (1.0, 1.0), (n, 2 * n))
     sums = []
-    for m in (n, 2 * n):
-        s, w = _panels(0.0, 1.0, m)
+    for s, w in zip(*(np.split(x, [n * _GL_NODES.size]) for x in (nodes, weights))):
         # the nodes of [0, 1] stretched over each entry's span; dt = t dv
         t = np.exp(lo + span[..., None] * s)
         sums.append(span * ((t * np.exp(-a[..., None] * t - noise[..., None] * t ** (beta / 2.0))) @ w))
@@ -214,11 +215,15 @@ def _w_max(beta: float, p_active: float) -> float:
     return (1.0 / (_TAIL_BUDGET * p_active * math.gamma(1.0 - d) * d)) ** (1.0 / d)
 
 
-def _panels(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # nodes and weights of n equal Gauss-Legendre panels covering [lo, hi]
-    half = 0.5 * (hi - lo) / n
-    mids = lo + half * np.arange(1.0, 2.0 * n, 2.0)
-    return (mids[:, None] + half * _GL_NODES).ravel(), np.tile(half * _GL_WEIGHTS, n)
+def _rules(lo, hi, n) -> tuple[np.ndarray, np.ndarray]:
+    # nodes and weights of one Gauss-Legendre rule per entry, end to end: rule i puts n[i]
+    # equal panels on [lo[i], hi[i]], panel j at midpoint lo + half*(2j+1), half = (hi - lo)/(2n)
+    n = np.asarray(n)
+    half = 0.5 * (np.asarray(hi, dtype=float) - lo) / n
+    odd = 2.0 * (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)) + 1.0
+    halves = np.repeat(half, n)
+    mids = np.repeat(lo, n) + halves * odd
+    return (mids[:, None] + halves[:, None] * _GL_NODES).ravel(), (halves[:, None] * _GL_WEIGHTS).ravel()
 
 
 def _rate_integral(beta: float, p_active: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -232,18 +237,15 @@ def _rate_integral(beta: float, p_active: np.ndarray, kind: str) -> tuple[np.nda
     sum is the value and the coarse-fine gap, plus the mass cut off below
     w_min and beyond W, the reported error bound.
     """
-    v_c = math.log(solve_c(beta).c_exact)
-    v_max = math.log(_w_max(beta, float(p_active.min())))
-    rules = []
-    for lo, hi in ((math.log(_W_MIN), v_c), (v_c, v_max)):
-        n = math.ceil((hi - lo) / _PANEL_WIDTH)
-        rules += [_panels(lo, hi, n), _panels(lo, hi, 2 * n)]
-    v = np.concatenate([nodes for nodes, _ in rules])
+    edges = (math.log(_W_MIN), math.log(solve_c(beta).c_exact), math.log(_w_max(beta, float(p_active.min()))))
+    lo, hi = np.repeat(edges[:2], 2), np.repeat(edges[1:], 2)
+    n = np.ceil((hi - lo) / _PANEL_WIDTH).astype(int) * (1, 2, 1, 2)
+    v, q = _rules(lo, hi, n)
     w = np.exp(v)
     b = bracket(beta, w, kind)
     # Pcov(w)/(1+w) dw = Pcov(w)/(1+1/w) dv
-    f = np.concatenate([q for _, q in rules]) / ((1.0 - p_active[:, None] * b) * (1.0 + 1.0 / w))
-    starts = np.cumsum([0] + [nodes.size for nodes, _ in rules[:-1]])
+    f = q / ((1.0 - p_active[:, None] * b) * (1.0 + 1.0 / w))
+    starts = (np.cumsum(n) - n) * _GL_NODES.size
     low_coarse, low, high_coarse, high = np.add.reduceat(f, starts, axis=1).T
     err = np.abs(low - low_coarse) + np.abs(high - high_coarse) + _TAIL_BUDGET + _W_MIN
     worst = float(err.max())

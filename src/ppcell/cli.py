@@ -529,13 +529,25 @@ def run_experiment(spec: ExperimentSpec) -> int:
     return code
 
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The CLI parser; with only the named subparser when argv[0] names one.
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """The options of subcommand name, on its subparser or on its own parser."""
+    parser.add_argument("--config", help="experiment config file (INI syntax, strict keys)")
+    parser.add_argument("--seed", type=int, help="override the simulation seed")
+    parser.add_argument("--out", help="output CSV path (default: stdout)")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel simulation workers")
+    if any("gamma" in row.reads for row in _KINDS.values() if row.command == name):
+        parser.add_argument("--db", action="store_true", help="interpret the gamma grid in dB")
+    if name == "validate":
+        parser.add_argument(
+            "--quick", action="store_true",
+            help="smaller Monte Carlo sizes (smoke run, minutes to seconds)",
+        )
 
-    Building all six takes about 1 ms, as long as the maths of a typical
-    analytic call, so a call builds only the one it runs. Help, usage and error texts are the same either way:
-    the top-level usage names every subcommand, and the subparsers keep
-    the prefix "ppcell" that the default usage would give them.
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser: the top-level usage and all six subparsers.
+
+    Each subparser has the prog "ppcell <name>" of its own parser in _parse_args, so their texts agree.
     """
     parser = argparse.ArgumentParser(
         prog="ppcell",
@@ -546,26 +558,31 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, prog="ppcell")
-    commands = {argv[0]: _COMMANDS[argv[0]]} if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name, help_text in commands.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="experiment config file (INI syntax, strict keys)")
-        sp.add_argument("--seed", type=int, help="override the simulation seed")
-        sp.add_argument("--out", help="output CSV path (default: stdout)")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel simulation workers")
-        if any("gamma" in row.reads for row in _KINDS.values() if row.command == name):
-            sp.add_argument("--db", action="store_true", help="interpret the gamma grid in dB")
-        if name == "validate":
-            sp.add_argument(
-                "--quick", action="store_true",
-                help="smaller Monte Carlo sizes (smoke run, minutes to seconds)",
-            )
+    for name, help_text in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed as _build_parser() would, by the named subcommand's own parser where it can.
+
+    The full parser takes about 1 ms to build, as long as the maths of an analytic call. It is
+    built only when argv names no subcommand or the own parser leaves arguments over, and then
+    parses argv again to print its usage, help or error.
+    """
+    if argv and argv[0] in _COMMANDS:
+        own = argparse.ArgumentParser(prog=f"ppcell {argv[0]}")
+        _add_arguments(own, argv[0])
+        args, rest = own.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return run_experiment(_spec_from_args(args))
     except (ConfigError, ValueError) as exc:

@@ -390,6 +390,105 @@ class TestRatePeakPartialLoad:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+class TestBitwisePins:
+    """Rate and noisy-coverage values pinned bit for bit, as float.hex literals.
+
+    The comparisons with scipy's quad above allow tolerances, so a change of
+    the last bits of a node, weight or sum would pass them unseen; these
+    pins catch it. They hold for this rule and for the numpy and scipy
+    builds whose exp, log and gammainc produced them.
+    """
+
+    GAMMAS = (0.1, 1.0, 10.0)
+    VECTOR = (1e-3, 0.3, 1.0)
+    # (kind, beta) -> (value, stderr) at p_active 1, then one pair per VECTOR entry
+    RATE_PINS = {
+        ("exact", 2.05): [
+            ("0x1.86161088f9636p-4", "0x1.bc33e67dc7563p-34"),
+            ("0x1.b62a81e42301dp+1", "0x1.bc3583fdc7563p-34"),
+            ("0x1.d2b4a6fc688dcp-3", "0x1.bc33ebfdc7563p-34"),
+            ("0x1.8616108fd6d8fp-4", "0x1.bc33e47dc7563p-34"),
+        ],
+        ("exact", 3.0): [
+            ("0x1.a8b2c8ada16aep-1", "0x1.bc34f3fdc7563p-34"),
+            ("0x1.1cca859a86e54p+3", "0x1.bc34e3fdc7563p-34"),
+            ("0x1.9a17d05b0820bp+0", "0x1.bc5e83fdc7563p-34"),
+            ("0x1.a8b2c8ae7d199p-1", "0x1.bc3fb3fdc7563p-34"),
+        ],
+        ("exact", 4.35): [
+            ("0x1.93e063dd30b74p+0", "0x1.bc5b03fdc7563p-34"),
+            ("0x1.beb608df7e6b8p+3", "0x1.bc35e3fdc7563p-34"),
+            ("0x1.75afc1205cfd8p+1", "0x1.bc50e3fdc7563p-34"),
+            ("0x1.93e063dd9e8eap+0", "0x1.bc5163fdc7563p-34"),
+        ],
+        ("exact", 5.0): [
+            ("0x1.eab6892830854p+0", "0x1.bc7983fdc7563p-34"),
+            ("0x1.04ad471cf782bp+4", "0x1.bc3503fdc7563p-34"),
+            ("0x1.c1e678f4b814bp+1", "0x1.bce6a3fdc7563p-34"),
+            ("0x1.eab689289e5c6p+0", "0x1.bcab83fdc7563p-34"),
+        ],
+        ("two_piece", 2.05): [
+            ("0x1.862f38faa4c36p-4", "0x1.bc33ecfdc7563p-34"),
+            ("0x1.b62be7195de43p+1", "0x1.bc3483fdc7563p-34"),
+            ("0x1.d2d8ed9861338p-3", "0x1.bc33f3fdc7563p-34"),
+            ("0x1.862f390182390p-4", "0x1.bc33ed7dc7563p-34"),
+        ],
+        ("two_piece", 3.0): [
+            ("0x1.aa5179ed49ba5p-1", "0x1.bc3433fdc7563p-34"),
+            ("0x1.1ccac919342b2p+3", "0x1.bc3523fdc7563p-34"),
+            ("0x1.9af44496bff79p+0", "0x1.bc34e3fdc7563p-34"),
+            ("0x1.aa5179ee25690p-1", "0x1.bc3443fdc7563p-34"),
+        ],
+        ("two_piece", 4.35): [
+            ("0x1.95699225638cfp+0", "0x1.bc3403fdc7563p-34"),
+            ("0x1.beb6378b6c1b4p+3", "0x1.bc3403fdc7563p-34"),
+            ("0x1.76334a3d901d2p+1", "0x1.bc3463fdc7563p-34"),
+            ("0x1.95699225d1644p+0", "0x1.bc3403fdc7563p-34"),
+        ],
+        ("two_piece", 5.0): [
+            ("0x1.ec61ecb40e98bp+0", "0x1.bc34c3fdc7563p-34"),
+            ("0x1.04ad5b6e77da8p+4", "0x1.bc3723fdc7563p-34"),
+            ("0x1.c2655d2905f20p+1", "0x1.bc34e3fdc7563p-34"),
+            ("0x1.ec61ecb47c701p+0", "0x1.bc34c3fdc7563p-34"),
+        ],
+    }
+    # inside the singular window: the two-piece quadrature value
+    CLOSED_4_35 = ("0x1.95699225638cfp+0", "0x1.bc3403fdc7563p-34")
+    # (kind, beta, p_active) -> coverage at GAMMAS, lambda_bs 1e-5, sigma_n2 1e-9
+    NOISY_PINS = {
+        ("exact", 3.0, 1.0): ["0x1.ab4b6e4a02343p-1", "0x1.6e60c7e89f8d8p-2", "0x1.48d6f632e70e2p-4"],
+        ("exact", 3.0, 0.3): ["0x1.e305281d22c3ap-1", "0x1.4bc7669257ac3p-1", "0x1.ca92b6a2582bcp-3"],
+        ("exact", 4.0, 1.0): ["0x1.9ae26b3a3e90cp-1", "0x1.94de0bd64a2eap-2", "0x1.07c631f08cb0bp-3"],
+        ("exact", 4.0, 0.3): ["0x1.b082bccb4cdddp-1", "0x1.f5f506b4a3e11p-2", "0x1.8764ea96b127fp-3"],
+        ("two_piece", 3.0, 1.0): ["0x1.ab4fb3b5e6e4ap-1", "0x1.73bfba6d0758ep-2", "0x1.48d6fabb70da0p-4"],
+        ("two_piece", 3.0, 0.3): ["0x1.e306cb3e3c3ccp-1", "0x1.4e66a19c26e0ap-1", "0x1.ca92bbe8446a0p-3"],
+        ("two_piece", 4.0, 1.0): ["0x1.9ae4ee148c0b0p-1", "0x1.98a8d34c39fe3p-2", "0x1.07c6359ca4ff3p-3"],
+        ("two_piece", 4.0, 0.3): ["0x1.b08390cc42469p-1", "0x1.f799654a716d8p-2", "0x1.8764ecbf42d6ap-3"],
+    }
+
+    @staticmethod
+    def hexes(results) -> list[tuple[str, str]]:
+        return [(r.value.hex(), r.stderr.hex()) for r in results]
+
+    @pytest.mark.parametrize("case", list(RATE_PINS), ids=lambda case: f"{case[0]}-{case[1]}")
+    def test_rate_quadrature(self, case):
+        kind, beta = case
+        got = self.hexes([rate_quadrature(beta, 1.0, kind), *rate_quadrature(beta, list(self.VECTOR), kind)])
+        assert got == self.RATE_PINS[case]
+
+    def test_rate_closed_general_fallback(self):
+        r = rate_closed_general(4.35)
+        assert r.method is RateMethod.QUADRATURE
+        assert self.hexes([r]) == [self.CLOSED_4_35]
+
+    @pytest.mark.parametrize("case", list(NOISY_PINS), ids=lambda case: "-".join(map(str, case)))
+    def test_noisy_pcov_general(self, case):
+        kind, beta, p_active = case
+        p = NetworkParams(lambda_bs=1e-5, beta=beta, sigma_n2=1e-9)
+        got = pcov_general(np.array(self.GAMMAS), p, p_active, kind)
+        assert [v.hex() for v in got.tolist()] == self.NOISY_PINS[case]
+
+
 class TestRateActual:
     def test_value_is_peak_times_selection(self):
         lam = 2.3e-6

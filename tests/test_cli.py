@@ -5,6 +5,7 @@ observable without spawning a shell.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import math
@@ -18,6 +19,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppcell import cli
 from ppcell.analytics import pcov_general, rate_actual, rate_quadrature
@@ -881,39 +884,80 @@ class TestNoiseRefusal:
             assert len(read_rows(capsys)) == 2, kind
 
 
-def parse_outcome(capsys, parse, argv) -> tuple[object, str, str]:
-    """Exit code (None if parsed), stdout and stderr of parse(argv)."""
-    try:
-        parse(argv)
-        code = None
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def parse_outcome(parse, argv) -> tuple[object, str, str]:
+    """What parse(argv) returns, or the code of the SystemExit it raises; stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# argv -> exit code of the full parser (None: it parses)
+PARSER_CASES = {
+    "none": ([], 2),
+    "help": (["--help"], 0),
+    "bogus": (["bogus"], 2),
+    "rate-db": (["rate", "--db"], 2),
+    "jobs-x": (["coverage", "--jobs", "x"], 2),
+    "rate-help": (["rate", "--help"], 0),
+    "coverage-help": (["coverage", "-h"], 0),
+    "validate-help": (["validate", "--quick", "--help"], 0),
+    "unknown-option": (["mgf", "--bogus", "1"], 2),
+    "extra-positional": (["rate", "extra"], 2),
+    "abbreviation": (["simulate", "--se", "4"], None),
+    "double-dash": (["rate", "--"], 2),
+    "double-dash-value": (["load-curves", "--db", "--", "x"], 2),
+    "missing-value": (["rate", "--seed"], 2),
+    "missing-last-value": (["coverage", "--db", "--out"], 2),
+    "option-before-command": (["--seed", "3", "rate"], 2),
+    "every-option": (["validate", "--quick", "--jobs", "2", "--seed", "0", "--out", "v.csv"], None),
+}
+
+# tokens of a random argv: subcommands, their options (abbreviated too), values and bad tokens
+ARGV_TOKENS = [
+    *cli._COMMANDS, "--config", "--seed", "--out", "--jobs", "--db", "--quick", "-h", "--help",
+    "--se", "--j", "--c", "--o", "--d", "--q", "--", "--seed=3", "--jobs=x", "--db=1",
+    "1", "0", "-1", "x", "2.5", "a.ini", "", "bogus", "--bogus", "-x", "-",
+]
 
 
 class TestParser:
-    """A call builds only its subcommand's parser; every text stays that of the full parser."""
+    """A call parses with its subcommand's own parser; every text and result stays that of the full parser."""
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_one_subparser_per_named_command(self, capsys, command):
-        parser = cli._build_parser([command])
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == [command]
-        assert parser.format_usage() == cli._build_parser().format_usage()
+    def test_one_subparser_per_named_command(self, monkeypatch, command):
+        full = cli._build_parser()
+        assert all(name in full.format_usage() for name in cli._COMMANDS)
+        monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("built the full parser"))
+        argv = [command, "--jobs", "2", "--seed", "5"]
+        assert cli._parse_args(argv) == full.parse_args(argv)
         argv = [command, "--help"]
-        one = parse_outcome(capsys, parser.parse_args, argv)
+        one = parse_outcome(cli._parse_args, argv)
         assert one[0] == 0 and one[1].startswith(f"usage: ppcell {command} ")
-        assert one == parse_outcome(capsys, cli._build_parser().parse_args, argv)
+        assert one == parse_outcome(full.parse_args, argv)
 
-    @pytest.mark.parametrize(
-        "argv", [[], ["--help"], ["bogus"], ["rate", "--db"], ["coverage", "--jobs", "x"]],
-        ids=["none", "help", "bogus", "rate-db", "jobs-x"],
+    @pytest.mark.parametrize("argv, code", list(PARSER_CASES.values()), ids=list(PARSER_CASES))
+    def test_texts_match_the_full_parser(self, argv, code):
+        got = parse_outcome(cli._parse_args, argv)
+        assert got == parse_outcome(cli._build_parser().parse_args, argv)
+        if code is None:
+            assert isinstance(got[0], argparse.Namespace) and got[1:] == ("", "")
+        else:
+            assert got[0] == code
+            # main exits before any run, with the same texts
+            assert parse_outcome(main, argv) == got
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.lists(st.sampled_from(list(cli._COMMANDS)), max_size=1),
+        tail=st.lists(st.sampled_from(ARGV_TOKENS), max_size=6),
     )
-    def test_texts_match_the_full_parser(self, capsys, argv):
-        got = parse_outcome(capsys, main, argv)
-        assert got == parse_outcome(capsys, cli._build_parser().parse_args, argv)
-        assert got[0] == (0 if argv == ["--help"] else 2)
+    def test_random_argv_matches_the_full_parser(self, head, tail):
+        argv = head + tail
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._build_parser().parse_args, argv)
 
     def test_module_entry_point_reads_sys_argv(self):
         src = Path(cli.__file__).resolve().parents[1]
