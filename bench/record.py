@@ -42,8 +42,9 @@ TRACED_SEEDS = 3
 HARNESS_LIMITS = [
     "curves: two identical trees differ by up to about 6% in items_per_s and 15% in op_tail_ms "
     "over 10 alternating pairs; smaller moves there are not told apart from host drift. Within one "
-    "recorder run the parent's curves items_per_s spread is narrower: IQR 1.32% (BENCH_19.json) and "
-    "0.64% (BENCH_20.json), run range 4.7% and 3.7%; mc-full IQR 1.86% and 1.57%; mc-idle about 10%",
+    "recorder run the parent's curves items_per_s spread is narrower: IQR 1.32% (BENCH_19.json), "
+    "0.64% (BENCH_20.json) and 2.20% (BENCH_21.json), run range 4.7%, 3.7% and 8.2%; mc-full IQR "
+    "1.86%, 1.57% and 1.09%; mc-idle IQR 10.8%, 9.7% and 8.2%",
     "peak_rss_mb includes the harness's own per-op records, about 2.5 KB per op, so a faster "
     "program that runs more ops in the fixed run time reads a higher peak_rss_mb "
     "(about +0.5 MB for a 2x faster curves, against a 0.02 relative bound)",

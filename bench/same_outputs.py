@@ -10,8 +10,10 @@ The matrix covers every subcommand; the argument parser's texts (each
 subcommand's --help, top-level --help, no arguments, an unknown command or
 option, a bad --seed, an abbreviated option and a missing option value);
 `simulate` at full load, in idle mode, with users but no idle mode and with
-noise, at --jobs 1 and 2; curves with their Monte Carlo columns; configs
-with bad values; and `validate --quick --seed 0`, whose per-check times are
+noise, at --jobs 1 and 2; curves with their Monte Carlo columns; the curve
+subcommands and `simulate` writing to stdout; an --out file that already
+holds more bytes than the new CSV (its old tail must go); configs with bad
+values; and `validate --quick --seed 0`, whose per-check times are
 stripped before the comparison. Prints
 per case whether the exit code, stdout, stderr and --out file bytes are
 identical, and exits 1 on any difference.
@@ -54,6 +56,9 @@ CASES = [
     ("load-curves-actual", ["load-curves", "--out", OUT], "[experiment]\nkind = ActualRateVsRatio\n"),
     ("load-curves-coverage", ["load-curves", "--out", OUT], "[experiment]\nkind = CoveragePartialLoad\n"),
     ("mgf", ["mgf", "--out", OUT], "[network]\nkappa = 2.5\np_tx = 0.5\n[grid]\nx_values = 0 0.5 1 2 5 20\n"),
+    *((f"{name}-stdout", [name], "") for name in ("coverage", "rate", "load-curves", "mgf")),
+    ("simulate-stdout", ["simulate", "--seed", "7"], SIM),
+    ("overwrite-longer", ["mgf", "--out", OUT], ""),
     ("coverage-with-mc", ["coverage", "--out", OUT, "--jobs", "2"],
      "[grid]\ngamma_start = -10\ngamma_stop = 20\ngamma_step = 5\n[sim]\nwith_mc = true\nn_realizations = 300\n"),
     ("load-curves-with-mc", ["load-curves", "--out", OUT],
@@ -83,6 +88,9 @@ CASES = [
     ("validate-quick", ["validate", "--quick", "--seed", "0", "--out", OUT], ""),
 ]
 
+# bytes already in the --out file before a case runs
+STALE = {"overwrite-longer": b"stale,row\n" * 20_000}
+
 RUNNER = "import sys; sys.path.insert(0, sys.argv[1]); from ppcell.cli import main; sys.exit(main(sys.argv[2:]))"
 # validate's per-check wall times: "[0.8s]" at the end of a report line, the last CSV field
 TIMES = re.compile(rb" \[\d+\.\d+s\]$|,\d+\.\d+$", re.MULTILINE)
@@ -97,9 +105,11 @@ def check_import(tree: Path) -> None:
         raise RuntimeError(f"ppcell was imported from {path.strip()}, not {src}")
 
 
-def run_case(tree: Path, cwd: Path, argv: list[str]) -> dict[str, object]:
-    """Exit code, stdout, stderr and --out bytes of one fresh `ppcell` call."""
+def run_case(tree: Path, cwd: Path, argv: list[str], stale: bytes | None = None) -> dict[str, object]:
+    """Exit code, stdout, stderr and --out bytes of one fresh `ppcell` call, its --out file first holding stale."""
     cwd.mkdir(parents=True)
+    if stale is not None:
+        (cwd / OUT).write_bytes(stale)
     proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), *argv], cwd=cwd, capture_output=True)
     out = cwd / OUT
     result = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
@@ -132,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
                 path = work / f"{name}.ini"
                 path.write_text(config)
                 full_argv += ["--config", str(path)]
-            results = {side: run_case(tree, work / "runs" / side / name, full_argv) for side, tree in trees.items()}
+            results = {side: run_case(tree, work / "runs" / side / name, full_argv, STALE.get(name))
+                       for side, tree in trees.items()}
             same = [results["parent"][field] == results["change"][field] for field in fields]
             if not all(same):
                 differ.append(name)

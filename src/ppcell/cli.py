@@ -6,21 +6,27 @@ run is a pure function of the config file plus (--seed, --jobs); CSV output
 is byte-identical across reruns. Thresholds are dB only at this boundary;
 everything below works in linear units.
 
+Every CSV is written as joined text: each number is its Python float repr
+(inf, -inf and nan included), formatted once however many rows repeat it,
+and only validate's free-text cells are ever quoted, by the csv module's
+minimal rule.
+
 Exit codes: 0 success, 1 validation suite reported failures, 2 config or
-domain error, 3 numerical failure (message carries the achieved tolerance).
+domain error, 3 numerical failure (message carries the achieved tolerance),
+141 (128 + SIGPIPE) the reader of stdout closed it before the output ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
+from itertools import chain, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -284,11 +290,18 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return spec
 
 
-def _write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+# rows joined per write: one write for a curve CSV, one bounded piece of a large sample dump
+_CHUNK = 4096
+
+
+def _write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write header and rows of str cells (stdout if path is None), cells joined by "," and lines ended by "\n"."""
+    lines = map(",".join, chain([header], rows))
+
     def emit(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        while chunk := list(islice(lines, _CHUNK)):
+            chunk.append("")
+            fh.write("\n".join(chunk))
 
     if path is None:
         emit(sys.stdout)
@@ -304,9 +317,26 @@ def _open_output(path: str, mode: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-# what a runner returns: header, rows (None: write no CSV) and exit code;
-# run_experiment adds the Monte Carlo columns to the header and writes the CSV
-_Table = tuple[list[str], list[Sequence] | None, int]
+def _quoted(cells: Sequence[str]) -> list[str]:
+    """Text cells as csv.writer(fh, lineterminator="\n") writes them.
+
+    A cell holding ",", '"' or "\n" goes in quotes with its quotes doubled
+    ("\r" does not count), and a row of one empty cell is written '""'.
+    """
+    if len(cells) == 1 and cells[0] == "":
+        return ['""']
+    return ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c else c for c in cells]
+
+
+def _reprs(values: Iterable) -> list[str]:
+    """The cell of each Python float or int: repr, as csv.writer spells it (call .tolist() on arrays first)."""
+    return list(map(repr, values))
+
+
+# what a runner returns: header, rows of str cells (None: write no CSV) and
+# exit code; run_experiment adds the Monte Carlo columns to the header and
+# writes the CSV
+_Table = tuple[list[str], Iterable[Sequence[str]] | None, int]
 
 
 def _mc_samples(spec: ExperimentSpec, beta: float, lambda_ue: float):
@@ -315,33 +345,42 @@ def _mc_samples(spec: ExperimentSpec, beta: float, lambda_ue: float):
     return run_simulation(p, spec.sim, idle_mode=lambda_ue > 0.0, jobs=spec.jobs)
 
 
+def _threshold_cells(spec: ExperimentSpec) -> list[tuple[str, str]]:
+    """The gamma and gamma_db cells of each threshold (gamma = 0 is -inf dB)."""
+    return [(repr(g), repr(_linear_to_db(g) if g > 0 else float("-inf"))) for g in spec.grid]
+
+
+def _load_models(spec: ExperimentSpec) -> list:
+    return [load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs) for ratio in spec.ratios]
+
+
 def _coverage_rows(
-    spec: ExperimentSpec, lead: list, beta: float, p_active: float, lambda_ue: float
-) -> list[list]:
+    spec: ExperimentSpec, lead: tuple[str, ...], thresholds: list[tuple[str, str]],
+    beta: float, p_active: float, lambda_ue: float,
+) -> list[tuple[str, ...]]:
     """One row per threshold: lead cells, gamma, gamma in dB, both coverage kinds[, MC]."""
     grid = np.asarray(spec.grid)
     p = replace(spec.params, beta=beta)
-    cells = [pcov_general(grid, p, p_active, kind).tolist() for kind in ("exact", "two_piece")]
+    columns = [pcov_general(grid, p, p_active, kind) for kind in ("exact", "two_piece")]
     if spec.with_mc:
-        cells += [c.tolist() for c in estimate_coverage(_mc_samples(spec, beta, lambda_ue), spec.grid)]
-    return [
-        [*lead, g, _linear_to_db(g) if g > 0 else float("-inf"), *vals]
-        for g, *vals in zip(spec.grid, *cells)
-    ]
+        columns += estimate_coverage(_mc_samples(spec, beta, lambda_ue), spec.grid)
+    return [(*lead, *g, *vals) for g, *vals in zip(thresholds, *(_reprs(c.tolist()) for c in columns))]
 
 
 def _run_coverage(spec: ExperimentSpec) -> _Table:
-    rows = [row for beta in spec.betas for row in _coverage_rows(spec, [beta], beta, 1.0, 0.0)]
+    thresholds = _threshold_cells(spec)
+    rows = [row for beta in spec.betas for row in _coverage_rows(spec, (repr(beta),), thresholds, beta, 1.0, 0.0)]
     return ["beta", "gamma", "gamma_db", "pcov_exact", "pcov_approx"], rows, 0
 
 
 def _run_coverage_partial_load(spec: ExperimentSpec) -> _Table:
+    thresholds = _threshold_cells(spec)
+    loads = _load_models(spec)
     rows = []
     for beta in spec.betas:
-        for ratio in spec.ratios:
-            lambda_ue = ratio * spec.params.lambda_bs
-            lm = load_model(lambda_ue, spec.params.lambda_bs)
-            rows += _coverage_rows(spec, [beta, ratio, lm.p_active], beta, lm.p_active, lambda_ue)
+        for ratio, lm in zip(spec.ratios, loads):
+            lead = (repr(beta), repr(ratio), repr(lm.p_active))
+            rows += _coverage_rows(spec, lead, thresholds, beta, lm.p_active, ratio * spec.params.lambda_bs)
     return ["beta", "ratio", "p_active", "gamma", "gamma_db", "pcov_exact", "pcov_approx"], rows, 0
 
 
@@ -350,30 +389,31 @@ def _run_rate_vs_beta(spec: ExperimentSpec) -> _Table:
     for beta in spec.betas:
         exact = rate_quadrature(beta, 1.0, "exact")
         closed = rate_closed_general(beta)
-        row = [beta, exact.value, closed.value, closed.method.value]
+        row = [*_reprs((beta, exact.value, closed.value)), closed.method.value]
         if spec.with_mc:
             peak, _ = estimate_rates(_mc_samples(spec, beta, 0.0))
-            row += [peak.value, peak.stderr]
+            row += _reprs((peak.value, peak.stderr))
         rows.append(row)
     return ["beta", "rate_exact_quad", "rate_closed", "closed_method"], rows, 0
 
 
 def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> _Table:
     name = "actual" if actual else "peak"
+    loads = _load_models(spec)
+    p_active = [lm.p_active for lm in loads]
+    leads = [_reprs((ratio, lm.p_active, lm.p_selection)) for ratio, lm in zip(spec.ratios, loads)]
+    # the actual rate is the peak rate times the selection probability
+    shares = [lm.p_selection if actual else 1.0 for lm in loads]
     rows = []
     for beta in spec.betas:
-        loads = [load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs) for ratio in spec.ratios]
-        p_active = [lm.p_active for lm in loads]
+        b = repr(beta)
         ref_peaks = rate_quadrature(beta, p_active, "exact")
         closed_peaks = rate_quadrature(beta, p_active, "two_piece")
-        for ratio, lm, ref, closed in zip(spec.ratios, loads, ref_peaks, closed_peaks):
-            # the actual rate is the peak rate times the selection probability
-            share = lm.p_selection if actual else 1.0
-            row = [beta, ratio, lm.p_active, lm.p_selection]
-            row += [ref.value * share, closed.value * share, closed.method.value]
+        for ratio, lead, share, ref, closed in zip(spec.ratios, leads, shares, ref_peaks, closed_peaks):
+            row = [b, *lead, repr(ref.value * share), repr(closed.value * share), closed.method.value]
             if spec.with_mc:
                 mc = estimate_rates(_mc_samples(spec, beta, ratio * spec.params.lambda_bs))[1 if actual else 0]
-                row += [mc.value, mc.stderr]
+                row += _reprs((mc.value, mc.stderr))
             rows.append(row)
     header = ["beta", "ratio", "p_active", "p_selection", f"rate_{name}_exact", f"rate_{name}_closed"]
     return header + ["closed_method"], rows, 0
@@ -382,30 +422,37 @@ def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> _Table:
 def _run_mgf_profile(spec: ExperimentSpec) -> _Table:
     rows = []
     xs = np.asarray(spec.grid)
+    x_cells = _reprs(spec.grid)
     for beta in spec.betas:
         p = replace(spec.params, beta=beta)
         c = solve_c(beta)
+        lead = _reprs((beta, c.c_exact, c.c_fit))
         me, ma = mgf(xs, 1.0, p, "exact"), mgf(xs, 1.0, p, "two_piece")
         # where the exact MGF underflows to 0 the relative error is nan
         # (both 0) or inf; the cell says so, with no warning on stderr
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.abs(ma - me) / me
-        for x, e, a, r in zip(spec.grid, me.tolist(), ma.tolist(), rel.tolist()):
-            rows.append([beta, c.c_exact, c.c_fit, x, e, a, r])
+        rows += [(*lead, *vals) for vals in zip(x_cells, *(_reprs(v.tolist()) for v in (me, ma, rel)))]
     return ["beta", "c_exact", "c_fit", "x", "mgf_exact", "mgf_approx", "rel_error"], rows, 0
 
 
 def _run_raw_samples(spec: ExperimentSpec) -> _Table:
     samples = run_simulation(spec.params, spec.sim, idle_mode=spec.idle_mode, jobs=spec.jobs)
-    columns = (samples.sir_values.tolist(), samples.n_users_in_cell.tolist(), samples.n_active_bs.tolist())
-    rows = list(zip(range(len(columns[0])), *columns))
-    return ["realization_id", "sir", "n_users", "n_active_bs"], rows, 0
+    columns = (samples.sir_values, samples.n_users_in_cell, samples.n_active_bs)
+
+    def rows() -> Iterable[tuple[str, ...]]:
+        # formatted a chunk at a time as they are written, so no dump is held as text
+        for lo in range(0, samples.sir_values.size, _CHUNK):
+            cells = [_reprs(c[lo:lo + _CHUNK].tolist()) for c in columns]
+            yield from zip(map(repr, range(lo, lo + len(cells[0]))), *cells)
+
+    return ["realization_id", "sir", "n_users", "n_active_bs"], rows(), 0
 
 
 def _run_validate(spec: ExperimentSpec) -> _Table:
     # the suite prints its own report; the CSV is written only on request
     results = run_all(seed=spec.sim.seed, jobs=spec.jobs, quick=spec.quick)
-    rows = [[r.label, r.passed, r.message, f"{r.elapsed_s:.3f}"] for r in results]
+    rows = [_quoted([r.label, str(r.passed), r.message, f"{r.elapsed_s:.3f}"]) for r in results]
     code = 0 if all(r.passed for r in results) else 1
     return ["check", "passed", "message", "elapsed_s"], rows if spec.output_path else None, code
 
@@ -580,8 +627,7 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return _build_parser().parse_args(argv)
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _run(argv: Sequence[str]) -> int:
     args = _parse_args(argv)
     try:
         return run_experiment(_spec_from_args(args))
@@ -591,6 +637,27 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`ppcell mgf | head -2`): as the Python docs'
+        # SIGPIPE note says, point stdout at devnull so that the flush at exit
+        # cannot fail again, and exit as a process killed by SIGPIPE would
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

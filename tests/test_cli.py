@@ -7,12 +7,15 @@ observable without spawning a shell.
 import argparse
 import contextlib
 import csv
+import errno
+import hashlib
 import io
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 from dataclasses import replace
@@ -970,3 +973,194 @@ class TestParser:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: ppcell rate ")
         assert proc.stderr == ""
+
+
+# name -> (argv, config text); each case writes its CSV with --out
+CSV_PIN_CASES = {
+    "coverage": (["coverage"], """\
+        [grid]
+        gamma_unit = linear
+        gamma_start = 0
+        gamma_stop = 10
+        gamma_step = 2.5
+        betas = 2.5 3 4.3508 5
+        """),
+    "rate": (["rate"], "[grid]\nbetas = 2.05 3 4.35 4.3508 5\n"),
+    "load-curves-peak": (["load-curves"], "[grid]\nbetas = 3 4.3508\nratios = 0.17 4.34 11.11\n"),
+    "load-curves-actual": (["load-curves"], """\
+        [experiment]
+        kind = ActualRateVsRatio
+        [grid]
+        betas = 3 4.3508
+        ratios = 0.17 4.34 11.11
+        """),
+    "load-curves-coverage": (["load-curves"], """\
+        [experiment]
+        kind = CoveragePartialLoad
+        [grid]
+        gamma_unit = linear
+        gamma_start = 0
+        gamma_stop = 4
+        gamma_step = 1
+        betas = 3 4.3508
+        ratios = 0.5 4.34
+        """),
+    "mgf": (["mgf"], "[grid]\nbetas = 3 4.3508\nx_values = 0 0.5 1 20 1e4 1e6\n"),
+    "coverage-with-mc": (["coverage", "--seed", "3"], """\
+        [grid]
+        gamma_start = -10
+        gamma_stop = 20
+        gamma_step = 10
+        betas = 4
+        [sim]
+        with_mc = true
+        n_realizations = 50
+        n_bs_target = 64
+        """),
+    "simulate-full": (["simulate", "--seed", "7"], "[sim]\nn_realizations = 40\nn_bs_target = 64\n"),
+    "simulate-idle": (["simulate", "--seed", "7"], """\
+        [network]
+        lambda_ue = 5.5118e-6
+        [sim]
+        n_realizations = 40
+        n_bs_target = 64
+        idle_mode = true
+        """),
+}
+
+
+class TestCsvPins:
+    """Every CSV family pinned byte for byte by its sha256.
+
+    The hashes were recorded from the csv-module writer, so they hold the
+    joined-text writer to its bytes: the float reprs, inf, -inf (the dB of
+    gamma = 0) and nan cells, the quadrature fallback at beta 4.3508, the
+    Monte Carlo columns and both simulate modes.
+    """
+
+    SHA256 = {
+        "coverage": "cbe244d04afab1aa7a23af5cc5a8960883336ac5bd88f1cec4d21127bde8523c",
+        "rate": "03a2fc8c3fc59d1f9255e010d60b69148e135d17fe958c5fa4796b729f8a0cb8",
+        "load-curves-peak": "2f0828a29c9ec48848cc05a0b42fdbfddab33e19a7ba285e2fa297bde0e643eb",
+        "load-curves-actual": "7444da18f09bbf5021057a10580806dc5cc60efb78ca23cc9f868d0ea7c4ab1b",
+        "load-curves-coverage": "c642a16cc28d0f7529b030e71e5b48ccba6fc1ec67e4da2a46f11d6d43317401",
+        "mgf": "b0729d55021528e2d78143b7933e0ab020a9a945c7ec6ada52429aabb9afbf00",
+        "coverage-with-mc": "e47d73b6e652d3b8a035cae3de4940bd5c63be57325a5c811cac1eb53a2333f3",
+        "simulate-full": "4473f2456f8e6a03afe02abda586f14f426a0c01d5cb110cfc1b0c7ab568dc1e",
+        "simulate-idle": "ee0e3a168c6a30c307603cb5ca4348f2f4367fd2ee371a101a4e815e45a6d88e",
+    }
+
+    @pytest.mark.parametrize("name", list(CSV_PIN_CASES))
+    def test_csv_bytes(self, tmp_path, name):
+        argv, text = CSV_PIN_CASES[name]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[name]
+
+
+# cells of a random CSV row: floats at the edges of repr, ints, bools, and text with every character the quoting rule knows
+CSV_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e-5, 1e16, math.inf, -math.inf, math.nan, 3.0]),
+    st.integers(),
+    st.booleans(),
+    st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "0", ".", "é"]), max_size=6),
+)
+CSV_ROWS = st.lists(st.lists(CSV_CELLS, max_size=5), min_size=1, max_size=8)
+
+
+def csv_module_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def str_cells(row):
+    """A row's cells as a runner gives them: numbers by repr, text by the quoting helper."""
+    return cli._quoted([c if isinstance(c, str) else repr(c) for c in row])
+
+
+class TestCsvWriter:
+    """The joined-text writer and the quoting helper write what csv.writer(fh, lineterminator="\\n") writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=CSV_ROWS)
+    def test_file_bytes_match_the_csv_module(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = Path(tmp, "ours.csv"), Path(tmp, "ref.csv")
+            cli._write_csv(str(ours), str_cells(rows[0]), [str_cells(row) for row in rows[1:]])
+            with open(ref, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+            assert ours.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=CSV_ROWS)
+    def test_stdout_text_matches_the_csv_module(self, rows):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli._write_csv(None, str_cells(rows[0]), iter([str_cells(row) for row in rows[1:]]))
+        assert buf.getvalue() == csv_module_text(rows)
+
+    @pytest.mark.parametrize("cells, line", [
+        ([""], '""'), (["", ""], ","), (["a\rb"], "a\rb"), (['say "hi"'], '"say ""hi"""'),
+        (["a,b", "c\nd", " e "], '"a,b","c\nd", e '),
+    ])
+    def test_quoting_rule(self, cells, line):
+        assert ",".join(cli._quoted(cells)) + "\n" == csv_module_text([cells]) == line + "\n"
+
+    def test_rows_beyond_one_chunk(self, tmp_path):
+        rows = [[str(i), repr(i / 7)] for i in range(2 * cli._CHUNK + 3)]
+        out = tmp_path / "big.csv"
+        cli._write_csv(str(out), ["i", "x"], iter(rows))
+        assert out.read_text() == csv_module_text([["i", "x"], *rows])
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd=None):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        if self.fd is None:
+            raise io.UnsupportedOperation("fileno")
+        return self.fd
+
+
+class TestBrokenPipe:
+    """A closed stdout pipe ends the run with exit code 141 (128 + SIGPIPE), no traceback and no shutdown noise."""
+
+    def test_in_process(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["mgf"]) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_stdout_fd_goes_to_devnull(self, monkeypatch):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(w))
+            assert main(["rate"]) == 141
+            # the fd now writes to devnull, so the flush at exit cannot fail
+            assert os.write(w, b"x") == 1
+        finally:
+            os.close(w)
+
+    def test_fresh_process_whose_reader_closed(self, tmp_path):
+        # about 150 kB of rows, more than a pipe buffer holds, so the write fails however late the close
+        path = write_cfg(tmp_path, "[sim]\nn_realizations = 5000\nn_bs_target = 50\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ppcell.cli", "simulate", "--config", path],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 141
+        assert err == b""
