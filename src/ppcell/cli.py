@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .analytics import load_model, pcov_general, rate_closed_general, rate_quadrature
+from .analytics import LoadModel, load_model, pcov_general, rate_closed_general, rate_quadrature
 from .mgf import NetworkParams, NonConvergenceError, mgf, solve_c
 from .simulator import SimConfig, estimate_coverage, estimate_rates, run_simulation
 from .validation import _LAMBDA_REF, _RATIO_GRID, _db_to_linear, run_all
@@ -350,7 +350,7 @@ def _threshold_cells(spec: ExperimentSpec) -> list[tuple[str, str]]:
     return [(repr(g), repr(_linear_to_db(g) if g > 0 else float("-inf"))) for g in spec.grid]
 
 
-def _load_models(spec: ExperimentSpec) -> list:
+def _load_models(spec: ExperimentSpec) -> list[LoadModel]:
     return [load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs) for ratio in spec.ratios]
 
 
