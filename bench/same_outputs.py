@@ -12,11 +12,12 @@ option, a bad --seed, an abbreviated option and a missing option value);
 `simulate` at full load, in idle mode, with users but no idle mode and with
 noise, at --jobs 1 and 2; curves with their Monte Carlo columns; the curve
 subcommands and `simulate` writing to stdout; an --out file that already
-holds more bytes than the new CSV (its old tail must go); configs with bad
-values; and `validate --quick --seed 0`, whose per-check times are
-stripped before the comparison. Prints
-per case whether the exit code, stdout, stderr and --out file bytes are
-identical, and exits 1 on any difference.
+holds more bytes than the new CSV (its old tail must go); beta and linear
+gamma ranges; configs with bad values, bad ranges and empty lists; an
+allocation too large to make; and `validate --quick --seed 0`, whose
+per-check times are stripped before the comparison. Prints per case
+whether the exit code, stdout, stderr and --out file bytes are identical,
+and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ OUT = "out.csv"
 SIM = "[sim]\nn_realizations = 300\n"
 USERS = "[network]\nlambda_ue = 5.5118e-6\n"
 NOISE = "[network]\nsigma_n2 = 1e-9\n"
+SMALL_MC = "[sim]\nwith_mc = true\nn_realizations = 200\nn_bs_target = 100\n"
 COMMANDS = ("coverage", "rate", "load-curves", "mgf", "simulate", "validate")
 
 # (name, argv, config text or "" for none); argv gets --config when there is a config
@@ -85,6 +87,28 @@ CASES = [
     ("small-window", ["simulate"], "[sim]\nn_bs_target = 10\n"),
     ("idle-without-users", ["simulate"], "[sim]\nidle_mode = true\n"),
     ("unknown-key", ["rate"], "[network]\nbandwidth = 10\n"),
+    ("rate-beta-range", ["rate", "--out", OUT], "[grid]\nbeta_start = 3\nbeta_stop = 4.5\nbeta_step = 0.25\n"),
+    ("coverage-linear", ["coverage", "--out", OUT],
+     "[grid]\ngamma_unit = linear\ngamma_start = 0\ngamma_stop = 10\ngamma_step = 2.5\nbetas = 3 4\n"),
+    ("gamma-stop-below-start", ["coverage"], "[grid]\ngamma_start = 5\ngamma_stop = 0\n"),
+    ("gamma-step-zero", ["coverage"], "[grid]\ngamma_step = 0\n"),
+    ("negative-beta-step", ["rate"], "[grid]\nbeta_step = -0.5\n"),
+    ("bad-gamma-unit", ["coverage"], "[grid]\ngamma_unit = Bels\n"),
+    ("rate-with-mc", ["rate", "--out", OUT], "[grid]\nbetas = 3 4\n" + SMALL_MC),
+    ("load-curves-actual-with-mc", ["load-curves", "--out", OUT],
+     "[experiment]\nkind = ActualRateVsRatio\n[grid]\nratios = 0.5 4.34\nbetas = 4\n" + SMALL_MC),
+    ("load-curves-coverage-with-mc", ["load-curves", "--out", OUT],
+     "[experiment]\nkind = CoveragePartialLoad\n[grid]\nratios = 0.5 4.34\ngamma_start = -5\ngamma_stop = 10\n"
+     "gamma_step = 5\n" + SMALL_MC),
+    # outputs this matrix expects to change with the one parse rule: every value parses, every list is nonempty
+    ("empty-betas-rate", ["rate"], "[grid]\nbetas =\n"),
+    ("empty-betas-coverage", ["coverage"], "[grid]\nbetas =\n"),
+    ("empty-ratios", ["load-curves"], "[grid]\nratios =\n"),
+    ("empty-x-values", ["mgf"], "[grid]\nx_values =\n"),
+    ("unused-bad-gamma-step", ["rate"], "[grid]\ngamma_step = abc\n"),
+    ("bad-kind-and-value", ["rate"], "[experiment]\nkind = Sideways\n[network]\nkappa = abc\n"),
+    ("beta-stop-below-start", ["coverage"], "[grid]\nbeta_start = 4\nbeta_stop = 3\n"),
+    ("huge-draw", ["simulate"], "[network]\nlambda_ue = 1e6\nlambda_bs = 1e-6\n[sim]\nn_realizations = 1\n"),
     ("validate-quick", ["validate", "--quick", "--seed", "0", "--out", OUT], ""),
 ]
 

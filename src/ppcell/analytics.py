@@ -165,6 +165,12 @@ def pcov_general(gamma, p: NetworkParams, p_active: float = 1.0, kind: str = "ex
         return np.where(gamma == 0.0, 1.0, _coverage_integral(a, k * gamma, p.beta))[()]
 
 
+def _check_error(what: str, worst: float) -> None:
+    """Refuse a what ("coverage" or "rate") quadrature whose worst achieved error is past _QUAD_ERR_LIMIT."""
+    if worst > _QUAD_ERR_LIMIT:
+        raise NonConvergenceError(f"{what} quadrature achieved only {worst:.2e} absolute error (target {_QUAD_ERR_LIMIT:g})")
+
+
 def _coverage_integral(a: np.ndarray, noise: np.ndarray, beta: float) -> np.ndarray:
     """int_0^inf exp(-a t - noise * t^(beta/2)) dt for each pair of entries (a > 0, noise >= 0).
 
@@ -181,11 +187,7 @@ def _coverage_integral(a: np.ndarray, noise: np.ndarray, beta: float) -> np.ndar
         t = np.exp(lo + span[..., None] * s)
         sums.append(span * ((t * np.exp(-a[..., None] * t - noise[..., None] * t ** (beta / 2.0))) @ w))
     coarse, fine = sums
-    worst = float(np.max(np.abs(fine - coarse)))
-    if worst > _QUAD_ERR_LIMIT:
-        raise NonConvergenceError(
-            f"coverage quadrature achieved only {worst:.2e} absolute error (target {_QUAD_ERR_LIMIT:g})"
-        )
+    _check_error("coverage", float(np.max(np.abs(fine - coarse))))
     return fine
 
 
@@ -248,11 +250,7 @@ def _rate_integral(beta: float, p_active: np.ndarray, kind: str) -> tuple[np.nda
     starts = (np.cumsum(n) - n) * _GL_NODES.size
     low_coarse, low, high_coarse, high = np.add.reduceat(f, starts, axis=1).T
     err = np.abs(low - low_coarse) + np.abs(high - high_coarse) + _TAIL_BUDGET + _W_MIN
-    worst = float(err.max())
-    if worst > _QUAD_ERR_LIMIT:
-        raise NonConvergenceError(
-            f"rate quadrature achieved only {worst:.2e} absolute error (target {_QUAD_ERR_LIMIT:g})"
-        )
+    _check_error("rate", float(err.max()))
     return low + high, err
 
 

@@ -12,14 +12,16 @@ and only validate's free-text cells are ever quoted, by the csv module's
 minimal rule.
 
 Exit codes: 0 success, 1 validation suite reported failures, 2 config or
-domain error, 3 numerical failure (message carries the achieved tolerance),
-141 (128 + SIGPIPE) the reader of stdout closed it before the output ended.
+domain error or a failed allocation of the size the config asks for, 3
+numerical failure (message carries the achieved tolerance), 141 (128 +
+SIGPIPE) the reader of stdout closed it before the output ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import sys
@@ -99,14 +101,46 @@ class ExperimentSpec:
                 raise ConfigError(f"grid.ratios must be positive, got {ratio}")
 
 
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(raw)
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    values = tuple(float(t) for t in raw.replace(",", " ").split())
+    if not values:
+        raise ValueError(raw)
+    return values
+
+
+def _unit(raw: str) -> str:
+    unit = raw.strip().lower()
+    if unit not in ("db", "linear"):
+        raise ValueError(raw)
+    return unit
+
+
+_TEXT = (str, "text")
+_NUMBER = (float, "a number")
+_INTEGER = (int, "an integer")
+_BOOLEAN = (_bool, "a boolean")
+_LIST = (_floats, "a list of numbers")
+
+# every config key: (parser, what its value must be); parse_config parses the values in
+# this order, so a config with two bad values names the same one first on every run
+_KEYS = {
+    "experiment": {"kind": _TEXT, "output": _TEXT},
+    "sim": {"seed": _INTEGER, "n_bs_target": _INTEGER, "n_realizations": _INTEGER,
+            "idle_mode": _BOOLEAN, "with_mc": _BOOLEAN},
+    "network": {key: _NUMBER for key in ("lambda_bs", "lambda_ue", "beta", "kappa", "p_tx", "sigma_n2")},
+    "grid": {"gamma_unit": (_unit, "'db' or 'linear'"), "gamma_start": _NUMBER, "gamma_stop": _NUMBER,
+             "gamma_step": _NUMBER, "x_values": _LIST, "ratios": _LIST, "betas": _LIST,
+             "beta_start": _NUMBER, "beta_stop": _NUMBER, "beta_step": _NUMBER},
+}
 # the grid keys that set a beta axis, by list or by range
 _BETA_KEYS = {"betas", "beta_start", "beta_stop", "beta_step"}
-_ALLOWED_KEYS = {
-    "experiment": {"kind", "output"},
-    "network": {"lambda_bs", "lambda_ue", "beta", "kappa", "p_tx", "sigma_n2"},
-    "grid": {"gamma_start", "gamma_stop", "gamma_step", "gamma_unit", "x_values", "ratios", *_BETA_KEYS},
-    "sim": {"n_bs_target", "n_realizations", "seed", "idle_mode", "with_mc"},
-}
 
 # subcommand -> help text; each experiment kind belongs to one (see _KINDS)
 _COMMANDS = {
@@ -123,8 +157,8 @@ def _linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-def parse_config(path: str) -> dict[str, dict[str, str]]:
-    """Strict flat-key config parse: unknown sections or keys are errors."""
+def parse_config(path: str) -> dict[str, dict[str, object]]:
+    """Strict flat-key config parse: unknown sections or keys are errors, every value is parsed (file order kept)."""
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -133,54 +167,34 @@ def parse_config(path: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"config file not found: {path}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
-    out: dict[str, dict[str, str]] = {}
+    out: dict[str, dict[str, object]] = {}
     for section in cp.sections():
-        if section not in _ALLOWED_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}] in {path}")
-        out[section] = {}
-        for key, value in cp.items(section):
-            if key not in _ALLOWED_KEYS[section]:
+        out[section] = dict(cp.items(section))
+        for key in out[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown config key {section}.{key} in {path}")
-            out[section][key] = value
+    for section, keys in _KEYS.items():
+        for key, (parse, what) in keys.items():
+            if key in out.get(section, {}):
+                raw = out[section][key]
+                try:
+                    out[section][key] = parse(raw)
+                except ValueError:
+                    raise ConfigError(f"{section}.{key} must be {what}, got {raw!r}")
     return out
 
 
-def _get(cfg: dict, section: str, key: str, default, parse: Callable[[str], object], what: str):
-    """parse(value) of section.key, or default when the config leaves it out.
-
-    A ValueError from parse is a config error saying the value must be what.
-    """
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        return parse(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key} must be {what}, got {raw!r}")
-
-
-def _bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in raw.replace(",", " ").split())
+def _get(cfg: dict, section: str, key: str, default):
+    """The parsed value of section.key, or default when the config leaves it out."""
+    return cfg.get(section, {}).get(key, default)
 
 
 def _network_from_config(cfg: dict, default_lambda: float = _LAMBDA_REF) -> NetworkParams:
-    # keys parse in this fixed order, so a config with two bad values names
-    # the same one first on every run; NetworkParams supplies the defaults
-    # except the kind's lambda_bs and beta 4
-    given = cfg.get("network", {})
-    values = {key: _get(cfg, "network", key, None, float, "a number")
-              for key in ("lambda_bs", "lambda_ue", "beta", "kappa", "p_tx", "sigma_n2") if key in given}
+    # NetworkParams supplies the defaults except the kind's lambda_bs and beta 4
     try:
-        return NetworkParams(**{"lambda_bs": default_lambda, "beta": 4.0, **values})
+        return NetworkParams(**{"lambda_bs": default_lambda, "beta": 4.0, **cfg.get("network", {})})
     except ValueError as exc:
         raise ConfigError(f"network: {exc}")
 
@@ -188,8 +202,7 @@ def _network_from_config(cfg: dict, default_lambda: float = _LAMBDA_REF) -> Netw
 def _sim_from_config(cfg: dict, seed_override: int | None) -> SimConfig:
     # SimConfig supplies the defaults; a bad sim.seed is refused even under --seed
     given = cfg.get("sim", {})
-    values = {key: _get(cfg, "sim", key, None, int, "an integer")
-              for key in ("seed", "n_bs_target", "n_realizations") if key in given}
+    values = {key: given[key] for key in ("seed", "n_bs_target", "n_realizations") if key in given}
     if seed_override is not None:
         values["seed"] = seed_override
     try:
@@ -198,20 +211,21 @@ def _sim_from_config(cfg: dict, seed_override: int | None) -> SimConfig:
         raise ConfigError(f"sim: {exc}")
 
 
+def _range(cfg: dict, name: str, start: float, stop: float, step: float) -> tuple[float, ...]:
+    """grid.{name}_start to grid.{name}_stop, both ends in, by grid.{name}_step (defaults as given)."""
+    start, stop, step = (_get(cfg, "grid", f"{name}_{end}", default)
+                         for end, default in (("start", start), ("stop", stop), ("step", step)))
+    if step <= 0.0:
+        raise ConfigError(f"grid.{name}_step must be positive, got {step}")
+    if stop < start:
+        raise ConfigError(f"grid.{name}_stop {stop} is below {name}_start {start}")
+    return tuple(float(v) for v in np.arange(start, stop + step / 2.0, step))
+
+
 def _gamma_grid(cfg: dict, force_db: bool) -> tuple[float, ...]:
     """Threshold axis in linear units."""
-    unit = cfg.get("grid", {}).get("gamma_unit", "db").strip().lower()
-    if unit not in ("db", "linear"):
-        raise ConfigError(f"grid.gamma_unit must be 'db' or 'linear', got {unit!r}")
-    start = _get(cfg, "grid", "gamma_start", -10.0, float, "a number")
-    stop = _get(cfg, "grid", "gamma_stop", 30.0, float, "a number")
-    step = _get(cfg, "grid", "gamma_step", 1.0, float, "a number")
-    if step <= 0.0:
-        raise ConfigError(f"grid.gamma_step must be positive, got {step}")
-    if stop < start:
-        raise ConfigError(f"grid.gamma_stop {stop} is below gamma_start {start}")
-    axis = tuple(float(v) for v in np.arange(start, stop + step / 2.0, step))
-    if force_db or unit == "db":
+    axis = _range(cfg, "gamma", -10.0, 30.0, 1.0)
+    if force_db or _get(cfg, "grid", "gamma_unit", "db") == "db":
         return tuple(_db_to_linear(v) for v in axis)
     if axis[0] < 0.0:
         raise ConfigError(
@@ -222,7 +236,7 @@ def _gamma_grid(cfg: dict, force_db: bool) -> tuple[float, ...]:
 
 
 def _beta_axis(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
-    betas = _get(cfg, "grid", "betas", None, _floats, "a list of numbers")
+    betas = _get(cfg, "grid", "betas", None)
     ranged = sorted((_BETA_KEYS - {"betas"}) & set(cfg.get("grid", {})))
     if betas is not None:
         if ranged:
@@ -230,12 +244,7 @@ def _beta_axis(cfg: dict, default: tuple[float, ...]) -> tuple[float, ...]:
             raise ConfigError(f"grid.betas lists the betas; {keys} would be ignored, set one or the other")
         return betas
     if ranged:
-        start = _get(cfg, "grid", "beta_start", 2.5, float, "a number")
-        stop = _get(cfg, "grid", "beta_stop", 5.0, float, "a number")
-        step = _get(cfg, "grid", "beta_step", 0.125, float, "a number")
-        if step <= 0.0:
-            raise ConfigError(f"grid.beta_step must be positive, got {step}")
-        return tuple(float(v) for v in np.arange(start, stop + step / 2.0, step))
+        return _range(cfg, "beta", 2.5, 5.0, 0.125)
     return default
 
 
@@ -263,22 +272,20 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     row = _KINDS[kind]
     output = args.out if args.out else cfg.get("experiment", {}).get("output")
     sim = _sim_from_config(cfg, args.seed)
-    idle_mode = _get(cfg, "sim", "idle_mode", False, _bool, "a boolean")
-    with_mc = _get(cfg, "sim", "with_mc", False, _bool, "a boolean")
     params = _network_from_config(cfg, row.lambda_bs)
     grid: tuple[float, ...] = ()
     if "gamma" in row.reads:
         grid = _gamma_grid(cfg, args.db)
     if "x" in row.reads:
         default = tuple(float(v) for v in np.arange(0.0, 20.001, 0.25))
-        grid = _get(cfg, "grid", "x_values", default, _floats, "a list of numbers")
-    ratios = (_get(cfg, "grid", "ratios", None, _floats, "a list of numbers") or _RATIO_GRID) if "ratios" in row.reads else ()
+        grid = _get(cfg, "grid", "x_values", default)
+    ratios = _get(cfg, "grid", "ratios", _RATIO_GRID) if "ratios" in row.reads else ()
     spec = ExperimentSpec(
         kind=kind, params=params, sim=sim, output_path=output, grid=grid,
         betas=_beta_axis(cfg, row.betas(params)) if row.betas else (),
         ratios=ratios,
-        idle_mode=idle_mode and "idle_mode" in row.reads,
-        with_mc=with_mc and row.mc is not None,
+        idle_mode=_get(cfg, "sim", "idle_mode", False) and "idle_mode" in row.reads,
+        with_mc=_get(cfg, "sim", "with_mc", False) and row.mc is not None,
         jobs=args.jobs,
         quick=getattr(args, "quick", False),
     )
@@ -297,17 +304,10 @@ _CHUNK = 4096
 def _write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Write header and rows of str cells (stdout if path is None), cells joined by "," and lines ended by "\n"."""
     lines = map(",".join, chain([header], rows))
-
-    def emit(fh) -> None:
+    with contextlib.nullcontext(sys.stdout) if path is None else _open_output(path, "w") as fh:
         while chunk := list(islice(lines, _CHUNK)):
             chunk.append("")
             fh.write("\n".join(chunk))
-
-    if path is None:
-        emit(sys.stdout)
-        return
-    with _open_output(path, "w") as fh:
-        emit(fh)
 
 
 def _open_output(path: str, mode: str):
@@ -631,7 +631,8 @@ def _run(argv: Sequence[str]) -> int:
     args = _parse_args(argv)
     try:
         return run_experiment(_spec_from_args(args))
-    except (ConfigError, ValueError) as exc:
+    # an allocation the config asks for that fails (numpy names its size) is refused like a bad value
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:

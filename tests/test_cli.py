@@ -114,8 +114,19 @@ class TestConfigParsing:
             ("simulate", "[sim]\nn_realizations = 1e3\n", "sim.n_realizations must be an integer, got '1e3'"),
             ("load-curves", "[sim]\nwith_mc = maybe\n", "sim.with_mc must be a boolean, got 'maybe'"),
             ("rate", "[grid]\nbetas = 3 x\n", "grid.betas must be a list of numbers, got '3 x'"),
+            ("coverage", "[grid]\ngamma_step = 0\n", "grid.gamma_step must be positive, got 0.0"),
+            ("rate", "[grid]\nbeta_step = -0.5\n", "grid.beta_step must be positive, got -0.5"),
+            ("coverage", "[grid]\ngamma_start = 5\ngamma_stop = 0\n", "grid.gamma_stop 0.0 is below gamma_start 5.0"),
+            ("coverage", "[grid]\ngamma_unit = bels\n", "grid.gamma_unit must be 'db' or 'linear', got 'bels'"),
+            # every value parses, whether or not the run reads it, and before the kind is checked
+            ("rate", "[grid]\ngamma_step = abc\n", "grid.gamma_step must be a number, got 'abc'"),
+            ("validate", "[grid]\nx_values = 1 x\n", "grid.x_values must be a list of numbers, got '1 x'"),
+            ("rate", "[experiment]\nkind = Sideways\n[network]\nkappa = abc\n", "network.kappa must be a number, got 'abc'"),
         ],
-        ids=["number", "integer", "boolean", "list"],
+        ids=[
+            "number", "integer", "boolean", "list", "gamma-step", "beta-step", "gamma-stop", "gamma-unit",
+            "unread-grid-key", "unread-list", "value-before-kind",
+        ],
     )
     def test_bad_value_error_line(self, tmp_path, capsys, command, text, line):
         assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
@@ -149,6 +160,24 @@ class TestConfigParsing:
             "config error: grid.betas lists the betas; grid.beta_start, grid.beta_step "
             "would be ignored, set one or the other\n"
         )
+
+    @pytest.mark.parametrize("key", ["betas", "ratios", "x_values"])
+    @pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda kind: kind.value)
+    def test_empty_list_refused_naming_the_key(self, tmp_path, capsys, kind, key):
+        path = write_cfg(tmp_path, f"[experiment]\nkind = {kind.value}\n[grid]\n{key} =\n")
+        assert main([cli._KINDS[kind].command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: grid.{key} must be a list of numbers, got ''\n"
+
+    def test_allocation_failure_is_a_config_error(self, tmp_path, capsys):
+        # the user draw asks for 3.55 PiB, past a 48-bit address space, so it fails at once
+        path = write_cfg(tmp_path, "[network]\nlambda_ue = 1e6\nlambda_bs = 1e-6\n[sim]\nn_realizations = 1\n")
+        assert main(["simulate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: Unable to allocate 3.55 PiB for an array")
+        assert captured.err.count("\n") == 1
 
     def test_beta_range_alone_still_sweeps(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "[grid]\nbeta_start = 3\nbeta_stop = 4\nbeta_step = 0.5\n")
@@ -591,7 +620,7 @@ class TestUnusedKeys:
     def test_every_allowed_key_has_a_rule(self):
         spec = cli.ExperimentSpec(ExperimentKind.RAW_SAMPLES, NetworkParams(1e-6, 4.0), SimConfig())
         args = argparse.Namespace(out=None, seed=None, db=False)
-        allowed = {f"{section}.{key}" for section, keys in cli._ALLOWED_KEYS.items() for key in keys}
+        allowed = {f"{section}.{key}" for section, keys in cli._KEYS.items() for key in keys}
         assert set(cli._used_keys(spec, args, {})) == allowed
 
     @pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda kind: kind.value)
