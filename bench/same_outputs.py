@@ -13,8 +13,10 @@ option, a bad --seed, an abbreviated option and a missing option value);
 noise, at --jobs 1 and 2; curves with their Monte Carlo columns; the curve
 subcommands and `simulate` writing to stdout; an --out file that already
 holds more bytes than the new CSV (its old tail must go); beta and linear
-gamma ranges; configs with bad values, bad ranges and empty lists; an
-allocation too large to make; and `validate --quick --seed 0`, whose
+gamma ranges; the rate and load curves at the edges of their beta and
+ratio axes, with and without noise; configs with bad values, bad ranges,
+empty lists and a lone `%`; an allocation too large to make; and
+`validate --quick --seed 0`, whose
 per-check times are stripped before the comparison. Prints per case
 whether the exit code, stdout, stderr and --out file bytes are identical,
 and exits 1 on any difference.
@@ -100,7 +102,20 @@ CASES = [
     ("load-curves-coverage-with-mc", ["load-curves", "--out", OUT],
      "[experiment]\nkind = CoveragePartialLoad\n[grid]\nratios = 0.5 4.34\ngamma_start = -5\ngamma_stop = 10\n"
      "gamma_step = 5\n" + SMALL_MC),
-    # outputs this matrix expects to change with the one parse rule: every value parses, every list is nonempty
+    # the edges of the beta and ratio axes that one quadrature pass covers: beta 4 (numpy's
+    # sqrt path for x ** 0.5), the closed form's singular window around 4.3508, beta near 2
+    # and p_active from 0.12 to 1
+    ("rate-edge-betas", ["rate", "--out", OUT], "[grid]\nbetas = 2.05 3 4 4.3508 4.36 5\n"),
+    *(
+        (f"load-curves-{name}-edges", ["load-curves", "--out", OUT],
+         f"[experiment]\nkind = {kind}\n{network}[grid]\nbetas = 2.05 3 4 5\nratios = 0.1 0.17 4.34 20\n")
+        for name, kind, network in (
+            ("peak", "PeakRateVsRatio", ""),
+            ("actual", "ActualRateVsRatio", ""),
+            ("coverage", "CoveragePartialLoad", ""),
+            ("coverage-noise", "CoveragePartialLoad", NOISE),
+        )
+    ),
     ("empty-betas-rate", ["rate"], "[grid]\nbetas =\n"),
     ("empty-betas-coverage", ["coverage"], "[grid]\nbetas =\n"),
     ("empty-ratios", ["load-curves"], "[grid]\nratios =\n"),
@@ -110,6 +125,9 @@ CASES = [
     ("beta-stop-below-start", ["coverage"], "[grid]\nbeta_start = 4\nbeta_stop = 3\n"),
     ("huge-draw", ["simulate"], "[network]\nlambda_ue = 1e6\nlambda_bs = 1e-6\n[sim]\nn_realizations = 1\n"),
     ("validate-quick", ["validate", "--quick", "--seed", "0", "--out", OUT], ""),
+    # expected to differ from a parent that reads config values outside its parse-error handler:
+    # a lone "%" was a configparser traceback and exit 1, and is a config error, exit 2
+    ("percent-in-value", ["rate"], "[experiment]\noutput = 100%.csv\n"),
 ]
 
 # bytes already in the --out file before a case runs

@@ -6,7 +6,8 @@ Interference-limited coverage has the uniform shape
 
 where B is the MGF exponent bracket of ppcell.mgf (exact Kummer form or the
 two-piece approximation) and p_active is the idle-mode thinning factor
-(1 = fully loaded); pcov() is that formula. With noise, t = pi*lambda*r^2,
+(1 = fully loaded); pcov() is that formula, for a p_active array as well
+as a scalar. With noise, t = pi*lambda*r^2,
 Exp(1) for the serving distance r, turns coverage into
 
     int_0^inf exp(-a t - k*gamma * t^(beta/2)) dt,   a = 1 - p_active*B(gamma),
@@ -16,8 +17,10 @@ Andrews, Baccelli & Ganti (IEEE TCOM 2011). pcov_general() returns pcov()
 at k = 0, where the integral is 1/a, and sums it on panels in log t otherwise.
 Ergodic peak rate is int_0^inf Pcov(w)/(1+w) dw, evaluated by a
 fixed Gauss-Legendre rule in log w (the authority) and, fully loaded, by a
-closed form valid for every beta. Partial-load rates always come from the
-rule: the published beta = 3, 4 partial-load forms do not match it (see the
+closed form valid for every beta. rate_quadrature() takes a sequence of
+betas and of p_active values in one call, so a curve CSV makes one
+quadrature call per kind. Partial-load rates always come from the rule:
+the published beta = 3, 4 partial-load forms do not match it (see the
 erratum in the README).
 
 Rates are in nats/s/Hz.
@@ -131,44 +134,72 @@ def pathloss_cdf(y, p: NetworkParams) -> float | np.ndarray:
     return 1.0 - np.exp(-math.pi * p.lambda_bs * (y / p.kappa) ** p.delta)
 
 
-def pcov(gamma, beta: float, kind: str = "exact", p_active: float = 1.0) -> float | np.ndarray:
+def pcov(gamma, beta: float, kind: str = "exact", p_active: float | np.ndarray = 1.0) -> float | np.ndarray:
     """Interference-limited coverage 1/(1 - p_active * B(gamma)) at every threshold.
 
     kind is the bracket kind ("exact" or "two_piece"); p_active thins the
     interferers (1 = fully loaded). Independent of density, transmit power
     and path-loss prefactor; those all cancel between signal and
     interference. gamma may be an array; bracket() rejects negative ones.
+    p_active may be an array that broadcasts against gamma (a column of
+    entries against a row of thresholds gives one curve per entry), each
+    curve bit for bit the call with its entry alone; one bracket call
+    serves them all.
     """
     _check_p_active(p_active)
     return 1.0 / (1.0 - bracket(beta, gamma, kind) * p_active)
 
 
-def pcov_general(gamma, p: NetworkParams, p_active: float = 1.0, kind: str = "exact") -> float | np.ndarray:
+def pcov_general(
+    gamma, p: NetworkParams, p_active: float | np.ndarray = 1.0, kind: str = "exact"
+) -> float | np.ndarray:
     """Coverage P(SINR > gamma) at every threshold, noise included.
 
     pcov() when p.sigma_n2 == 0, else the integral of the module docstring.
     Where k or the noise term leaves the float range, at a vanishing
     density, coverage above gamma = 0 takes its noise-limited limit 0.
+    p_active may be an array that broadcasts against gamma, as in pcov();
+    with noise, each entry's integral is summed on the panels its own call
+    would use.
     """
     if p.sigma_n2 == 0.0:
         return pcov(gamma, p.beta, kind, p_active)
     _check_p_active(p_active)
     gamma = np.asarray(gamma, dtype=float)
+    pa = np.asarray(p_active, dtype=float)
     scale = p.p_tx * (math.pi * p.lambda_bs) ** (p.beta / 2.0)
     k = p.sigma_n2 * p.kappa / scale if scale > 0.0 else math.inf
     # the SINR is positive, so every user is covered at gamma = 0
     if k == math.inf:  # a vanishing density: the noise-limited limit
-        return np.where(gamma == 0.0, 1.0, 0.0)[()]
-    a = 1.0 - p_active * bracket(p.beta, gamma, kind)
+        return np.where(gamma == 0.0, 1.0, np.zeros(pa.shape))[()]
+    a = 1.0 - pa * bracket(p.beta, gamma, kind)
     # a noise term past the float range is inf, and exp(-inf) = 0 is the limit
     with np.errstate(over="ignore"):
-        return np.where(gamma == 0.0, 1.0, _coverage_integral(a, k * gamma, p.beta))[()]
+        return np.where(gamma == 0.0, 1.0, _coverage_per_entry(pa, a, k * gamma, p.beta))[()]
 
 
 def _check_error(what: str, worst: float) -> None:
     """Refuse a what ("coverage" or "rate") quadrature whose worst achieved error is past _QUAD_ERR_LIMIT."""
     if worst > _QUAD_ERR_LIMIT:
         raise NonConvergenceError(f"{what} quadrature achieved only {worst:.2e} absolute error (target {_QUAD_ERR_LIMIT:g})")
+
+
+def _coverage_per_entry(pa: np.ndarray, a: np.ndarray, noise: np.ndarray, beta: float) -> np.ndarray:
+    """_coverage_integral over the entries of a that each entry of p_active pa meets, one call per entry.
+
+    One call over them all would size every entry's panels by the widest span.
+    A scalar pa passes a through unmasked: a mask would turn a 0-d a into
+    shape (1,), whose matrix product need not round as the 0-d one does.
+    """
+    if pa.ndim == 0:
+        return _coverage_integral(a, noise, beta)
+    owner = np.broadcast_to(np.arange(pa.size).reshape(pa.shape), a.shape)
+    noise = np.broadcast_to(noise, a.shape)
+    out = np.empty(a.shape)
+    for i in range(pa.size):
+        at = owner == i
+        out[at] = _coverage_integral(a[at], noise[at], beta)
+    return out
 
 
 def _coverage_integral(a: np.ndarray, noise: np.ndarray, beta: float) -> np.ndarray:
@@ -228,46 +259,56 @@ def _rules(lo, hi, n) -> tuple[np.ndarray, np.ndarray]:
     return (mids[:, None] + halves[:, None] * _GL_NODES).ravel(), (halves[:, None] * _GL_WEIGHTS).ravel()
 
 
-def _rate_integral(beta: float, p_active: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Peak-rate integral int_0^W Pcov(w)/(1+w) dw for every entry of p_active.
+def _rate_integral(betas: list[float], p_active: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Peak-rate integral int_0^W Pcov(w)/(1+w) dw for every beta and every entry of p_active.
 
-    The integral runs in v = log w over two pieces split at the branch point
-    (where the two-piece bracket has a kink): [w_min, c] and [c, W], with W
-    sized for the smallest p_active so that one node set serves them all.
-    The bracket does not depend on p_active, so one bracket() call feeds the
-    whole vector. Each piece is summed over n panels and over 2n; the finer
-    sum is the value and the coarse-fine gap, plus the mass cut off below
-    w_min and beyond W, the reported error bound.
+    For each beta the integral runs in v = log w over two pieces split at
+    the branch point (where the two-piece bracket has a kink): [w_min, c]
+    and [c, W], with W sized for the smallest p_active so that one node set
+    serves them all. Each piece is summed over n panels and over 2n; the
+    finer sum is the value and the coarse-fine gap, plus the mass cut off
+    below w_min and beyond W, the reported error bound. Every beta's four
+    rules are laid out in one pass, the bracket, which does not depend on
+    p_active, is evaluated on each beta's slice of the nodes, and one sum
+    closes every panel set. Values and bounds come back with one row per
+    beta; the error limit is checked beta by beta, in order.
     """
-    edges = (math.log(_W_MIN), math.log(solve_c(beta).c_exact), math.log(_w_max(beta, float(p_active.min()))))
-    lo, hi = np.repeat(edges[:2], 2), np.repeat(edges[1:], 2)
-    n = np.ceil((hi - lo) / _PANEL_WIDTH).astype(int) * (1, 2, 1, 2)
+    pa_min = float(p_active.min())
+    edges = np.array([(math.log(_W_MIN), math.log(solve_c(beta).c_exact), math.log(_w_max(beta, pa_min)))
+                      for beta in betas])
+    lo, hi = np.repeat(edges[:, :2], 2), np.repeat(edges[:, 1:], 2)
+    n = np.ceil((hi - lo) / _PANEL_WIDTH).astype(int)
+    n[1::2] *= 2  # each piece: n panels, then 2n
     v, q = _rules(lo, hi, n)
     w = np.exp(v)
-    b = bracket(beta, w, kind)
+    starts = (np.cumsum(n) - n) * _GL_NODES.size
+    cuts = [*starts[::4].tolist(), w.size]
+    b = np.concatenate([bracket(beta, w[i:j], kind) for beta, i, j in zip(betas, cuts, cuts[1:])])
     # Pcov(w)/(1+w) dw = Pcov(w)/(1+1/w) dv
     f = q / ((1.0 - p_active[:, None] * b) * (1.0 + 1.0 / w))
-    starts = (np.cumsum(n) - n) * _GL_NODES.size
-    low_coarse, low, high_coarse, high = np.add.reduceat(f, starts, axis=1).T
+    # (p_active, beta, rule) -> one (beta, p_active) array per rule
+    low_coarse, low, high_coarse, high = np.add.reduceat(f, starts, axis=1).reshape(p_active.size, -1, 4).T
     err = np.abs(low - low_coarse) + np.abs(high - high_coarse) + _TAIL_BUDGET + _W_MIN
-    _check_error("rate", float(err.max()))
+    for row in err:
+        _check_error("rate", float(row.max()))
     return low + high, err
 
 
-def rate_quadrature(
-    beta: float,
-    p_active=1.0,
-    kind: str = "exact",
-) -> RateResult | list[RateResult]:
+def rate_quadrature(beta, p_active=1.0, kind: str = "exact") -> RateResult | list:
     """Ergodic peak rate by the fixed log-space quadrature. Authority for all closed forms.
 
     kind is the coverage kind integrated, "exact" or "two_piece" as in
     pcov(); the tail cutoff is proven for those two brackets only.
     p_active may also be a sequence; the result is then a list with one
-    RateResult per entry, all from a single bracket evaluation. stderr
-    carries the achieved absolute error bound.
+    RateResult per entry, all from a single bracket evaluation. beta may
+    also be a sequence; the result is then a list with one entry per beta,
+    each bit for bit what the call with that beta alone returns, all from
+    one pass over every beta's nodes. stderr carries the achieved absolute
+    error bound.
     """
-    _check_beta(beta)
+    betas = np.asarray(beta, dtype=float)
+    for b in betas.ravel().tolist():
+        _check_beta(b)
     if kind not in ("exact", "two_piece"):
         raise ValueError(f"rate kind must be 'exact' or 'two_piece', got {kind!r}")
     pa = np.asarray(p_active, dtype=float)
@@ -278,12 +319,16 @@ def rate_quadrature(
         )
     if not np.all(pa <= 1.0):
         raise ValueError(f"p_active must lie in [{_MIN_P_ACTIVE}, 1], got {np.max(pa)}")
-    values, errs = _rate_integral(beta, pa.ravel(), kind)
-    results = [
-        RateResult(value=v, method=RateMethod.QUADRATURE, stderr=e)
-        for v, e in zip(values.tolist(), errs.tolist())
+    if not betas.size:
+        return []
+    values, errs = _rate_integral(betas.ravel().tolist(), pa.ravel(), kind)
+    per_beta = [
+        [RateResult(value=v, method=RateMethod.QUADRATURE, stderr=e) for v, e in zip(*rows)]
+        for rows in zip(values.tolist(), errs.tolist())
     ]
-    return results if pa.ndim else results[0]
+    if not pa.ndim:
+        per_beta = [row[0] for row in per_beta]
+    return per_beta if betas.ndim else per_beta[0]
 
 
 def rate_closed_general(beta: float) -> RateResult:

@@ -160,21 +160,22 @@ def _linear_to_db(x: float) -> float:
 def parse_config(path: str) -> dict[str, dict[str, object]]:
     """Strict flat-key config parse: unknown sections or keys are errors, every value is parsed (file order kept)."""
     cp = configparser.ConfigParser()
+    out: dict[str, dict[str, object]] = {}
     try:
         with open(path) as fh:
             cp.read_file(fh)
+        for section in cp.sections():
+            if section not in _KEYS:
+                raise ConfigError(f"unknown config section [{section}] in {path}")
+            # reading the values interpolates them: a lone "%" fails here, not in read_file
+            out[section] = dict(cp.items(section))
+            for key in out[section]:
+                if key not in _KEYS[section]:
+                    raise ConfigError(f"unknown config key {section}.{key} in {path}")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
-    out: dict[str, dict[str, object]] = {}
-    for section in cp.sections():
-        if section not in _KEYS:
-            raise ConfigError(f"unknown config section [{section}] in {path}")
-        out[section] = dict(cp.items(section))
-        for key in out[section]:
-            if key not in _KEYS[section]:
-                raise ConfigError(f"unknown config key {section}.{key} in {path}")
     for section, keys in _KEYS.items():
         for key, (parse, what) in keys.items():
             if key in out.get(section, {}):
@@ -355,21 +356,29 @@ def _load_models(spec: ExperimentSpec) -> list[LoadModel]:
 
 
 def _coverage_rows(
-    spec: ExperimentSpec, lead: tuple[str, ...], thresholds: list[tuple[str, str]],
-    beta: float, p_active: float, lambda_ue: float,
+    spec: ExperimentSpec, thresholds: list[tuple[str, str]], beta: float,
+    loads: list[tuple[tuple[str, ...], float, float]],
 ) -> list[tuple[str, ...]]:
-    """One row per threshold: lead cells, gamma, gamma in dB, both coverage kinds[, MC]."""
+    """One row per (load, threshold): lead cells, gamma, gamma in dB, both coverage kinds[, MC].
+
+    loads holds each load's (lead cells, p_active, lambda_ue); one pcov_general call
+    per kind covers every load.
+    """
     grid = np.asarray(spec.grid)
     p = replace(spec.params, beta=beta)
-    columns = [pcov_general(grid, p, p_active, kind) for kind in ("exact", "two_piece")]
-    if spec.with_mc:
-        columns += estimate_coverage(_mc_samples(spec, beta, lambda_ue), spec.grid)
-    return [(*lead, *g, *vals) for g, *vals in zip(thresholds, *(_reprs(c.tolist()) for c in columns))]
+    p_active = np.array([[pa] for _, pa, _ in loads])
+    curves = [pcov_general(grid, p, p_active, kind) for kind in ("exact", "two_piece")]
+    rows = []
+    for (lead, _, lambda_ue), *columns in zip(loads, *curves):
+        if spec.with_mc:
+            columns += estimate_coverage(_mc_samples(spec, beta, lambda_ue), spec.grid)
+        rows += [(*lead, *g, *vals) for g, *vals in zip(thresholds, *(_reprs(c.tolist()) for c in columns))]
+    return rows
 
 
 def _run_coverage(spec: ExperimentSpec) -> _Table:
     thresholds = _threshold_cells(spec)
-    rows = [row for beta in spec.betas for row in _coverage_rows(spec, (repr(beta),), thresholds, beta, 1.0, 0.0)]
+    rows = [row for beta in spec.betas for row in _coverage_rows(spec, thresholds, beta, [((repr(beta),), 1.0, 0.0)])]
     return ["beta", "gamma", "gamma_db", "pcov_exact", "pcov_approx"], rows, 0
 
 
@@ -378,16 +387,16 @@ def _run_coverage_partial_load(spec: ExperimentSpec) -> _Table:
     loads = _load_models(spec)
     rows = []
     for beta in spec.betas:
-        for ratio, lm in zip(spec.ratios, loads):
-            lead = (repr(beta), repr(ratio), repr(lm.p_active))
-            rows += _coverage_rows(spec, lead, thresholds, beta, lm.p_active, ratio * spec.params.lambda_bs)
+        rows += _coverage_rows(spec, thresholds, beta, [
+            ((repr(beta), repr(ratio), repr(lm.p_active)), lm.p_active, ratio * spec.params.lambda_bs)
+            for ratio, lm in zip(spec.ratios, loads)
+        ])
     return ["beta", "ratio", "p_active", "gamma", "gamma_db", "pcov_exact", "pcov_approx"], rows, 0
 
 
 def _run_rate_vs_beta(spec: ExperimentSpec) -> _Table:
     rows = []
-    for beta in spec.betas:
-        exact = rate_quadrature(beta, 1.0, "exact")
+    for beta, exact in zip(spec.betas, rate_quadrature(spec.betas, 1.0, "exact")):
         closed = rate_closed_general(beta)
         row = [*_reprs((beta, exact.value, closed.value)), closed.method.value]
         if spec.with_mc:
@@ -405,10 +414,9 @@ def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> _Table:
     # the actual rate is the peak rate times the selection probability
     shares = [lm.p_selection if actual else 1.0 for lm in loads]
     rows = []
-    for beta in spec.betas:
+    per_beta = zip(spec.betas, *(rate_quadrature(spec.betas, p_active, kind) for kind in ("exact", "two_piece")))
+    for beta, ref_peaks, closed_peaks in per_beta:
         b = repr(beta)
-        ref_peaks = rate_quadrature(beta, p_active, "exact")
-        closed_peaks = rate_quadrature(beta, p_active, "two_piece")
         for ratio, lead, share, ref, closed in zip(spec.ratios, leads, shares, ref_peaks, closed_peaks):
             row = [b, *lead, repr(ref.value * share), repr(closed.value * share), closed.method.value]
             if spec.with_mc:

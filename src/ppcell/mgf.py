@@ -111,9 +111,11 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must lie in (2, 5], got {beta}")
 
 
-def _check_p_active(p_active: float) -> None:
-    if not 0.0 < p_active <= 1.0:
-        raise ValueError(f"p_active must lie in (0, 1], got {p_active}")
+def _check_p_active(p_active) -> None:
+    # p_active may be an array; the first entry out of range is named
+    for pa in np.ravel(p_active).tolist():
+        if not 0.0 < pa <= 1.0:
+            raise ValueError(f"p_active must lie in (0, 1], got {pa}")
 
 
 def exponent_prefactor(p: NetworkParams, l0: float) -> float:

@@ -158,11 +158,10 @@ def check_rate_closed_forms(seed: int = 0, jobs: int = 1, quick: bool = False) -
     worst = 0.0
     worst_beta = None
     betas = [2.625 + 0.125 * k for k in range(20)]
-    for beta in betas:
+    for beta, ref in zip(betas, rate_quadrature(betas, 1.0, "two_piece")):
         closed = rate_closed_general(beta)
         if closed.method is not RateMethod.CLOSED_FORM_GENERAL:
             return False, f"beta={beta:g} unexpectedly served by {closed.method.value}"
-        ref = rate_quadrature(beta, 1.0, "two_piece")
         diff = abs(closed.value - ref.value)
         if diff > worst:
             worst, worst_beta = diff, beta

@@ -8,6 +8,7 @@ path-loss density (noise-free) and over the serving distance (noisy).
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -260,6 +261,48 @@ class TestCoverageCurve:
             assert e == pcov(g, 4.0, "exact", 0.7) and a == pcov(g, 4.0, "two_piece", 0.7), g
 
 
+class TestPActiveAxis:
+    """A column of p_active entries against a row of thresholds: one curve per entry, bit for bit its own call."""
+
+    # no threshold near 0, where a = 1 - p_active*B is 1 for every entry: above it, the
+    # entries' spans in log t differ, and so do the noisy rule's panel counts
+    GAMMAS = np.array([0.1, 0.5, 1.0, 4.0, 10.0, 100.0, 1e3])
+    P_ACTIVE = np.array([1e-3, 0.07, 0.3, 0.585, 0.9, 1.0])
+
+    @staticmethod
+    def hexes(values) -> list[str]:
+        return [v.hex() for v in np.asarray(values).tolist()]
+
+    @pytest.mark.parametrize("sigma_n2", [0.0, 1e-9])
+    @pytest.mark.parametrize("kind", ["exact", "two_piece"])
+    def test_pcov_general_rows_are_the_per_entry_calls(self, sigma_n2, kind):
+        for beta in (2.05, 3.0, 4.0, 4.3508, 5.0):
+            p = NetworkParams(lambda_bs=1.27e-6, beta=beta, sigma_n2=sigma_n2)
+            got = pcov_general(self.GAMMAS, p, self.P_ACTIVE[:, None], kind)
+            assert got.shape == (self.P_ACTIVE.size, self.GAMMAS.size)
+            for row, pa in zip(got, self.P_ACTIVE.tolist()):
+                assert self.hexes(row) == self.hexes(pcov_general(self.GAMMAS, p, pa, kind)), (beta, pa)
+
+    @pytest.mark.parametrize("kind", ["exact", "two_piece"])
+    def test_pcov_rows_are_the_per_entry_calls(self, kind):
+        for beta in (2.05, 3.0, 4.0, 5.0):
+            got = pcov(self.GAMMAS, beta, kind, self.P_ACTIVE[:, None])
+            for row, pa in zip(got, self.P_ACTIVE.tolist()):
+                assert self.hexes(row) == self.hexes(pcov(self.GAMMAS, beta, kind, pa)), (beta, pa)
+
+    def test_vanishing_density_keeps_the_shape(self):
+        p = NetworkParams(lambda_bs=1e-300, beta=5.0, sigma_n2=1e-9)
+        got = pcov_general(self.GAMMAS, p, self.P_ACTIVE[:, None])
+        assert got.shape == (self.P_ACTIVE.size, self.GAMMAS.size)
+        assert np.all(got == pcov_general(self.GAMMAS, p))
+
+    def test_first_entry_out_of_range_is_named(self):
+        for sigma_n2 in (0.0, 1e-9):
+            p = NetworkParams(lambda_bs=1.27e-6, beta=4.0, sigma_n2=sigma_n2)
+            with pytest.raises(ValueError, match=re.escape("p_active must lie in (0, 1], got 0.0")):
+                pcov_general(self.GAMMAS, p, np.array([[0.5], [0.0], [1.5]]))
+
+
 class TestRateQuadrature:
     def test_fully_loaded_exact_references(self):
         for beta, want in ((3.0, 0.829489013005295), (4.0, 1.39142060867317), (5.0, 1.91684777490024)):
@@ -323,6 +366,13 @@ def adaptive_rate(beta, p_active, kind):
     return low + high
 
 
+def rate_bits(results) -> list[tuple[str, str]]:
+    """(value, stderr) as float.hex pairs of a RateResult or a list of them."""
+    if isinstance(results, RateResult):
+        return [(results.value.hex(), results.stderr.hex())]
+    return [bits for r in results for bits in rate_bits(r)]
+
+
 class TestRateRule:
     BETAS = (2.01, 2.05, 2.1, 2.5, 3.0, 4.0, 4.3508, 5.0)
     P_ACTIVE = (1.0, 0.5, 0.05, 1e-3, 1e-6)
@@ -350,6 +400,48 @@ class TestRateRule:
                 assert abs(r.value - single.value) <= r.stderr + single.stderr, (kind, pa)
         with pytest.raises(ValueError):
             rate_quadrature(3.0, np.array([0.5, 0.0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        extra=st.lists(st.floats(2.0, 5.0, exclude_min=True), max_size=4),
+        near_singular=st.floats(-0.02, 0.02),
+        p_active=st.one_of(st.floats(1e-6, 1.0), st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=6)),
+    )
+    def test_beta_axis_is_bitwise_the_scalar_calls(self, extra, near_singular, p_active):
+        # beta 4 takes numpy's sqrt path for x ** 0.5; 4.3508 is the closed form's singular root
+        betas = [3.0, 4.0, 5.0, 4.3508 + near_singular, *extra]
+        for kind in ("exact", "two_piece"):
+            try:
+                want = [rate_bits(rate_quadrature(beta, p_active, kind)) for beta in betas]
+            except (ValueError, ArithmeticError) as exc:
+                # the batch refuses as the first refusing beta does
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    rate_quadrature(betas, p_active, kind)
+                continue
+            got = rate_quadrature(betas, p_active, kind)
+            assert [rate_bits(results) for results in got] == want, kind
+
+    def test_empty_beta_axis(self):
+        assert rate_quadrature([]) == []
+        assert rate_quadrature(np.array([]), [0.2, 0.9], "two_piece") == []
+
+    def test_first_failing_beta_is_reported(self, monkeypatch):
+        # wide panels make the achieved error differ by beta: at this limit 2.5 and 3
+        # pass and 4.5, 4 and 3.5 fail, each with its own figure; the batch must
+        # stop where the loop of scalar calls stops, not report the worst beta
+        monkeypatch.setattr(analytics, "_PANEL_WIDTH", 8.0)
+        monkeypatch.setattr(analytics, "_QUAD_ERR_LIMIT", 5e-10)
+        betas = [2.5, 3.0, 4.5, 4.0, 3.5]
+        messages = []
+        for beta in betas:
+            try:
+                rate_quadrature(beta)
+            except NonConvergenceError as exc:
+                messages.append(str(exc))
+        assert len(set(messages)) == 3
+        with pytest.raises(NonConvergenceError) as info:
+            rate_quadrature(betas)
+        assert str(info.value) == messages[0]
 
     def test_error_limit_still_enforced(self, monkeypatch):
         # the reported bound never drops below the tail budget, so a limit

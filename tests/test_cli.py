@@ -134,6 +134,24 @@ class TestConfigParsing:
         assert captured.out == ""
         assert captured.err == f"config error: {line}\n"
 
+    def test_lone_percent_sign_is_a_config_error(self, tmp_path, capsys):
+        # configparser's interpolation reads "%" when the values are read, after the file parses
+        path = write_cfg(tmp_path, "[experiment]\noutput = 100%.csv\n")
+        assert main(["rate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: cannot parse {path}: '%' must be followed by '%' or '(', found: '%.csv'\n"
+        )
+        assert not (tmp_path / "100%.csv").exists()
+
+    def test_percent_escapes_and_references_keep_their_meaning(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, "[experiment]\nkind = RateVsBeta\noutput = %(kind)s-100%%.csv\n[grid]\nbetas = 4\n")
+        assert main(["rate", "--config", path]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "RateVsBeta-100%.csv").read_text().startswith("beta,")
+
     @pytest.mark.parametrize("hash_seed", ["0", "1"])
     def test_first_bad_value_is_the_same_in_every_process(self, tmp_path, hash_seed):
         # network keys parse in a fixed order, not the config's and not a
