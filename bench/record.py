@@ -43,8 +43,10 @@ HARNESS_LIMITS = [
     "curves: two identical trees differ by up to about 6% in items_per_s and 15% in op_tail_ms "
     "over 10 alternating pairs; smaller moves there are not told apart from host drift. Within one "
     "recorder run the parent's curves items_per_s spread is narrower: IQR 1.32% (BENCH_19.json), "
-    "0.64% (BENCH_20.json) and 2.20% (BENCH_21.json), run range 4.7%, 3.7% and 8.2%; mc-full IQR "
-    "1.86%, 1.57% and 1.09%; mc-idle IQR 10.8%, 9.7% and 8.2%",
+    "0.64% (BENCH_20.json), 2.20% (BENCH_21.json), 3.5% (BENCH_22.json), 4.4% (BENCH_23.json) and "
+    "1.3% (BENCH_24.json), run range 4.7%, 3.7% and 8.2% in the first three; curves setup_s IQR 3.7%, "
+    "7.3% and 3.2% (BENCH_22 to BENCH_24); mc-full items_per_s IQR 1.86%, 1.57%, 1.09%, 1.3%, 1.7% and "
+    "2.3%; mc-idle IQR 10.8%, 9.7%, 8.2%, 11.3%, 7.7% and 3.5% (BENCH_19 to BENCH_24)",
     "peak_rss_mb includes the harness's own per-op records, about 2.5 KB per op, so a faster "
     "program that runs more ops in the fixed run time reads a higher peak_rss_mb "
     "(about +0.5 MB for a 2x faster curves, against a 0.02 relative bound)",
@@ -59,8 +61,13 @@ HARNESS_LIMITS = [
     "per side with their range, and a move inside either side's range is not a change's effect",
     "setup_s times a fresh `import ppcell.cli` plus solve_c at beta 3, 4 and 5, the same code on every "
     "workload; since scipy.special loads on first use, curves commands load it at their first bracket and "
-    "idle simulate through scipy.spatial, so a setup_s drop on curves or mc-idle is not a per-call gain: "
-    "bench/startup.py times whole fresh-process commands",
+    "idle simulate through scipy.spatial, so a setup_s drop from a module those commands load anyway is "
+    "not a per-call gain. A drop from ppcell modules an analytic call never loads (ppcell.simulator, "
+    "ppcell.validation) is one on curves; it is not one on mc-*, whose first simulate imports the "
+    "simulator inside an untimed warm-up op. bench/startup.py times whole fresh-process commands",
+    "an exported tree has no __pycache__, and under PYTHONDONTWRITEBYTECODE=1 none is written, so every "
+    "fresh process compiles the src/ppcell modules it imports inside setup_s: compile() of all six took "
+    "about 30 to 38 ms on the 2-vCPU recording host, of simulator and validation about 12 ms",
 ]
 
 

@@ -9,13 +9,15 @@ run is one fresh interpreter that imports ppcell.cli from its tree, calls
 all of what a shell user waits for. For each command the two sides run back
 to back, alternating which goes first, and the first run of each side keeps
 its output file. Prints per command each side's median wall time and peak
-RSS, the change's ratio to the parent, the pairs the change won, and whether
-the two sides wrote byte-identical output.
+RSS, the change's ratio to the parent, the pairs the change won, whether
+the two sides wrote byte-identical output, and which of the WATCHED modules
+each side's first run had loaded when `main` returned.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import shutil
 import statistics
 import subprocess
@@ -28,35 +30,43 @@ from record import export
 
 # (name, subcommand, config): full-load simulate at the defaults (10,000
 # realizations of 500 stations), idle mode at the paper's ratio 4.34 (user
-# attachment loads scipy.spatial), and two analytic commands at their
+# attachment loads scipy.spatial), and four analytic commands at their
 # default grids (their first bracket loads scipy.special)
 COMMANDS = (
     ("simulate-full", "simulate", ""),
     ("simulate-idle", "simulate", "[network]\nlambda_ue = 5.5118e-6\n[sim]\nn_realizations = 200\nidle_mode = true\n"),
     ("coverage", "coverage", ""),
     ("rate", "rate", ""),
+    ("mgf", "mgf", ""),
+    ("load-curves", "load-curves", "[experiment]\nkind = PeakRateVsRatio\n"),
 )
 
+# module -> its short name in the loads columns
+WATCHED = {"ppcell.simulator": "sim", "ppcell.validation": "val", "numpy.random": "rand", "scipy.special": "spec"}
+
 RUNNER = """
-import resource, sys
+import json, resource, sys
 sys.path.insert(0, sys.argv[1])
 import ppcell.cli
 if not ppcell.cli.__file__.startswith(sys.argv[1]):
     sys.exit(f"ppcell was imported from {ppcell.cli.__file__}, not {sys.argv[1]}")
-code = ppcell.cli.main(sys.argv[2:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+code = ppcell.cli.main(sys.argv[3:])
+loaded = [m for m in json.loads(sys.argv[2]) if m in sys.modules]
+print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, loaded]), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def run_once(tree: Path, argv: list[str]) -> tuple[float, float]:
-    """Wall time in s and peak RSS in MB of one fresh `ppcell` call."""
+def run_once(tree: Path, argv: list[str]) -> tuple[float, float, str]:
+    """Wall time in s, peak RSS in MB and the loaded WATCHED modules of one fresh `ppcell` call."""
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), *argv], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), json.dumps(list(WATCHED)), *argv],
+                          capture_output=True, text=True)
     wall = time.perf_counter() - t0
     if proc.returncode:
         raise RuntimeError(f"ppcell {' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return wall, int(proc.stderr.splitlines()[-1]) / 1024.0
+    rss_kb, loaded = json.loads(proc.stderr.splitlines()[-1])
+    return wall, rss_kb / 1024.0, "+".join(WATCHED[m] for m in loaded) or "-"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         export(args.base, trees["parent"])
         export("HEAD", trees["change"])
         print(f"{'command':<14} {'parent_ms':>10} {'change_ms':>10} {'ratio':>6} {'wins':>6} "
-              f"{'parent_rss_mb':>14} {'change_rss_mb':>14}  same_output")
+              f"{'parent_rss_mb':>14} {'change_rss_mb':>14}  same_output  parent_loads / change_loads")
         for name, command, config in COMMANDS:
             outs = {side: work / f"{name}-{side}.csv" for side in trees}
             argvs = {side: [command, "--out", str(outs[side])] for side in trees}
@@ -81,19 +91,21 @@ def main(argv: list[str] | None = None) -> int:
                     argvs[side] += ["--config", str(work / f"{name}.ini")]
             walls = {side: [] for side in trees}
             rss = {side: [] for side in trees}
-            outputs = {}
+            outputs, loads = {}, {}
             for k in range(args.runs):
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    wall, mb = run_once(trees[side], argvs[side])
+                    wall, mb, loaded = run_once(trees[side], argvs[side])
                     walls[side].append(wall)
                     rss[side].append(mb)
                     outputs.setdefault(side, outs[side].read_bytes())
+                    loads.setdefault(side, loaded)
             wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
             med = {side: statistics.median(walls[side]) * 1e3 for side in trees}
             print(f"{name:<14} {med['parent']:>10.1f} {med['change']:>10.1f} {med['change'] / med['parent']:>6.3f} "
                   f"{wins:>3}/{args.runs:<2} {statistics.median(rss['parent']):>14.1f} "
                   f"{statistics.median(rss['change']):>14.1f}  "
-                  f"{'yes' if outputs['parent'] == outputs['change'] else 'NO'}", flush=True)
+                  f"{'yes' if outputs['parent'] == outputs['change'] else 'NO':<11}  "
+                  f"{loads['parent']} / {loads['change']}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0

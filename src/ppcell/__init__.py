@@ -8,13 +8,13 @@ Carlo simulator that every analytical expression is validated against.
 All internal quantities are linear (no dB) and rates are in nats/s/Hz.
 The MGF function itself is ppcell.mgf.mgf; it is not re-exported here,
 where its name would shadow the ppcell.mgf module.
+
+`import ppcell` loads mgf and analytics only. The simulator's exports are
+served on first access (PEP 562), so an analytic caller never pays for
+the simulator's import or for numpy.random.
 """
 
-from .mgf import (
-    NetworkParams,
-    NonConvergenceError,
-    solve_c,
-)
+from .mgf import NetworkParams, NonConvergenceError, SimConfig, solve_c
 from .analytics import (
     LoadModel,
     RateMethod,
@@ -27,17 +27,37 @@ from .analytics import (
     rate_closed_general,
     rate_quadrature,
 )
-from .simulator import (
-    Deployment,
-    SimConfig,
-    SirSampleSet,
-    apply_idle_mode,
-    estimate_coverage,
-    estimate_rates,
-    inactive_fraction_interior,
-    run_simulation,
-    sample_deployment,
-    sample_sir,
+
+# served by __getattr__ from ppcell.simulator
+_SIMULATOR_EXPORTS = (
+    "Deployment",
+    "SirSampleSet",
+    "apply_idle_mode",
+    "estimate_coverage",
+    "estimate_rates",
+    "inactive_fraction_interior",
+    "run_simulation",
+    "sample_deployment",
+    "sample_sir",
 )
 
+__all__ = [
+    "NetworkParams", "NonConvergenceError", "SimConfig", "solve_c",
+    "LoadModel", "RateMethod", "RateResult", "load_model", "pathloss_cdf", "pcov", "pcov_general",
+    "rate_actual", "rate_closed_general", "rate_quadrature",
+    *_SIMULATOR_EXPORTS,
+]
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_EXPORTS:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -60,6 +60,13 @@ __all__ = [
 # the load model, not a tunable
 _LOAD_SHAPE = 3.5
 
+# reference density (BSs per m^2, a macro-cell figure) of the Monte Carlo
+# checks and the CLI's default network; coverage and rate are density-free,
+# so the value only fixes the simulation scale
+_LAMBDA_REF = 1.27e-6
+# the paper's UE/BS density ratios
+_RATIO_GRID = (0.17, 4.34, 8.51, 11.11)
+
 # rate integral: truncate where the provable tail bound drops below this
 _TAIL_BUDGET = 1e-10
 # and start at this w; the integrand is below 1, so the mass skipped is below it
@@ -87,6 +94,9 @@ _MIN_P_ACTIVE = 1e-6
 # the general closed form divides by 2*beta^2 - 11*beta + 10; this root is in range
 _SINGULAR_BETA = (11.0 + math.sqrt(41.0)) / 4.0
 _SINGULAR_HALFWIDTH = 0.02
+# and subtracts A/(beta-2) from alpha ~ A/(beta-2) + (beta-2)/2: below beta = 2 +
+# this the cancellation costs more than the quadrature's 1e-10 (all of it by 2 + 1e-8)
+_NEAR_TWO_HALFWIDTH = 1e-5
 
 
 class RateMethod(Enum):
@@ -126,6 +136,10 @@ class LoadModel:
     p_inactive: float
     p_active: float
     p_selection: float
+
+
+def _db_to_linear(db: float | np.ndarray) -> float | np.ndarray:
+    return 10.0 ** (db / 10.0)
 
 
 def pathloss_cdf(y, p: NetworkParams) -> float | np.ndarray:
@@ -241,11 +255,34 @@ def load_model(lambda_ue: float, lambda_bs: float) -> LoadModel:
     return LoadModel(ratio=ratio, p_inactive=p_inactive, p_active=p_active, p_selection=min(p_selection, 1.0))
 
 
+def _tail_mass(beta: float, p_active: float, w: float) -> float:
+    # past the branch point (everywhere for the exact kind) the rate integrand is below
+    # 1/(p_active Gamma(1-d) w^d (1+w)), so the mass beyond w >= c is below this
+    d = 2.0 / beta
+    return w ** (-d) / (p_active * math.gamma(1.0 - d) * d)
+
+
 def _w_max(beta: float, p_active: float) -> float:
-    # tail of the rate integrand is bounded by 1/(p_active Gamma(1-d) w^d (1+w));
-    # beyond W the remaining mass is <= W^(-d) / (p_active Gamma(1-d) d)
+    # the W at which _tail_mass meets the budget
     d = 2.0 / beta
     return (1.0 / (_TAIL_BUDGET * p_active * math.gamma(1.0 - d) * d)) ** (1.0 / d)
+
+
+def _upper_edge(beta: float, p_active: float) -> float:
+    """The end W of the rate integral's upper piece [c, W]; W = c leaves the piece empty.
+
+    Near beta = 2, Gamma(1-d) is so large that the tail beyond the branch point
+    is already within the budget: the upper piece is then empty, its mass
+    counted in the tail term of the error bound.
+    """
+    c = solve_c(beta).c_exact
+    w_max = _w_max(beta, p_active)
+    if w_max > c:
+        return w_max
+    if not _tail_mass(beta, p_active, c) <= _TAIL_BUDGET:
+        raise ValueError(f"rate quadrature at beta={beta}: the tail bound beyond the branch point {c} "
+                         f"exceeds {_TAIL_BUDGET:g}")
+    return c
 
 
 def _rules(lo, hi, n) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +302,8 @@ def _rate_integral(betas: list[float], p_active: np.ndarray, kind: str) -> tuple
     For each beta the integral runs in v = log w over two pieces split at
     the branch point (where the two-piece bracket has a kink): [w_min, c]
     and [c, W], with W sized for the smallest p_active so that one node set
-    serves them all. Each piece is summed over n panels and over 2n; the
+    serves them all (near beta = 2 the second piece may be empty, see
+    _upper_edge). Each piece is summed over n panels and over 2n; the
     finer sum is the value and the coarse-fine gap, plus the mass cut off
     below w_min and beyond W, the reported error bound. Every beta's four
     rules are laid out in one pass, the bracket, which does not depend on
@@ -274,12 +312,13 @@ def _rate_integral(betas: list[float], p_active: np.ndarray, kind: str) -> tuple
     beta; the error limit is checked beta by beta, in order.
     """
     pa_min = float(p_active.min())
-    edges = np.array([(math.log(_W_MIN), math.log(solve_c(beta).c_exact), math.log(_w_max(beta, pa_min)))
+    edges = np.array([(math.log(_W_MIN), math.log(solve_c(beta).c_exact), math.log(_upper_edge(beta, pa_min)))
                       for beta in betas])
     lo, hi = np.repeat(edges[:, :2], 2), np.repeat(edges[:, 1:], 2)
     n = np.ceil((hi - lo) / _PANEL_WIDTH).astype(int)
     n[1::2] *= 2  # each piece: n panels, then 2n
-    v, q = _rules(lo, hi, n)
+    laid = n > 0  # an empty upper piece has no panels and sums to 0
+    v, q = _rules(lo[laid], hi[laid], n[laid])
     w = np.exp(v)
     starts = (np.cumsum(n) - n) * _GL_NODES.size
     cuts = [*starts[::4].tolist(), w.size]
@@ -287,7 +326,9 @@ def _rate_integral(betas: list[float], p_active: np.ndarray, kind: str) -> tuple
     # Pcov(w)/(1+w) dw = Pcov(w)/(1+1/w) dv
     f = q / ((1.0 - p_active[:, None] * b) * (1.0 + 1.0 / w))
     # (p_active, beta, rule) -> one (beta, p_active) array per rule
-    low_coarse, low, high_coarse, high = np.add.reduceat(f, starts, axis=1).reshape(p_active.size, -1, 4).T
+    sums = np.zeros((p_active.size, n.size))
+    sums[:, laid] = np.add.reduceat(f, starts[laid], axis=1)
+    low_coarse, low, high_coarse, high = sums.reshape(p_active.size, -1, 4).T
     err = np.abs(low - low_coarse) + np.abs(high - high_coarse) + _TAIL_BUDGET + _W_MIN
     for row in err:
         _check_error("rate", float(row.max()))
@@ -336,14 +377,15 @@ def rate_closed_general(beta: float) -> RateResult:
 
     The expression integrates the two-piece coverage exactly; it shares a
     removable singularity with its own partial fractions where
-    2*beta^2 - 11*beta + 10 = 0 (beta ~ 4.3508). Inside a small window
-    around that root the quadrature value is substituted instead, which the
-    method field of the result reports.
+    2*beta^2 - 11*beta + 10 = 0 (beta ~ 4.3508), and its partial fractions
+    cancel as beta tends to 2. Inside a small window around that root, and
+    within 1e-5 of beta = 2, the quadrature value is substituted instead,
+    which the method field of the result reports.
     """
     from scipy.special import hyp2f1
 
     _check_beta(beta)
-    if abs(beta - _SINGULAR_BETA) < _SINGULAR_HALFWIDTH:
+    if abs(beta - _SINGULAR_BETA) < _SINGULAR_HALFWIDTH or beta - 2.0 < _NEAR_TWO_HALFWIDTH:
         return rate_quadrature(beta, 1.0, "two_piece")
     cv = solve_c(beta).c_exact
     d = 2.0 / beta

@@ -11,6 +11,10 @@ Every CSV is written as joined text: each number is its Python float repr
 and only validate's free-text cells are ever quoted, by the csv module's
 minimal rule.
 
+The analytic subcommands load only mgf and analytics: the simulator is
+imported by the runs that simulate (simulate, sim.with_mc) and the
+validation suite by validate, each where it first runs.
+
 Exit codes: 0 success, 1 validation suite reported failures, 2 config or
 domain error or a failed allocation of the size the config asks for, 3
 numerical failure (message carries the achieved tolerance), 141 (128 +
@@ -33,10 +37,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .analytics import LoadModel, load_model, pcov_general, rate_closed_general, rate_quadrature
-from .mgf import NetworkParams, NonConvergenceError, mgf, solve_c
-from .simulator import SimConfig, estimate_coverage, estimate_rates, run_simulation
-from .validation import _LAMBDA_REF, _RATIO_GRID, _db_to_linear, run_all
+from .analytics import _LAMBDA_REF, _RATIO_GRID, LoadModel, _db_to_linear, load_model, pcov_general
+from .analytics import rate_closed_general, rate_quadrature
+from .mgf import NetworkParams, NonConvergenceError, SimConfig, mgf, solve_c
 
 __all__ = ["ExperimentKind", "ExperimentSpec", "main", "parse_config", "run_experiment"]
 
@@ -342,6 +345,8 @@ _Table = tuple[list[str], Iterable[Sequence[str]] | None, int]
 
 def _mc_samples(spec: ExperimentSpec, beta: float, lambda_ue: float):
     # fully loaded curves simulate no users, the load curves idle mode
+    from .simulator import run_simulation
+
     p = replace(spec.params, beta=beta, lambda_ue=lambda_ue)
     return run_simulation(p, spec.sim, idle_mode=lambda_ue > 0.0, jobs=spec.jobs)
 
@@ -371,6 +376,8 @@ def _coverage_rows(
     rows = []
     for (lead, _, lambda_ue), *columns in zip(loads, *curves):
         if spec.with_mc:
+            from .simulator import estimate_coverage
+
             columns += estimate_coverage(_mc_samples(spec, beta, lambda_ue), spec.grid)
         rows += [(*lead, *g, *vals) for g, *vals in zip(thresholds, *(_reprs(c.tolist()) for c in columns))]
     return rows
@@ -400,6 +407,8 @@ def _run_rate_vs_beta(spec: ExperimentSpec) -> _Table:
         closed = rate_closed_general(beta)
         row = [*_reprs((beta, exact.value, closed.value)), closed.method.value]
         if spec.with_mc:
+            from .simulator import estimate_rates
+
             peak, _ = estimate_rates(_mc_samples(spec, beta, 0.0))
             row += _reprs((peak.value, peak.stderr))
         rows.append(row)
@@ -420,6 +429,8 @@ def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> _Table:
         for ratio, lead, share, ref, closed in zip(spec.ratios, leads, shares, ref_peaks, closed_peaks):
             row = [b, *lead, repr(ref.value * share), repr(closed.value * share), closed.method.value]
             if spec.with_mc:
+                from .simulator import estimate_rates
+
                 mc = estimate_rates(_mc_samples(spec, beta, ratio * spec.params.lambda_bs))[1 if actual else 0]
                 row += _reprs((mc.value, mc.stderr))
             rows.append(row)
@@ -445,6 +456,8 @@ def _run_mgf_profile(spec: ExperimentSpec) -> _Table:
 
 
 def _run_raw_samples(spec: ExperimentSpec) -> _Table:
+    from .simulator import run_simulation
+
     samples = run_simulation(spec.params, spec.sim, idle_mode=spec.idle_mode, jobs=spec.jobs)
     columns = (samples.sir_values, samples.n_users_in_cell, samples.n_active_bs)
 
@@ -459,6 +472,8 @@ def _run_raw_samples(spec: ExperimentSpec) -> _Table:
 
 def _run_validate(spec: ExperimentSpec) -> _Table:
     # the suite prints its own report; the CSV is written only on request
+    from .validation import run_all
+
     results = run_all(seed=spec.sim.seed, jobs=spec.jobs, quick=spec.quick)
     rows = [_quoted([r.label, str(r.passed), r.message, f"{r.elapsed_s:.3f}"]) for r in results]
     code = 0 if all(r.passed for r in results) else 1

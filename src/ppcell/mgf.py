@@ -12,7 +12,8 @@ function), the two-piece closed-form approximation joined at the
 intersection constant c, and Rayleigh fading marks on the interferers.
 mgf() is the exponential above; coverage and rate use bracket() directly.
 taylor_bracket() is the n-term small-argument series of B, the lower piece
-of the two-piece kind.
+of the two-piece kind. The Monte Carlo's SimConfig sits here beside
+NetworkParams, so that a config is built without loading the simulator.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "IntersectionConstant",
     "NetworkParams",
     "NonConvergenceError",
+    "SimConfig",
     "bracket",
     "exponent_prefactor",
     "mgf",
@@ -50,6 +52,8 @@ _C_STEP_ULPS = 4.0
 # -2c/(beta-2) and c^d Gamma(1-d) nearly cancel, so _bracket_gap takes their
 # sum from the series of ln Gamma(1 + t) (see _lgamma1p_coefs).
 _NEAR_TWO_T = 0.1
+# the simulator's block hashing coerces every realization id to one 32-bit word
+_MAX_REALIZATIONS = 2**32
 
 
 class NonConvergenceError(ArithmeticError):
@@ -89,6 +93,27 @@ class NetworkParams:
     def delta(self) -> float:
         """Dimensionless path-loss ratio 2/beta, in (0.4, 1)."""
         return 2.0 / self.beta
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Simulation protocol knobs of ppcell.simulator.
+
+    The fading model is fixed: Rayleigh (an Exp(1) power gain) on the
+    serving link, plain path loss on every interferer.
+    """
+
+    n_bs_target: int = 500
+    n_realizations: int = 10000
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_bs_target < 50:
+            raise ValueError(f"n_bs_target must be at least 50, got {self.n_bs_target}")
+        if not 1 <= self.n_realizations <= _MAX_REALIZATIONS:
+            raise ValueError(f"n_realizations must be in [1, 2**32], got {self.n_realizations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

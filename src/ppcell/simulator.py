@@ -70,7 +70,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from .analytics import RateMethod, RateResult
-from .mgf import NetworkParams
+from .mgf import _MAX_REALIZATIONS, NetworkParams, SimConfig
 
 __all__ = [
     "Deployment",
@@ -102,35 +102,12 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LANES = (0, 1)
 # realizations whose lane states are hashed together; bounds the state memory
 _LANE_BLOCK = 1024
-# every rid must coerce to one 32-bit word for the block hashing
-_MAX_REALIZATIONS = 2**32
 # stations per SIR block (rows x n_bs_target): 256 KB of path gains
 _SIR_CELLS = 32768
 # the largest mean Generator.poisson accepts (POISSON_LAM_MAX in numpy/random/_generator.pyx)
 _POISSON_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 # inactive_fraction_interior skips stations this many mean cell radii from the edge
 _EDGE_MARGIN = 1.5
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation protocol knobs.
-
-    The fading model is fixed: Rayleigh (an Exp(1) power gain) on the
-    serving link, plain path loss on every interferer.
-    """
-
-    n_bs_target: int = 500
-    n_realizations: int = 10000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_bs_target < 50:
-            raise ValueError(f"n_bs_target must be at least 50, got {self.n_bs_target}")
-        if not 1 <= self.n_realizations <= _MAX_REALIZATIONS:
-            raise ValueError(f"n_realizations must be in [1, 2**32], got {self.n_realizations}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

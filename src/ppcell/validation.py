@@ -27,7 +27,10 @@ from typing import Callable
 import numpy as np
 
 from .analytics import (
+    _LAMBDA_REF,
+    _RATIO_GRID,
     RateMethod,
+    _db_to_linear,
     load_model,
     pathloss_cdf,
     pcov,
@@ -50,17 +53,10 @@ from .simulator import (
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_all", "run_check"]
 
-# reference density used throughout the Monte Carlo checks (BSs per m^2,
-# a macro-cell figure); coverage and rate are density-free so the value
-# only fixes the simulation scale
-_LAMBDA_REF = 1.27e-6
-
 _BETA_GRID = (2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
 
 # tabulated branch constants (4 digits) the solver is gated against
 _TABLE_C = {3.0: 1.2528, 4.0: 1.2873, 5.0: 1.3099}
-
-_RATIO_GRID = (0.17, 4.34, 8.51, 11.11)
 
 
 @dataclass(frozen=True)
@@ -69,10 +65,6 @@ class CheckResult:
     passed: bool
     message: str
     elapsed_s: float
-
-
-def _db_to_linear(db: float | np.ndarray) -> float | np.ndarray:
-    return 10.0 ** (db / 10.0)
 
 
 def check_branch_constants(seed: int = 0, jobs: int = 1, quick: bool = False) -> tuple[bool, str]:

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -357,7 +357,8 @@ def adaptive_rate(beta, p_active, kind):
     def integrand(w):
         return 1.0 / ((1.0 - p_active * scalar_bracket(w)) * (1.0 + w))
 
-    w_max = (1.0 / (1e-10 * p_active * math.gamma(1.0 - d) * d)) ** (1.0 / d)
+    # near beta = 2 the tail budget is met before c and the upper piece is empty
+    w_max = max(c, (1.0 / (1e-10 * p_active * math.gamma(1.0 - d) * d)) ** (1.0 / d))
     low, _ = quad(integrand, 0.0, c, epsabs=1e-14, epsrel=1e-13, limit=400)
     high, _ = quad(
         lambda v: integrand(math.exp(v)) * math.exp(v),
@@ -407,6 +408,8 @@ class TestRateRule:
         near_singular=st.floats(-0.02, 0.02),
         p_active=st.one_of(st.floats(1e-6, 1.0), st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=6)),
     )
+    # the float after 2: its upper piece is empty, and the batch lays out no panels for it
+    @example(extra=[2.0000000000000004], near_singular=0.0, p_active=1e-05)
     def test_beta_axis_is_bitwise_the_scalar_calls(self, extra, near_singular, p_active):
         # beta 4 takes numpy's sqrt path for x ** 0.5; 4.3508 is the closed form's singular root
         betas = [3.0, 4.0, 5.0, 4.3508 + near_singular, *extra]
@@ -420,6 +423,40 @@ class TestRateRule:
                 continue
             got = rate_quadrature(betas, p_active, kind)
             assert [rate_bits(results) for results in got] == want, kind
+
+    # (beta, p_active, kind) -> int_{w_min}^c Pcov(w)/(1+w) dw by mpmath quad at 40 digits
+    # over the hyp1f1 bracket (exact) or the two-term series (two_piece)
+    NEAR_TWO = {
+        (2.0000000000000004, 1e-5, "exact"): 5.3008848445103807e-10,
+        (2.0000000000000004, 1e-5, "two_piece"): 5.3008848445103807e-10,
+        (2.0000000000000004, 1.0, "exact"): 5.9990202833682663e-15,
+        (2.0000000000000004, 1.0, "two_piece"): 5.9990202833682663e-15,
+        (2.000000000001, 1.0, "exact"): 1.3307139303041909e-11,
+        (2.000000000001, 1.0, "two_piece"): 1.3307139303041917e-11,
+    }
+
+    def test_empty_upper_piece_near_two(self):
+        # the tail bound is met before the branch point, so the integral is its lower
+        # piece alone: no warning, no panels above c, the tail within the budget
+        for (beta, pa, kind), want in self.NEAR_TWO.items():
+            c = solve_c(beta).c_exact
+            assert analytics._w_max(beta, pa) <= c
+            assert analytics._tail_mass(beta, pa, c) <= analytics._TAIL_BUDGET
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rate_quadrature(beta, pa, kind)
+                [batched] = rate_quadrature([beta], [pa], kind)
+            assert abs(got.value - want) <= 1e-12 * want, (beta, pa, kind)
+            assert 0.0 < got.stderr <= 1e-8
+            assert rate_bits(batched) == rate_bits(got)
+
+    def test_unbounded_empty_upper_piece_is_refused(self, monkeypatch):
+        # were the tail past c not shown within the budget, the scalar and the batch refuse alike
+        monkeypatch.setattr(analytics, "_tail_mass", lambda beta, p_active, w: 1.0)
+        for betas in (2.0000000000000004, [3.0, 2.0000000000000004]):
+            with pytest.raises(ValueError, match=re.escape("beta=2.0000000000000004")):
+                rate_quadrature(betas, 1e-5)
+        assert rate_quadrature(3.0).value > 0.0  # an upper piece with panels needs no bound at c
 
     def test_empty_beta_axis(self):
         assert rate_quadrature([]) == []
@@ -470,6 +507,17 @@ class TestRateClosedGeneral:
         assert outside.method is RateMethod.CLOSED_FORM_GENERAL
         # the served values agree across the guard boundary
         assert abs(inside.value - outside.value) < 5e-3
+
+    def test_near_two_served_by_quadrature(self):
+        # the partial fractions cancel as beta -> 2 (a division by zero by 2 + 1e-8)
+        for beta in (2.0000000000000004, 2.000000000001, 2.0 + 0.99e-5):
+            got = rate_closed_general(beta)
+            assert got.method is RateMethod.QUADRATURE
+            assert rate_bits(got) == rate_bits(rate_quadrature(beta, 1.0, "two_piece"))
+        inside = rate_closed_general(2.0 + 0.99e-5)
+        outside = rate_closed_general(2.0 + 1.01e-5)
+        assert outside.method is RateMethod.CLOSED_FORM_GENERAL
+        assert abs(inside.value - outside.value) < 2e-6
 
     def test_beta_domain(self):
         with pytest.raises(ValueError):

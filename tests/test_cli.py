@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppcell import cli
+from ppcell import cli, validation
 from ppcell.analytics import pcov_general, rate_actual, rate_quadrature
 from ppcell.cli import ConfigError, ExperimentKind, main, parse_config
 from ppcell.mgf import NetworkParams, NonConvergenceError
@@ -314,6 +314,16 @@ class TestRateCommand:
         assert float(rows[2][1]) == pytest.approx(1.39142060867317, abs=1e-8)
         assert rows[1][3] == "ClosedFormGeneral"
 
+    def test_beta_next_to_two(self, tmp_path, capsys):
+        # the rate integral's upper piece is empty there, and the closed form
+        # hands that beta to the quadrature
+        path = write_cfg(tmp_path, "[grid]\nbetas = 2.000000000001 3\n")
+        assert main(["rate", "--config", path]) == 0
+        rows = read_rows(capsys)
+        near = rate_quadrature(2.000000000001, 1.0, "two_piece")
+        assert rows[1] == ["2.000000000001", repr(rate_quadrature(2.000000000001).value), repr(near.value), "Quadrature"]
+        assert rows[2][3] == "ClosedFormGeneral"
+
     def test_mc_column(self, tmp_path, capsys):
         path = write_cfg(
             tmp_path,
@@ -356,6 +366,21 @@ class TestLoadCurvesCommand:
             for row, w in zip(cells, want):
                 assert float(row[5]) == w.value, row
                 assert row[6] == "Quadrature"
+
+    def test_beta_next_to_two(self, tmp_path, capsys):
+        # the float after 2 at a vanishing load: the tail budget is met below the branch
+        # point, so both rate columns come from the lower piece alone
+        path = write_cfg(tmp_path, "[experiment]\nkind = PeakRateVsRatio\n[grid]\n"
+                                   "betas = 2.0000000000000004\nratios = 0.0001\n")
+        assert main(["load-curves", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert len(rows) == 2
+        pa = float(rows[1][2])
+        want = [rate_quadrature(2.0000000000000004, pa, kind).value for kind in ("exact", "two_piece")]
+        assert rows[1][4:] == [*map(repr, want), "Quadrature"]
+        assert 0.0 < want[0] < 1e-9
 
     def test_actual_rate_kind(self, tmp_path, capsys):
         path = write_cfg(
@@ -650,7 +675,7 @@ class TestUnusedKeys:
             print(f"seed {seed}, jobs {jobs}, quick {quick}")
             return [argparse.Namespace(label="stub", passed=True, message=f"seed {seed}", elapsed_s=0.0)]
 
-        monkeypatch.setattr(cli, "run_all", suite)
+        monkeypatch.setattr(validation, "run_all", suite)
 
         def outcome(command, cfg, argv):
             code = main([command, "--config", write_cfg(tmp_path, ini_text(cfg)), *argv])
@@ -844,7 +869,7 @@ class TestValidateCommand:
 
     def test_config_uses_only_the_seed(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "run_all", lambda **kw: calls.append(kw) or [])
+        monkeypatch.setattr(validation, "run_all", lambda **kw: calls.append(kw) or [])
         path = write_cfg(tmp_path, "[network]\nbeta = 3.0\n[sim]\nseed = 5\nn_realizations = 100\n")
         assert main(["validate", "--config", path]) == 0
         assert calls == [{"seed": 5, "jobs": 1, "quick": False}]

@@ -7,7 +7,9 @@ the first analytic bracket, scipy.spatial at the first user attachment. The
 analytic subcommands, noisy coverage included, load no scipy subpackage but
 scipy.special; scipy.optimize, scipy.integrate and scipy.spatial cost every
 CLI invocation several hundred ms to import, and no library module imports
-scipy.integrate.
+scipy.integrate. Of ppcell itself, the import and the analytic subcommands
+load mgf and analytics only: simulate loads the simulator (and with it
+numpy.random), validate the validation suite.
 """
 
 import ast
@@ -22,6 +24,8 @@ import ppcell
 SRC = Path(ppcell.__file__).resolve().parents[1]
 
 HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.spatial")
+# the ppcell modules no analytic subcommand runs
+UNUSED = ("ppcell.simulator", "ppcell.validation")
 
 # tiny configs, one per analytic command (the three load-curves kinds apart)
 ANALYTIC_RUNS = {
@@ -93,6 +97,17 @@ print(json.dumps({"before": before, "at_pool_start": at_pool_start, "same": same
 """
 
 
+EXPORTS_SCRIPT = """
+import json, sys
+import ppcell
+before = "ppcell.simulator" in sys.modules
+missing = [name for name in ppcell.__all__ if getattr(ppcell, name, None) is None or name not in dir(ppcell)]
+import ppcell.mgf, ppcell.simulator
+print(json.dumps({"before": before, "names": len(ppcell.__all__), "missing": missing,
+                  "same_sim_config": ppcell.simulator.SimConfig is ppcell.mgf.SimConfig}))
+"""
+
+
 def run_fresh(script: str, *args: str) -> dict:
     """Run script in a fresh interpreter on this ppcell; returns its last stdout line as JSON."""
     env = dict(os.environ)
@@ -123,6 +138,29 @@ def test_analytic_commands_load_no_heavy_scipy(tmp_path):
     for name in ANALYTIC_RUNS:
         assert (tmp_path / f"{name}.csv").read_text().count("\n") >= 2, name
     assert all(mods == [] for mods in seen["loaded"].values())
+
+
+def test_analytic_commands_load_neither_simulator_nor_suite(tmp_path):
+    seen = run_cli(tmp_path, ANALYTIC_RUNS, watched=(*UNUSED, "numpy.random"))
+    assert seen["codes"] == {name: 0 for name in ANALYTIC_RUNS}
+    assert seen["loaded"]["import"] == seen["loaded"]["solve_c"] == []
+    for name in ANALYTIC_RUNS:
+        assert [m for m in seen["loaded"][name] if m.startswith(UNUSED)] == [], name
+    # numpy.random does arrive, with scipy.special at the first bracket: the watch is not vacuous
+    assert "numpy.random" in seen["loaded"]["coverage"]
+
+
+def test_simulate_loads_the_simulator_not_the_suite(tmp_path):
+    seen = run_cli(tmp_path, {"full": FULL_SIMULATE}, watched=UNUSED)
+    assert seen["codes"] == {"full": 0}
+    assert seen["loaded"]["import"] == seen["loaded"]["solve_c"] == []
+    assert seen["loaded"]["full"] == ["ppcell.simulator"]
+
+
+def test_every_export_resolves_on_a_lazy_import():
+    # the simulator's exports are served on first access; the package lists all 23
+    seen = run_fresh(EXPORTS_SCRIPT)
+    assert seen == {"before": False, "names": 23, "missing": [], "same_sim_config": True}
 
 
 def test_idle_simulate_loads_the_kd_tree(tmp_path):
