@@ -94,8 +94,9 @@ _MIN_P_ACTIVE = 1e-6
 # the general closed form divides by 2*beta^2 - 11*beta + 10; this root is in range
 _SINGULAR_BETA = (11.0 + math.sqrt(41.0)) / 4.0
 _SINGULAR_HALFWIDTH = 0.02
-# and subtracts A/(beta-2) from alpha ~ A/(beta-2) + (beta-2)/2: below beta = 2 +
-# this the cancellation costs more than the quadrature's 1e-10 (all of it by 2 + 1e-8)
+# and subtracts A/(beta-2) from alpha ~ A/(beta-2) + (beta-2)/2; the cancellation
+# costs about 1e-11 at beta = 2 + 1e-5, as much as the quadrature's 1e-10 bound at
+# 2 + 1e-6 and divides by zero by 2 + 1e-8, so the quadrature serves below 2 + this
 _NEAR_TWO_HALFWIDTH = 1e-5
 
 
@@ -268,14 +269,13 @@ def _w_max(beta: float, p_active: float) -> float:
     return (1.0 / (_TAIL_BUDGET * p_active * math.gamma(1.0 - d) * d)) ** (1.0 / d)
 
 
-def _upper_edge(beta: float, p_active: float) -> float:
+def _upper_edge(beta: float, c: float, p_active: float) -> float:
     """The end W of the rate integral's upper piece [c, W]; W = c leaves the piece empty.
 
     Near beta = 2, Gamma(1-d) is so large that the tail beyond the branch point
     is already within the budget: the upper piece is then empty, its mass
     counted in the tail term of the error bound.
     """
-    c = solve_c(beta).c_exact
     w_max = _w_max(beta, p_active)
     if w_max > c:
         return w_max
@@ -312,8 +312,11 @@ def _rate_integral(betas: list[float], p_active: np.ndarray, kind: str) -> tuple
     beta; the error limit is checked beta by beta, in order.
     """
     pa_min = float(p_active.min())
-    edges = np.array([(math.log(_W_MIN), math.log(solve_c(beta).c_exact), math.log(_upper_edge(beta, pa_min)))
-                      for beta in betas])
+    edges = []
+    for beta in betas:
+        c = solve_c(beta).c_exact
+        edges.append((math.log(_W_MIN), math.log(c), math.log(_upper_edge(beta, c, pa_min))))
+    edges = np.array(edges)
     lo, hi = np.repeat(edges[:, :2], 2), np.repeat(edges[:, 1:], 2)
     n = np.ceil((hi - lo) / _PANEL_WIDTH).astype(int)
     n[1::2] *= 2  # each piece: n panels, then 2n

@@ -133,28 +133,15 @@ def run_cli(tmp_path, runs: dict, watched: tuple[str, ...] = HEAVY) -> dict:
 
 
 def test_analytic_commands_load_no_heavy_scipy(tmp_path):
-    seen = run_cli(tmp_path, ANALYTIC_RUNS)
+    # nor the simulator or the suite; of the watched modules only numpy.random arrives,
+    # with scipy.special at the first bracket, which shows the watch is not vacuous
+    seen = run_cli(tmp_path, ANALYTIC_RUNS, watched=(*HEAVY, *UNUSED, "numpy.random"))
     assert seen["codes"] == {name: 0 for name in ANALYTIC_RUNS}
     for name in ANALYTIC_RUNS:
         assert (tmp_path / f"{name}.csv").read_text().count("\n") >= 2, name
-    assert all(mods == [] for mods in seen["loaded"].values())
-
-
-def test_analytic_commands_load_neither_simulator_nor_suite(tmp_path):
-    seen = run_cli(tmp_path, ANALYTIC_RUNS, watched=(*UNUSED, "numpy.random"))
-    assert seen["codes"] == {name: 0 for name in ANALYTIC_RUNS}
     assert seen["loaded"]["import"] == seen["loaded"]["solve_c"] == []
-    for name in ANALYTIC_RUNS:
-        assert [m for m in seen["loaded"][name] if m.startswith(UNUSED)] == [], name
-    # numpy.random does arrive, with scipy.special at the first bracket: the watch is not vacuous
+    assert all(m.startswith("numpy.random") for mods in seen["loaded"].values() for m in mods)
     assert "numpy.random" in seen["loaded"]["coverage"]
-
-
-def test_simulate_loads_the_simulator_not_the_suite(tmp_path):
-    seen = run_cli(tmp_path, {"full": FULL_SIMULATE}, watched=UNUSED)
-    assert seen["codes"] == {"full": 0}
-    assert seen["loaded"]["import"] == seen["loaded"]["solve_c"] == []
-    assert seen["loaded"]["full"] == ["ppcell.simulator"]
 
 
 def test_every_export_resolves_on_a_lazy_import():
@@ -172,13 +159,17 @@ def test_idle_simulate_loads_the_kd_tree(tmp_path):
 
 
 def test_full_load_simulate_loads_no_scipy(tmp_path):
-    # the import, solve_c and a full-load run need only math and numpy; the
-    # coverage run after them shows the guard is not vacuous
-    seen = run_cli(tmp_path, {"full": FULL_SIMULATE, "coverage": ANALYTIC_RUNS["coverage"]}, watched=("scipy",))
+    # the import, solve_c and a full-load run need only math and numpy, and the run
+    # loads the simulator but not the suite; the coverage run after them shows the
+    # guard is not vacuous
+    seen = run_cli(tmp_path, {"full": FULL_SIMULATE, "coverage": ANALYTIC_RUNS["coverage"]},
+                   watched=("scipy", *UNUSED))
     assert seen["codes"] == {"full": 0, "coverage": 0}
     assert (tmp_path / "full.csv").read_text().count("\n") == 201
-    assert seen["loaded"]["import"] == seen["loaded"]["solve_c"] == seen["loaded"]["full"] == []
+    assert seen["loaded"]["import"] == seen["loaded"]["solve_c"] == []
+    assert seen["loaded"]["full"] == ["ppcell.simulator"]
     assert "scipy.special" in seen["loaded"]["coverage"]
+    assert "ppcell.validation" not in seen["loaded"]["coverage"]
 
 
 def test_pool_after_lazy_kd_tree_import():
