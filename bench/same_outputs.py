@@ -13,8 +13,9 @@ option, a bad --seed, an abbreviated option and a missing option value);
 noise, at --jobs 1 and 2; curves with their Monte Carlo columns; the curve
 subcommands and `simulate` writing to stdout; an --out file that already
 holds more bytes than the new CSV (its old tail must go); beta and linear
-gamma ranges; the rate and load curves at the edges of their beta and
-ratio axes, with and without noise; configs with bad values, bad ranges,
+gamma ranges; the rate next to beta = 2; the rate and load curves at the
+edges of their beta and ratio axes, with and without noise; configs with
+bad values, bad ranges,
 empty lists and a lone `%`; an allocation too large to make; and
 `validate --quick --seed 0`, whose
 per-check times are stripped before the comparison. Prints per case
@@ -103,9 +104,13 @@ CASES = [
      "[experiment]\nkind = CoveragePartialLoad\n[grid]\nratios = 0.5 4.34\ngamma_start = -5\ngamma_stop = 10\n"
      "gamma_step = 5\n" + SMALL_MC),
     # the edges of the beta and ratio axes that one quadrature pass covers: beta 4 (numpy's
-    # sqrt path for x ** 0.5), the closed form's singular window around 4.3508, beta near 2
-    # and p_active from 0.12 to 1
+    # sqrt path for x ** 0.5), the root of 2 beta^2 - 11 beta + 10 at 4.3508, where the closed
+    # form's partial fractions have a removable singularity, beta near 2 and p_active from
+    # 0.12 to 1
     ("rate-edge-betas", ["rate", "--out", OUT], "[grid]\nbetas = 2.05 3 4 4.3508 4.36 5\n"),
+    # beta next to 2: the quadrature's upper piece is empty at 2 + 1e-12, and the closed form
+    # serves every beta
+    ("rate-near-two", ["rate", "--out", OUT], "[grid]\nbetas = 2.000000000001 2.00001 2.0001 3\n"),
     *(
         (f"load-curves-{name}-edges", ["load-curves", "--out", OUT],
          f"[experiment]\nkind = {kind}\n{network}[grid]\nbetas = 2.05 3 4 5\nratios = 0.1 0.17 4.34 20\n")

@@ -35,7 +35,6 @@ _SIMULATOR_EXPORTS = (
     "apply_idle_mode",
     "estimate_coverage",
     "estimate_rates",
-    "inactive_fraction_interior",
     "run_simulation",
     "sample_deployment",
     "sample_sir",

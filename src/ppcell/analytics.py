@@ -91,14 +91,6 @@ _T_EFOLDS = 50.0
 # interference-free regime guard: coverage -> 1 makes the rate integral diverge
 _MIN_P_ACTIVE = 1e-6
 
-# the general closed form divides by 2*beta^2 - 11*beta + 10; this root is in range
-_SINGULAR_BETA = (11.0 + math.sqrt(41.0)) / 4.0
-_SINGULAR_HALFWIDTH = 0.02
-# and subtracts A/(beta-2) from alpha ~ A/(beta-2) + (beta-2)/2; the cancellation
-# costs about 1e-11 at beta = 2 + 1e-5, as much as the quadrature's 1e-10 bound at
-# 2 + 1e-6 and divides by zero by 2 + 1e-8, so the quadrature serves below 2 + this
-_NEAR_TWO_HALFWIDTH = 1e-5
-
 
 class RateMethod(Enum):
     CLOSED_FORM_GENERAL = "ClosedFormGeneral"
@@ -376,35 +368,36 @@ def rate_quadrature(beta, p_active=1.0, kind: str = "exact") -> RateResult | lis
 
 
 def rate_closed_general(beta: float) -> RateResult:
-    """Fully loaded peak rate in closed form, valid for any beta in (2, 5].
+    """Fully loaded peak rate in closed form, for every beta in (2, 5].
 
-    The expression integrates the two-piece coverage exactly; it shares a
-    removable singularity with its own partial fractions where
-    2*beta^2 - 11*beta + 10 = 0 (beta ~ 4.3508), and its partial fractions
-    cancel as beta tends to 2. Inside a small window around that root, and
-    within 1e-5 of beta = 2, the quadrature value is substituted instead,
-    which the method field of the result reports.
+    The two-piece coverage integrated exactly, the integral of Andrews,
+    Baccelli & Ganti (IEEE TCOM 2011). Below the branch point c,
+    1 - B(w) = (k - w)(w + b)/A with A = 2 beta - 2, R = A/(beta - 2),
+    k = R + sqrt(R^2 + A) and b = A/k, so the lower piece is
+
+        A/((k+1)(k+b)) [-log1p(-c/k) + log1p(c/b) + (k+b) D],
+        D = int_0^c dw/((w+1)(w+b)) = c/(b(1+c)) log1p(z)/z,  z = c(1-b)/(b(1+c)),
+
+    a sum of positive terms: b is never a difference, and the divided
+    difference log1p(z)/z stays finite where b = 1 (beta ~ 4.3508), the
+    removable singularity of the partial fractions. Beyond c the coverage
+    is 1/(Gamma(1-d) w^d), d = 2/beta, whose integral is a 2F1.
     """
     from scipy.special import hyp2f1
 
     _check_beta(beta)
-    if abs(beta - _SINGULAR_BETA) < _SINGULAR_HALFWIDTH or beta - 2.0 < _NEAR_TWO_HALFWIDTH:
-        return rate_quadrature(beta, 1.0, "two_piece")
     cv = solve_c(beta).c_exact
-    d = 2.0 / beta
     big_a = 2.0 * beta - 2.0
-    ratio_ab = big_a / (beta - 2.0)
-    alpha = math.sqrt(ratio_ab * ratio_ab + big_a)
-    quad_factor = 10.0 - 11.0 * beta + 2.0 * beta * beta
-    t1 = (4.0 + 2.0 * alpha - 3.0 * beta - alpha * beta) / (2.0 * alpha * quad_factor) * math.log(
-        (cv + alpha - ratio_ab) / (alpha - ratio_ab)
-    )
-    t2 = (-4.0 + 2.0 * alpha + 3.0 * beta - alpha * beta) / (2.0 * alpha * quad_factor) * math.log(
-        (cv - alpha - ratio_ab) / (-alpha - ratio_ab)
-    )
-    t3 = (beta - 2.0) / quad_factor * math.log(cv + 1.0)
-    tail = beta * cv ** (-d) / (2.0 * math.gamma(1.0 - d)) * hyp2f1(1.0, d, 1.0 + d, -1.0 / cv)
-    return RateResult(value=float(big_a * (t1 + t2 + t3) + tail), method=RateMethod.CLOSED_FORM_GENERAL)
+    ratio = big_a / (beta - 2.0)
+    k = ratio + math.sqrt(ratio * ratio + big_a)
+    b = big_a / k
+    z = cv * (1.0 - b) / (b * (1.0 + cv))
+    gap = cv / (b * (1.0 + cv)) * (math.log1p(z) / z if z else 1.0)
+    lower = big_a / ((k + 1.0) * (k + b)) * (-math.log1p(-cv / k) + math.log1p(cv / b) + (k + b) * gap)
+    # 1 - d as (beta - 2)/beta: 1 - 2/beta would lose its relative precision next to 2
+    d = 2.0 / beta
+    tail = beta * cv ** (-d) / (2.0 * math.gamma((beta - 2.0) / beta)) * hyp2f1(1.0, d, 1.0 + d, -1.0 / cv)
+    return RateResult(value=float(lower + tail), method=RateMethod.CLOSED_FORM_GENERAL)
 
 
 def rate_actual(beta: float, lambda_ue: float, lambda_bs: float) -> RateResult:

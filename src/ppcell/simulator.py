@@ -79,7 +79,6 @@ __all__ = [
     "apply_idle_mode",
     "estimate_coverage",
     "estimate_rates",
-    "inactive_fraction_interior",
     "run_simulation",
     "sample_deployment",
     "sample_sir",
@@ -106,8 +105,6 @@ _LANE_BLOCK = 1024
 _SIR_CELLS = 32768
 # the largest mean Generator.poisson accepts (POISSON_LAM_MAX in numpy/random/_generator.pyx)
 _POISSON_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
-# inactive_fraction_interior skips stations this many mean cell radii from the edge
-_EDGE_MARGIN = 1.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -595,18 +592,3 @@ def estimate_rates(samples: SirSampleSet) -> tuple[RateResult, RateResult]:
     )
     return peak, actual
 
-
-def inactive_fraction_interior(d: Deployment, p: NetworkParams) -> float:
-    """Fraction of idle base stations among those away from the window edge.
-
-    Cells near the boundary lose users to the void outside, biasing the idle
-    fraction high; restricting to base stations at least _EDGE_MARGIN mean
-    cell radii (1/sqrt(lambda_bs)) inside the edge removes that truncation
-    effect. Returns nan when the margin leaves no base stations.
-    """
-    margin = _EDGE_MARGIN / math.sqrt(p.lambda_bs)
-    dist = d.window_radius * np.sqrt(d.bs_u)
-    interior = dist <= d.window_radius - margin
-    if not np.any(interior):
-        return math.nan
-    return float(np.mean(~d.active_mask[interior]))

@@ -11,6 +11,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -374,6 +375,41 @@ def rate_bits(results) -> list[tuple[str, str]]:
     return [bits for r in results for bits in rate_bits(r)]
 
 
+# root of 2 beta^2 - 11 beta + 10, where the closed form's partial fractions have a removable singularity
+SINGULAR_BETA = (11.0 + math.sqrt(41.0)) / 4.0
+
+
+def mpmath_closed_rate(beta: float) -> float:
+    """int_0^inf Pcov(w)/(1+w) dw of the fully loaded two-piece coverage by mpmath quad at 50 digits.
+
+    The branch point is solve_c's float, so this is the integral
+    rate_closed_general evaluates. Below it the coverage is 1/(1 - B_2(w))
+    from the two-term series as written; the pole of the integrand at
+    w ~ -(beta-2)/2 makes the lower piece steep near 0 as beta -> 2, so its
+    range is split at decades of that scale. Beyond it the coverage is
+    1/(Gamma(1-d) w^d), integrated in t = w^(-d), where the integrand
+    1/(d (1 + t^(1/d))) is bounded.
+    """
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        c = mpmath.mpf(solve_c(beta).c_exact)
+        d = 2 / b
+
+        def lower(w):
+            return 1 / ((1 + 2 * w / (b - 2) - w * w / (2 * b - 2)) * (1 + w))
+
+        def upper(t):
+            return 1 / (d * mpmath.gamma(1 - d) * (1 + t ** (1 / d)))
+
+        scale = (b - 2) / 200
+        edges = [mpmath.mpf(0)]
+        while scale < c:
+            edges.append(scale)
+            scale *= 10
+        edges.append(c)
+        return float(mpmath.quad(lower, edges) + mpmath.quad(upper, [0, c ** (-d)]))
+
+
 class TestRateRule:
     BETAS = (2.01, 2.05, 2.1, 2.5, 3.0, 4.0, 4.3508, 5.0)
     P_ACTIVE = (1.0, 0.5, 0.05, 1e-3, 1e-6)
@@ -411,7 +447,7 @@ class TestRateRule:
     # the float after 2: its upper piece is empty, and the batch lays out no panels for it
     @example(extra=[2.0000000000000004], near_singular=0.0, p_active=1e-05)
     def test_beta_axis_is_bitwise_the_scalar_calls(self, extra, near_singular, p_active):
-        # beta 4 takes numpy's sqrt path for x ** 0.5; 4.3508 is the closed form's singular root
+        # beta 4 takes numpy's sqrt path for x ** 0.5; 4.3508 is next to SINGULAR_BETA
         betas = [3.0, 4.0, 5.0, 4.3508 + near_singular, *extra]
         for kind in ("exact", "two_piece"):
             try:
@@ -499,25 +535,51 @@ class TestRateClosedGeneral:
             assert closed.method is RateMethod.CLOSED_FORM_GENERAL
             assert math.isclose(closed.value, ref.value, abs_tol=1e-8), beta
 
-    def test_singular_window_served_by_quadrature(self):
-        singular = (11.0 + math.sqrt(41.0)) / 4.0
-        inside = rate_closed_general(singular + 0.019)
-        assert inside.method is RateMethod.QUADRATURE
-        outside = rate_closed_general(singular + 0.021)
-        assert outside.method is RateMethod.CLOSED_FORM_GENERAL
-        # the served values agree across the guard boundary
+    def test_singular_root_served_by_closed_form(self):
+        # the partial fractions' removable singularity at the root of 2 beta^2 - 11 beta + 10
+        # and the edges of the window that once sent it to the quadrature
+        for beta in (SINGULAR_BETA, *(SINGULAR_BETA + step for step in (-0.021, -0.019, 0.019, 0.021))):
+            got = rate_closed_general(beta)
+            assert got.method is RateMethod.CLOSED_FORM_GENERAL, beta
+            assert math.isclose(got.value, rate_quadrature(beta, 1.0, "two_piece").value, abs_tol=1e-8), beta
+        inside = rate_closed_general(SINGULAR_BETA + 0.019)
+        outside = rate_closed_general(SINGULAR_BETA + 0.021)
         assert abs(inside.value - outside.value) < 5e-3
 
-    def test_near_two_served_by_quadrature(self):
-        # the partial fractions cancel as beta -> 2 (a division by zero by 2 + 1e-8)
+    def test_near_two_served_by_closed_form(self):
+        # b = A/k is never a difference, so nothing cancels as beta -> 2
         for beta in (2.0000000000000004, 2.000000000001, 2.0 + 0.99e-5):
             got = rate_closed_general(beta)
-            assert got.method is RateMethod.QUADRATURE
-            assert rate_bits(got) == rate_bits(rate_quadrature(beta, 1.0, "two_piece"))
+            assert got.method is RateMethod.CLOSED_FORM_GENERAL, beta
+            assert math.isclose(got.value, rate_quadrature(beta, 1.0, "two_piece").value, abs_tol=1e-8), beta
         inside = rate_closed_general(2.0 + 0.99e-5)
         outside = rate_closed_general(2.0 + 1.01e-5)
         assert outside.method is RateMethod.CLOSED_FORM_GENERAL
         assert abs(inside.value - outside.value) < 2e-6
+
+    # next to 2, the 20 betas of the rate-closed-forms check, the singular root and its
+    # neighbours up to the edges of the old fallback window, and 5
+    MPMATH_BETAS = (
+        2.0000000000000004, 2.0 + 1e-12, 2.0 + 1e-9, 2.0 + 1e-6, 2.0 + 0.99e-5, 2.0 + 1.01e-5, 2.0 + 1e-3,
+        *(2.625 + 0.125 * k for k in range(20)),
+        SINGULAR_BETA, *(SINGULAR_BETA + s * h for h in (1e-8, 1e-3, 0.019, 0.021) for s in (-1.0, 1.0)),
+        5.0,
+    )
+
+    def test_matches_mpmath_reference(self):
+        for beta in self.MPMATH_BETAS:
+            want = mpmath_closed_rate(beta)
+            got = rate_closed_general(beta).value
+            assert abs(got - want) <= 1e-14 * want, (beta, got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(2.0, 5.0, exclude_min=True))
+    @example(beta=2.0000000000000004)
+    @example(beta=SINGULAR_BETA)
+    def test_every_beta_is_closed_form_within_quadrature(self, beta):
+        got = rate_closed_general(beta)
+        assert got.method is RateMethod.CLOSED_FORM_GENERAL
+        assert abs(got.value - rate_quadrature(beta, 1.0, "two_piece").value) <= 1e-8
 
     def test_beta_domain(self):
         with pytest.raises(ValueError):
@@ -592,8 +654,8 @@ class TestBitwisePins:
             ("0x1.ec61ecb47c701p+0", "0x1.bc34c3fdc7563p-34"),
         ],
     }
-    # inside the singular window: the two-piece quadrature value
-    CLOSED_4_35 = ("0x1.95699225638cfp+0", "0x1.bc3403fdc7563p-34")
+    # the closed form at 4.35, next to the singular root; it leaves stderr 0
+    CLOSED_4_35 = ("0x1.95699225d29a0p+0", "0x0.0p+0")
     # (kind, beta, p_active) -> coverage at GAMMAS, lambda_bs 1e-5, sigma_n2 1e-9
     NOISY_PINS = {
         ("exact", 3.0, 1.0): ["0x1.ab4b6e4a02343p-1", "0x1.6e60c7e89f8d8p-2", "0x1.48d6f632e70e2p-4"],
@@ -616,9 +678,9 @@ class TestBitwisePins:
         got = self.hexes([rate_quadrature(beta, 1.0, kind), *rate_quadrature(beta, list(self.VECTOR), kind)])
         assert got == self.RATE_PINS[case]
 
-    def test_rate_closed_general_fallback(self):
+    def test_rate_closed_general_at_4_35(self):
         r = rate_closed_general(4.35)
-        assert r.method is RateMethod.QUADRATURE
+        assert r.method is RateMethod.CLOSED_FORM_GENERAL
         assert self.hexes([r]) == [self.CLOSED_4_35]
 
     @pytest.mark.parametrize("case", list(NOISY_PINS), ids=lambda case: "-".join(map(str, case)))
@@ -662,13 +724,12 @@ class TestRateResult:
             RateResult(value=-1.0, method=RateMethod.QUADRATURE)
 
     def test_values_are_plain_floats(self):
-        singular = (11.0 + math.sqrt(41.0)) / 4.0
         samples = SirSampleSet(
             sir_values=np.linspace(0.5, 5.0, 100), n_users_in_cell=np.full(100, 2), n_active_bs=np.full(100, 50)
         )
         results = [
             rate_closed_general(3.0),
-            rate_closed_general(singular),
+            rate_closed_general(SINGULAR_BETA),
             rate_quadrature(3.0),
             *rate_quadrature(3.0, [0.5, 1.0]),
             rate_actual(4.0, 1.0, 1.0),
@@ -677,7 +738,7 @@ class TestRateResult:
         ]
         assert [type(r.value) for r in results] == [float] * len(results)
         assert results[0].method is RateMethod.CLOSED_FORM_GENERAL
-        assert results[1].method is RateMethod.QUADRATURE
+        assert results[1].method is RateMethod.CLOSED_FORM_GENERAL
 
     def test_method_labels(self):
         assert RateMethod.CLOSED_FORM_GENERAL.value == "ClosedFormGeneral"

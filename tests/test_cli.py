@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcell import cli, validation
-from ppcell.analytics import pcov_general, rate_actual, rate_quadrature
+from ppcell.analytics import pcov_general, rate_actual, rate_closed_general, rate_quadrature
 from ppcell.cli import ConfigError, ExperimentKind, main, parse_config
 from ppcell.mgf import NetworkParams, NonConvergenceError
 from ppcell.simulator import SimConfig
@@ -315,13 +315,14 @@ class TestRateCommand:
         assert rows[1][3] == "ClosedFormGeneral"
 
     def test_beta_next_to_two(self, tmp_path, capsys):
-        # the rate integral's upper piece is empty there, and the closed form
-        # hands that beta to the quadrature
+        # the rate integral's upper piece is empty there; the closed form serves it too
         path = write_cfg(tmp_path, "[grid]\nbetas = 2.000000000001 3\n")
         assert main(["rate", "--config", path]) == 0
         rows = read_rows(capsys)
-        near = rate_quadrature(2.000000000001, 1.0, "two_piece")
-        assert rows[1] == ["2.000000000001", repr(rate_quadrature(2.000000000001).value), repr(near.value), "Quadrature"]
+        near = rate_closed_general(2.000000000001)
+        assert rows[1] == [
+            "2.000000000001", repr(rate_quadrature(2.000000000001).value), repr(near.value), "ClosedFormGeneral"
+        ]
         assert rows[2][3] == "ClosedFormGeneral"
 
     def test_mc_column(self, tmp_path, capsys):
@@ -1106,13 +1107,13 @@ class TestCsvPins:
 
     The hashes were recorded from the csv-module writer, so they hold the
     joined-text writer to its bytes: the float reprs, inf, -inf (the dB of
-    gamma = 0) and nan cells, the quadrature fallback at beta 4.3508, the
-    Monte Carlo columns and both simulate modes.
+    gamma = 0) and nan cells, the closed form next to its singular root at
+    beta 4.3508, the Monte Carlo columns and both simulate modes.
     """
 
     SHA256 = {
         "coverage": "cbe244d04afab1aa7a23af5cc5a8960883336ac5bd88f1cec4d21127bde8523c",
-        "rate": "03a2fc8c3fc59d1f9255e010d60b69148e135d17fe958c5fa4796b729f8a0cb8",
+        "rate": "4a087adc6db461c5ed810a68b973710c50903528ecc15277b991a69c7e3f49b2",
         "load-curves-peak": "2f0828a29c9ec48848cc05a0b42fdbfddab33e19a7ba285e2fa297bde0e643eb",
         "load-curves-actual": "7444da18f09bbf5021057a10580806dc5cc60efb78ca23cc9f868d0ea7c4ab1b",
         "load-curves-coverage": "c642a16cc28d0f7529b030e71e5b48ccba6fc1ec67e4da2a46f11d6d43317401",

@@ -8,7 +8,6 @@ sample accounting, and the no-interference sentinel.
 import concurrent.futures
 import math
 import os
-from dataclasses import replace
 from unittest import mock
 
 import mpmath
@@ -20,6 +19,7 @@ from hypothesis import strategies as st
 from ppcell import simulator
 from ppcell.analytics import RateMethod, load_model, pcov
 from ppcell.mgf import NetworkParams
+from ppcell.validation import _inactive_fraction_interior
 from ppcell.simulator import (
     Deployment,
     SimConfig,
@@ -27,7 +27,6 @@ from ppcell.simulator import (
     apply_idle_mode,
     estimate_coverage,
     estimate_rates,
-    inactive_fraction_interior,
     run_simulation,
     sample_deployment,
     sample_sir,
@@ -194,7 +193,9 @@ class TestPolarDeployment:
                 d = apply_idle_mode(d)
                 margin = 1.5 / math.sqrt(p.lambda_bs)
                 interior = ref["dist"] <= d.window_radius - margin
-                assert inactive_fraction_interior(d, p) == float(np.mean(~d.active_mask[interior]))
+                loads = simulator._station_loads(d)
+                frac = _inactive_fraction_interior(d.bs_u, loads, d.window_radius, p.lambda_bs)
+                assert frac == float(np.mean(~d.active_mask[interior]))
             # bitwise the arrays the Cartesian sampler drew, built on first use
             assert np.array_equal(d.bs_positions, ref["bs"])
             assert np.array_equal(d.ue_positions, ref["ue"])
@@ -809,26 +810,19 @@ class TestInactiveFraction:
         # the gamma cell-area model at ratio 1
         cfg = SimConfig(n_bs_target=1000, n_realizations=1, seed=42)
         fracs = []
-        for rid in range(20):
-            d = apply_idle_mode(sample_deployment(P_LOADED, cfg, rid))
-            fracs.append(inactive_fraction_interior(d, P_LOADED))
+        for geometry, _ in simulator._lanes(cfg.seed, 0, 20):
+            d = simulator._draw_deployment(P_LOADED, cfg, geometry)
+            loads = simulator._station_loads(d)
+            fracs.append(_inactive_fraction_interior(d.bs_u, loads, d.window_radius, P_LOADED.lambda_bs))
         want = load_model(1.0, 1.0).p_inactive
         assert abs(float(np.mean(fracs)) - want) < 0.02
 
     def test_nan_when_margin_swallows_window(self):
         # radius-5 window at unit density: the margin is 1.5 and every
         # station sits beyond radius 3.5
-        radii = np.array([3.6, 4.0, 4.5, 4.99])
-        d = Deployment(
-            bs_u=(radii / 5.0) ** 2,
-            bs_theta=np.zeros(4),
-            ue_u=np.zeros(0),
-            ue_theta=np.zeros(0),
-            active_mask=np.array([True, False, True, False]),
-            serving_index=0,
-            window_radius=5.0,
-        )
-        assert math.isnan(inactive_fraction_interior(d, P_FULL))
-        # one idle station moved inside the margin is the whole interior
-        inner = replace(d, bs_u=np.concatenate(([(3.4 / 5.0) ** 2], d.bs_u[1:])), active_mask=~d.active_mask)
-        assert inactive_fraction_interior(inner, P_FULL) == 1.0
+        bs_u = (np.array([3.6, 4.0, 4.5, 4.99]) / 5.0) ** 2
+        loads = np.array([1, 0, 2, 0])
+        assert math.isnan(_inactive_fraction_interior(bs_u, loads, 5.0, P_FULL.lambda_bs))
+        # one idle station moved inside the margin is the whole interior (loads swapped idle for busy)
+        inner = np.concatenate(([(3.4 / 5.0) ** 2], bs_u[1:]))
+        assert _inactive_fraction_interior(inner, np.array([0, 1, 0, 2]), 5.0, P_FULL.lambda_bs) == 1.0
