@@ -145,7 +145,7 @@ def test_analytic_commands_load_no_heavy_scipy(tmp_path):
 
 
 def test_every_export_resolves_on_a_lazy_import():
-    # the simulator's exports are served on first access; the package lists all 23
+    # the simulator's exports are served on first access; the package lists all 22
     seen = run_fresh(EXPORTS_SCRIPT)
     assert seen == {"before": False, "names": 22, "missing": [], "same_sim_config": True}
 
