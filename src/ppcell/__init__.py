@@ -29,16 +29,7 @@ from .analytics import (
 )
 
 # served by __getattr__ from ppcell.simulator
-_SIMULATOR_EXPORTS = (
-    "Deployment",
-    "SirSampleSet",
-    "apply_idle_mode",
-    "estimate_coverage",
-    "estimate_rates",
-    "run_simulation",
-    "sample_deployment",
-    "sample_sir",
-)
+_SIMULATOR_EXPORTS = ("SirSampleSet", "estimate_coverage", "estimate_rates", "run_simulation")
 
 __all__ = [
     "NetworkParams", "NonConvergenceError", "SimConfig", "solve_c",

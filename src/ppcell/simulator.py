@@ -24,12 +24,14 @@ hash against numpy's SeedSequence and its first written PCG64 state
 against the one numpy seeds itself, and raises RuntimeError on a
 difference, so a numpy change cannot alter the streams silently.
 
-A Deployment keeps those polar draws. Station j lies at distance
-window_radius * sqrt(bs_u[j]) from the origin, so the SIR works from bs_u
-itself and never evaluates a sine or cosine; Cartesian positions are built
-on first use, for user attachment. With no users the block SIR below
-builds no Deployment and draws no station angles: they are the geometry
-lane's last draw, so skipping them changes no other draw.
+The geometry stays in those polar draws, (bs_u, bs_theta, ue_u, ue_theta)
+as _draw_deployment returns them. Station j lies at distance
+window_radius * sqrt(bs_u[j]) from the origin and serves the tagged user
+when bs_u[j] is the smallest draw, so the SIR works from bs_u itself and
+never evaluates a sine or cosine; _station_loads builds Cartesian positions
+for user attachment only. With no users the block SIR below draws no
+station angles: they are the geometry lane's last draw, so skipping them
+changes no other draw.
 
 Block SIR: _block_sir computes the SIRs of a (B, n_bs_target) block of
 rows in place, one realization per row. Each rid fills its row with its
@@ -51,8 +53,8 @@ slower on inf. A block holds at most _SIR_CELLS stations (256 KB of
 gains, and as much sqrt scratch), or one row when a drop is larger. numpy
 sums each C-contiguous row with the same pairwise summation as the 1-D sum
 of that row, and every other step is elementwise, so each SIR is bitwise
-the one the realization gets alone, through sample_sir's one-row block on
-a copy of its draws, and the same for any jobs count. np.add.reduceat
+the one the realization gets alone in a one-row block, and the same for
+any jobs count. np.add.reduceat
 would sum ragged rows in one call, but it adds each segment sequentially,
 not pairwise, and so changes the last bits.
 """
@@ -63,8 +65,7 @@ import ctypes
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -73,15 +74,11 @@ from .analytics import RateMethod, RateResult
 from .mgf import _MAX_REALIZATIONS, NetworkParams, SimConfig
 
 __all__ = [
-    "Deployment",
     "SimConfig",
     "SirSampleSet",
-    "apply_idle_mode",
     "estimate_coverage",
     "estimate_rates",
     "run_simulation",
-    "sample_deployment",
-    "sample_sir",
 ]
 
 _MIN_RATE_SAMPLES = 100
@@ -105,31 +102,6 @@ _LANE_BLOCK = 1024
 _SIR_CELLS = 32768
 # the largest mean Generator.poisson accepts (POISSON_LAM_MAX in numpy/random/_generator.pyx)
 _POISSON_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
-
-
-@dataclass(frozen=True, eq=False)
-class Deployment:
-    """One sampled network as polar draws, origin = tagged user.
-
-    Base station j sits at radius window_radius * sqrt(bs_u[j]) and angle
-    bs_theta[j]; users likewise with ue_u and ue_theta.
-    """
-
-    bs_u: np.ndarray
-    bs_theta: np.ndarray
-    ue_u: np.ndarray
-    ue_theta: np.ndarray
-    active_mask: np.ndarray
-    serving_index: int
-    window_radius: float
-
-    @cached_property
-    def bs_positions(self) -> np.ndarray:
-        return _cartesian(self.bs_u, self.bs_theta, self.window_radius)
-
-    @cached_property
-    def ue_positions(self) -> np.ndarray:
-        return _cartesian(self.ue_u, self.ue_theta, self.window_radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,55 +315,37 @@ def _check_user_mean(p: NetworkParams, cfg: SimConfig) -> None:
         )
 
 
-def sample_deployment(p: NetworkParams, cfg: SimConfig, rid: int) -> Deployment:
-    """Draw geometry for realization rid (lane 0 of the seed tree)."""
-    _check_user_mean(p, cfg)
-    return _draw_deployment(p, cfg, np.random.default_rng([cfg.seed, rid, 0]))
-
-
-def _draw_deployment(p: NetworkParams, cfg: SimConfig, rng: Generator, bs_u: np.ndarray | None = None) -> Deployment:
-    """Geometry from a lane-0 generator, in the documented draw order.
+def _draw_deployment(
+    p: NetworkParams, cfg: SimConfig, rng: Generator, bs_u: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(bs_u, bs_theta, ue_u, ue_theta) from a lane-0 generator, in the documented draw order.
 
     The station radii are drawn into bs_u when it is given.
     """
-    radius = _window_radius(p, cfg)
     bs_u = rng.random(cfg.n_bs_target, out=bs_u)
     bs_theta = 2.0 * math.pi * rng.random(cfg.n_bs_target)
-    n_ue = int(rng.poisson(_user_mean(p, radius)))
+    n_ue = int(rng.poisson(_user_mean(p, _window_radius(p, cfg))))
     ue_u = rng.random(n_ue)
     ue_theta = 2.0 * math.pi * rng.random(n_ue)
-    return Deployment(
-        bs_u=bs_u,
-        bs_theta=bs_theta,
-        ue_u=ue_u,
-        ue_theta=ue_theta,
-        active_mask=np.ones(cfg.n_bs_target, dtype=bool),
-        serving_index=int(np.argmin(bs_u)),
-        window_radius=radius,
-    )
+    return bs_u, bs_theta, ue_u, ue_theta
 
 
-def _ue_assignments(d: Deployment) -> np.ndarray:
-    """Nearest-BS index for every sampled user (empty array when no users)."""
-    if d.ue_u.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    # imported on first use, so analytic-only runs never load scipy.spatial
-    from scipy.spatial import cKDTree
+def _station_loads(
+    bs_u: np.ndarray, bs_theta: np.ndarray, ue_u: np.ndarray, ue_theta: np.ndarray, radius: float
+) -> np.ndarray:
+    """Users attached to each base station, the tagged user counted at the serving one, argmin(bs_u).
 
-    _, idx = cKDTree(d.bs_positions).query(d.ue_positions)
-    return np.asarray(idx, dtype=np.int64)
+    Each sampled user attaches to its nearest station; the draws are read, not written.
+    """
+    nearest = np.zeros(0, dtype=np.int64)
+    if ue_u.size:
+        # imported on first use, so analytic-only runs never load scipy.spatial
+        from scipy.spatial import cKDTree
 
-
-def _station_loads(d: Deployment) -> np.ndarray:
-    """Users attached to each base station, the tagged user counted at the serving one."""
-    loads = np.bincount(_ue_assignments(d), minlength=d.bs_u.size)
-    loads[d.serving_index] += 1
+        _, nearest = cKDTree(_cartesian(bs_u, bs_theta, radius)).query(_cartesian(ue_u, ue_theta, radius))
+    loads = np.bincount(nearest, minlength=bs_u.size)
+    loads[np.argmin(bs_u)] += 1
     return loads
-
-
-def apply_idle_mode(d: Deployment) -> Deployment:
-    """Switch off base stations with no attached user; the serving one stays on."""
-    return replace(d, active_mask=_station_loads(d) > 0)
 
 
 def _noise(p: NetworkParams, radius: float) -> float:
@@ -461,21 +415,6 @@ def _block_sir(
     return np.divide(signal, denom, out=sir, where=denom != 0.0)
 
 
-def sample_sir(d: Deployment, p: NetworkParams, cfg: SimConfig, rng: np.random.Generator) -> float:
-    """SIR (or SINR when sigma_n2 > 0) at the origin for one deployment.
-
-    Draws the serving gain from rng (one exponential()) and runs _block_sir
-    on a one-row block copied from d.bs_u. cfg is not read. Returns inf
-    when nothing interferes and there is no noise; callers count that as
-    covered and keep it out of rate averages.
-    """
-    u = d.bs_u[None].copy()
-    serving = np.array([d.serving_index])
-    noise = _noise(p, d.window_radius)
-    sir = _block_sir(u, np.empty_like(u), serving, ~d.active_mask[None], rng.exponential(), noise, p.beta)
-    return float(sir[0])
-
-
 def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tuple[np.ndarray, ...]:
     """SIR, serving-cell load and active-station count of rids [rid_lo, rid_hi)."""
     p, cfg, idle_mode, rid_lo, rid_hi = args
@@ -485,7 +424,8 @@ def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tu
     users = np.ones(n, dtype=np.int64)
     active = np.full(n, n_bs, dtype=np.int64)
     lanes = _lanes(cfg.seed, rid_lo, rid_hi)
-    noise = _noise(p, _window_radius(p, cfg))
+    radius = _window_radius(p, cfg)
+    noise = _noise(p, radius)
     rows = min(n, max(1, _SIR_CELLS // n_bs))
     u = np.empty((rows, n_bs))
     root = np.empty((rows, n_bs))
@@ -495,9 +435,8 @@ def _simulate_block(args: tuple[NetworkParams, SimConfig, bool, int, int]) -> tu
         b = min(rows, n - lo)
         for k, (geometry, fading) in zip(range(b), lanes):
             if p.lambda_ue > 0.0:
-                d = _draw_deployment(p, cfg, geometry, u[k])
-                loads = _station_loads(d)
-                users[lo + k] = loads[d.serving_index]
+                loads = _station_loads(*_draw_deployment(p, cfg, geometry, u[k]), radius)
+                users[lo + k] = loads[np.argmin(u[k])]
                 if idle_mode:
                     active[lo + k] = np.count_nonzero(loads)
                     np.equal(loads, 0, out=asleep[k])

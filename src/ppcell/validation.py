@@ -43,6 +43,7 @@ from .simulator import (
     _draw_deployment,
     _lanes,
     _station_loads,
+    _window_radius,
     estimate_coverage,
     estimate_rates,
     run_simulation,
@@ -259,10 +260,11 @@ def check_mc_idle_mode(seed: int = 0, jobs: int = 1, quick: bool = False) -> tup
         lm = load_model(ratio * _LAMBDA_REF, _LAMBDA_REF)
         p = NetworkParams(lambda_bs=_LAMBDA_REF, lambda_ue=ratio * _LAMBDA_REF, beta=4.0)
         cfg = SimConfig(n_bs_target=500, n_realizations=1, seed=seed + 1000 + int(100 * ratio))
+        radius = _window_radius(p, cfg)
         fracs = []
         for geometry, _ in _lanes(cfg.seed, 0, n_frac):
-            d = _draw_deployment(p, cfg, geometry)
-            fracs.append(_inactive_fraction_interior(d.bs_u, _station_loads(d), d.window_radius, p.lambda_bs))
+            draws = _draw_deployment(p, cfg, geometry)
+            fracs.append(_inactive_fraction_interior(draws[0], _station_loads(*draws, radius), radius, p.lambda_bs))
         mean = float(np.mean(fracs))
         se = float(np.std(fracs, ddof=1) / math.sqrt(len(fracs)))
         z = abs(mean - lm.p_inactive) / se
@@ -314,15 +316,16 @@ def check_property_suite(seed: int = 0, jobs: int = 1, quick: bool = False) -> t
     n_ks = 20000 if quick else 100000
     pk = NetworkParams(lambda_bs=1.0, beta=4.0)
     cfg = SimConfig(n_bs_target=128, n_realizations=1, seed=seed + 5150)
-    # sample_deployment's draws on block-seeded lanes. Only the serving
-    # station's polar draw is kept; its Cartesian position is built as
-    # Deployment.bs_positions builds every station's, so this route stays
-    # independent of the radial shortcut the SIR takes
+    # the simulator's lane-0 draws. Only the serving station's polar draw
+    # is kept; its Cartesian position is built as user attachment builds
+    # every station's, so this route stays independent of the radial
+    # shortcut the SIR takes
     polar = np.empty((n_ks, 2))
     for rid, (geometry, _) in enumerate(_lanes(cfg.seed, 0, n_ks)):
-        d = _draw_deployment(pk, cfg, geometry)
-        polar[rid] = d.bs_u[d.serving_index], d.bs_theta[d.serving_index]
-    b = _cartesian(polar[:, 0], polar[:, 1], d.window_radius)
+        bs_u, bs_theta, _, _ = _draw_deployment(pk, cfg, geometry)
+        serving = np.argmin(bs_u)
+        polar[rid] = bs_u[serving], bs_theta[serving]
+    b = _cartesian(polar[:, 0], polar[:, 1], _window_radius(pk, cfg))
     losses = np.sort(pk.kappa * (b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1]) ** (pk.beta / 2.0))
     cdf = pathloss_cdf(losses, pk)
     ranks = np.arange(1, n_ks + 1, dtype=np.float64)

@@ -21,15 +21,11 @@ from ppcell.analytics import RateMethod, load_model, pcov
 from ppcell.mgf import NetworkParams
 from ppcell.validation import _inactive_fraction_interior
 from ppcell.simulator import (
-    Deployment,
     SimConfig,
     SirSampleSet,
-    apply_idle_mode,
     estimate_coverage,
     estimate_rates,
     run_simulation,
-    sample_deployment,
-    sample_sir,
 )
 
 P_FULL = NetworkParams(lambda_bs=1.0, beta=4.0)
@@ -38,6 +34,19 @@ P_LOADED = NetworkParams(lambda_bs=1.0, beta=4.0, lambda_ue=1.0)
 
 def small_cfg(n_real: int, seed: int = 0) -> SimConfig:
     return SimConfig(n_bs_target=64, n_realizations=n_real, seed=seed)
+
+
+def draws(p: NetworkParams, cfg: SimConfig, rid: int) -> tuple[np.ndarray, ...]:
+    """Realization rid's geometry, (bs_u, bs_theta, ue_u, ue_theta), from its own lane-0 generator."""
+    return simulator._draw_deployment(p, cfg, np.random.default_rng([cfg.seed, rid, 0]))
+
+
+def loads_of(p: NetworkParams, cfg: SimConfig, rid: int) -> np.ndarray:
+    return simulator._station_loads(*draws(p, cfg, rid), simulator._window_radius(p, cfg))
+
+
+def positions(u: np.ndarray, theta: np.ndarray, cfg: SimConfig, p: NetworkParams) -> np.ndarray:
+    return simulator._cartesian(u, theta, simulator._window_radius(p, cfg))
 
 
 class TestConfigValidation:
@@ -67,37 +76,40 @@ class TestConfigValidation:
 class TestDeployment:
     def test_geometry_counts_and_density(self):
         cfg = small_cfg(1)
-        d = sample_deployment(P_FULL, cfg, 0)
-        assert d.bs_positions.shape == (64, 2)
+        bs_u, bs_theta, ue_u, ue_theta = draws(P_FULL, cfg, 0)
+        assert positions(bs_u, bs_theta, cfg, P_FULL).shape == (64, 2)
         # window radius chosen so the empirical density is exactly lambda_bs
-        assert math.isclose(64 / (math.pi * d.window_radius**2), 1.0, rel_tol=1e-12)
-        assert d.ue_positions.shape[0] == 0  # lambda_ue = 0
-        assert bool(d.active_mask.all())
+        assert math.isclose(64 / (math.pi * simulator._window_radius(P_FULL, cfg) ** 2), 1.0, rel_tol=1e-12)
+        assert ue_u.size == ue_theta.size == 0  # lambda_ue = 0
+        # without idle mode every drawn station transmits
+        assert run_simulation(P_FULL, cfg).n_active_bs.tolist() == [64]
 
     def test_serving_is_nearest(self):
-        d = sample_deployment(P_FULL, small_cfg(1), 3)
-        dist = np.linalg.norm(d.bs_positions, axis=1)
-        assert d.serving_index == int(np.argmin(dist))
+        cfg = small_cfg(1)
+        bs_u, bs_theta, _, _ = draws(P_FULL, cfg, 3)
+        dist = np.linalg.norm(positions(bs_u, bs_theta, cfg, P_FULL), axis=1)
+        assert int(np.argmin(bs_u)) == int(np.argmin(dist))
 
     def test_same_rid_reproduces(self):
-        a = sample_deployment(P_LOADED, small_cfg(5), 2)
-        b = sample_deployment(P_LOADED, small_cfg(99), 2)  # n_realizations is irrelevant
-        assert np.array_equal(a.bs_positions, b.bs_positions)
-        assert np.array_equal(a.ue_positions, b.ue_positions)
+        a = draws(P_LOADED, small_cfg(5), 2)
+        b = draws(P_LOADED, small_cfg(99), 2)  # n_realizations is irrelevant
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_distinct_rids_differ(self):
-        a = sample_deployment(P_FULL, small_cfg(5), 0)
-        b = sample_deployment(P_FULL, small_cfg(5), 1)
-        assert not np.array_equal(a.bs_positions, b.bs_positions)
+        a = draws(P_FULL, small_cfg(5), 0)
+        b = draws(P_FULL, small_cfg(5), 1)
+        assert not np.array_equal(a[0], b[0])
+        assert not np.array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("draw", ["sample_deployment", "run_simulation"])
+    @pytest.mark.parametrize("draw", ["check_user_mean", "run_simulation"])
     def test_user_mean_past_the_poisson_limit(self, draw):
         # 1.27e-6 / 1e-300 * 64 users on average; numpy's Poisson draw takes at most about 9.2e18
         p = NetworkParams(lambda_bs=1e-300, beta=4.0, lambda_ue=1.27e-6)
         message = r"lambda_ue / lambda_bs \* n_bs_target = 8\.13e\+295 is past numpy's Poisson limit"
         with pytest.raises(ValueError, match=message):
-            if draw == "sample_deployment":
-                sample_deployment(p, small_cfg(1), 0)
+            if draw == "check_user_mean":
+                simulator._check_user_mean(p, small_cfg(1))
             else:
                 run_simulation(p, small_cfg(1), idle_mode=True)
 
@@ -139,6 +151,7 @@ def cartesian_reference(p: NetworkParams, cfg: SimConfig, rid: int, idle: bool) 
         "bs": bs,
         "ue": ue,
         "serving": serving,
+        "active": mask,
         "n_users": int(np.count_nonzero(nearest == serving)) + 1,
         "n_active": int(np.count_nonzero(mask)),
         "sir": math.inf if denom == 0.0 else p.p_tx * gain / loss[serving] / denom,
@@ -185,102 +198,113 @@ class TestPolarDeployment:
     @pytest.mark.parametrize(("p", "idle"), [case[:2] for case in POLAR_CASES])
     def test_positions_are_the_cartesian_draws(self, p, idle, seed):
         cfg = SimConfig(n_bs_target=96, n_realizations=1, seed=seed)
+        radius = simulator._window_radius(p, cfg)
         for rid in (0, 3):
-            d = sample_deployment(p, cfg, rid)
+            bs_u, bs_theta, ue_u, ue_theta = draws(p, cfg, rid)
             ref = cartesian_reference(p, cfg, rid, idle)
-            assert d.serving_index == ref["serving"]
+            assert int(np.argmin(bs_u)) == ref["serving"]
             if idle:
-                d = apply_idle_mode(d)
+                loads = simulator._station_loads(bs_u, bs_theta, ue_u, ue_theta, radius)
+                assert np.array_equal(loads > 0, ref["active"])
                 margin = 1.5 / math.sqrt(p.lambda_bs)
-                interior = ref["dist"] <= d.window_radius - margin
-                loads = simulator._station_loads(d)
-                frac = _inactive_fraction_interior(d.bs_u, loads, d.window_radius, p.lambda_bs)
-                assert frac == float(np.mean(~d.active_mask[interior]))
-            # bitwise the arrays the Cartesian sampler drew, built on first use
-            assert np.array_equal(d.bs_positions, ref["bs"])
-            assert np.array_equal(d.ue_positions, ref["ue"])
+                interior = ref["dist"] <= radius - margin
+                frac = _inactive_fraction_interior(bs_u, loads, radius, p.lambda_bs)
+                assert frac == float(np.mean(~ref["active"][interior]))
+            # bitwise the arrays the Cartesian sampler drew
+            assert np.array_equal(simulator._cartesian(bs_u, bs_theta, radius), ref["bs"])
+            assert np.array_equal(simulator._cartesian(ue_u, ue_theta, radius), ref["ue"])
 
     def test_positions_cached(self):
-        d = sample_deployment(P_LOADED, small_cfg(1), 4)
-        assert d.bs_positions is d.bs_positions
-        assert d.ue_positions is d.ue_positions
+        # a run builds each realization's station and user positions once, for attachment
+        built = []
+        cartesian = simulator._cartesian
+
+        def spy(u, theta, radius):
+            built.append(u.size)
+            return cartesian(u, theta, radius)
+
+        cfg = small_cfg(6)
+        with mock.patch.object(simulator, "_cartesian", spy):
+            run_simulation(P_LOADED, cfg, idle_mode=True)
+        assert built[0::2] == [64] * 6
+        assert built[1::2] == [draws(P_LOADED, cfg, rid)[2].size for rid in range(6)]
 
 
 class TestIdleMode:
     def test_mask_matches_brute_force(self):
-        d = sample_deployment(P_LOADED, small_cfg(1), 7)
-        masked = apply_idle_mode(d)
+        cfg = small_cfg(1)
+        bs_u, bs_theta, ue_u, ue_theta = draws(P_LOADED, cfg, 7)
         # recompute attachments with a plain distance matrix
-        diff = d.ue_positions[:, None, :] - d.bs_positions[None, :, :]
+        diff = positions(ue_u, ue_theta, cfg, P_LOADED)[:, None, :] - positions(bs_u, bs_theta, cfg, P_LOADED)[None]
         nearest = np.argmin(np.einsum("ubk,ubk->ub", diff, diff), axis=1)
         want = np.zeros(64, dtype=bool)
         want[nearest] = True
-        want[d.serving_index] = True
-        assert np.array_equal(masked.active_mask, want)
+        want[np.argmin(bs_u)] = True
+        assert np.array_equal(loads_of(P_LOADED, cfg, 7) > 0, want)
 
     def test_serving_never_masked(self):
         for rid in range(10):
-            d = apply_idle_mode(sample_deployment(P_LOADED, small_cfg(1), rid))
-            assert bool(d.active_mask[d.serving_index])
+            bs_u = draws(P_LOADED, small_cfg(1), rid)[0]
+            assert loads_of(P_LOADED, small_cfg(1), rid)[np.argmin(bs_u)] >= 1
 
     def test_no_users_leaves_only_serving(self):
-        d = apply_idle_mode(sample_deployment(P_FULL, small_cfg(1), 0))
-        assert int(np.count_nonzero(d.active_mask)) == 1
-        assert bool(d.active_mask[d.serving_index])
+        loads = loads_of(P_FULL, small_cfg(1), 0)
+        assert int(np.count_nonzero(loads)) == 1
+        assert loads[np.argmin(draws(P_FULL, small_cfg(1), 0)[0])] == 1
 
     def test_geometry_untouched(self):
-        d = sample_deployment(P_LOADED, small_cfg(1), 1)
-        masked = apply_idle_mode(d)
-        for name in ("bs_u", "bs_theta", "ue_u", "ue_theta"):
-            assert getattr(masked, name) is getattr(d, name)
-        assert masked.serving_index == d.serving_index
-        assert masked.window_radius == d.window_radius
+        cfg = small_cfg(1)
+        drawn = draws(P_LOADED, cfg, 1)
+        before = [a.copy() for a in drawn]
+        simulator._station_loads(*drawn, simulator._window_radius(P_LOADED, cfg))
+        for a, b in zip(drawn, before):
+            assert np.array_equal(bits(a), bits(b))
 
 
-def two_station_deployment() -> Deployment:
-    # stations at (1, 0) and (3, 0) in a radius-5 window; only the first is on
-    return Deployment(
-        bs_u=np.array([(1.0 / 5.0) ** 2, (3.0 / 5.0) ** 2]),
-        bs_theta=np.zeros(2),
-        ue_u=np.zeros(0),
-        ue_theta=np.zeros(0),
-        active_mask=np.array([True, False]),
-        serving_index=0,
-        window_radius=5.0,
-    )
+def one_row_sir(bs_u: np.ndarray, asleep: np.ndarray | None, gain: float, noise: float, beta: float) -> float:
+    """_block_sir on a one-row block copied from bs_u; the serving station is argmin(bs_u)."""
+    u = bs_u[None].copy()
+    serving = np.array([np.argmin(bs_u)])
+    return float(simulator._block_sir(u, np.empty_like(u), serving, asleep, gain, noise, beta)[0])
+
+
+# stations at (1, 0) and (3, 0) in a radius-5 window; only the first is on
+TWO_STATIONS = np.array([(1.0 / 5.0) ** 2, (3.0 / 5.0) ** 2])
+SECOND_ASLEEP = np.array([[False, True]])
 
 
 class TestSampleSir:
     def test_no_interferers_and_no_noise_is_inf(self):
-        d = two_station_deployment()
-        cfg = SimConfig(n_bs_target=50, n_realizations=1)
-        sir = sample_sir(d, P_FULL, cfg, np.random.default_rng([0, 0, 1]))
-        assert math.isinf(sir)
+        gain = np.random.default_rng([0, 0, 1]).exponential()
+        assert math.isinf(one_row_sir(TWO_STATIONS, SECOND_ASLEEP, gain, 0.0, 4.0))
 
     def test_noise_keeps_it_finite(self):
         # unit signal at distance 1 over noise 0.5, times the serving gain
-        d = two_station_deployment()
-        cfg = SimConfig(n_bs_target=50, n_realizations=1)
         noisy = NetworkParams(lambda_bs=1.0, beta=4.0, sigma_n2=0.5)
         gain = np.random.default_rng([0, 0, 1]).exponential()
-        assert sample_sir(d, noisy, cfg, np.random.default_rng([0, 0, 1])) == pytest.approx(2.0 * gain)
+        noise = simulator._noise(noisy, 5.0)
+        assert one_row_sir(TWO_STATIONS, SECOND_ASLEEP, gain, noise, 4.0) == pytest.approx(2.0 * gain)
 
     def test_noise_past_the_float_range_is_noise_limited(self):
         # a 64-station window at 1e-300 has radius 4.5e150, and radius**5
         # overflows: the noise term is inf and every SINR its limit, 0
         p = NetworkParams(lambda_bs=1e-300, beta=5.0, sigma_n2=1e-9)
         cfg = small_cfg(8)
-        assert simulator._noise(p, simulator._window_radius(p, cfg)) == math.inf
+        noise = simulator._noise(p, simulator._window_radius(p, cfg))
+        assert noise == math.inf
         assert run_simulation(p, cfg).sir_values.tolist() == [0.0] * 8
-        assert sample_sir(sample_deployment(p, cfg, 0), p, cfg, np.random.default_rng([0, 0, 1])) == 0.0
+        gain = np.random.default_rng([0, 0, 1]).exponential()
+        assert one_row_sir(draws(p, cfg, 0)[0], None, gain, noise, p.beta) == 0.0
 
     def test_deterministic_without_fading(self):
         # the SIR is the lane-1 gain times a ratio no generator touches
-        d = sample_deployment(P_FULL, small_cfg(1), 0)
-        cfg = SimConfig(n_bs_target=64, n_realizations=1)
-        a = sample_sir(d, P_FULL, cfg, np.random.default_rng([0, 0, 1]))
-        b = sample_sir(d, P_FULL, cfg, np.random.default_rng([0, 1, 1]))
-        assert a == sample_sir(d, P_FULL, cfg, np.random.default_rng([0, 0, 1]))
+        bs_u = draws(P_FULL, small_cfg(1), 0)[0]
+
+        def sir(rid: int) -> float:
+            return one_row_sir(bs_u, None, np.random.default_rng([0, rid, 1]).exponential(), 0.0, P_FULL.beta)
+
+        a, b = sir(0), sir(1)
+        assert a == sir(0)
         assert a != b
         gain_a = np.random.default_rng([0, 0, 1]).exponential()
         gain_b = np.random.default_rng([0, 1, 1]).exponential()
@@ -301,8 +325,8 @@ class TestRunSimulation:
         cfg = small_cfg(17)
         s = run_simulation(P_FULL, cfg, jobs=4)
         for rid in (0, 5, 16):
-            d = sample_deployment(P_FULL, cfg, rid)
-            assert s.sir_values[rid] == sample_sir(d, P_FULL, cfg, np.random.default_rng([0, rid, 1]))
+            gain = np.random.default_rng([0, rid, 1]).exponential()
+            assert s.sir_values[rid] == one_row_sir(draws(P_FULL, cfg, rid)[0], None, gain, 0.0, P_FULL.beta)
 
     def test_prefix_stability(self):
         # rid fully determines the draw, so a longer run extends a shorter one
@@ -521,35 +545,37 @@ def eager_bs_draws(cfg: SimConfig, rid: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestDeferredAngles:
-    """Station angles are never deferred: a Deployment draws them right after the radii."""
+    """Station angles are never deferred: _draw_deployment draws them right after the radii."""
 
     @pytest.mark.parametrize("seed", [0, 2**32 + 5])
     def test_angles_match_an_eager_draw(self, seed):
         cfg = SimConfig(n_bs_target=96, n_realizations=1, seed=seed)
         for rid in (0, 1, 7, 1234):
             u, theta = eager_bs_draws(cfg, rid)
-            d = sample_deployment(P_FULL, cfg, rid)
-            assert np.array_equal(d.bs_u, u)
-            assert np.array_equal(d.bs_theta, theta)
-            assert np.array_equal(d.bs_positions, simulator._cartesian(u, theta, d.window_radius))
+            bs_u, bs_theta, _, _ = draws(P_FULL, cfg, rid)
+            assert np.array_equal(bs_u, u)
+            assert np.array_equal(bs_theta, theta)
+            assert np.array_equal(positions(bs_u, bs_theta, cfg, P_FULL), positions(u, theta, cfg, P_FULL))
 
     def test_block_route_matches(self):
         cfg = SimConfig(n_bs_target=64, n_realizations=1, seed=3)
         for p in (P_FULL, P_LOADED):
             for rid, (geometry, _) in enumerate(simulator._lanes(cfg.seed, 10, 14), 10):
-                d = simulator._draw_deployment(p, cfg, geometry)
+                bs_u, bs_theta, _, _ = simulator._draw_deployment(p, cfg, geometry)
                 u, theta = eager_bs_draws(cfg, rid)
-                assert np.array_equal(d.bs_u, u)
-                assert np.array_equal(d.bs_theta, theta)
+                assert np.array_equal(bs_u, u)
+                assert np.array_equal(bs_theta, theta)
 
     def test_users_draw_angles_in_order(self):
-        d = sample_deployment(P_LOADED, small_cfg(1), 2)
-        assert np.array_equal(d.bs_theta, eager_bs_draws(small_cfg(1), 2)[1])
+        assert np.array_equal(draws(P_LOADED, small_cfg(1), 2)[1], eager_bs_draws(small_cfg(1), 2)[1])
 
     def test_idle_copy_shares_the_drawn_angles(self):
-        d = sample_deployment(P_FULL, small_cfg(1), 0)
-        masked = apply_idle_mode(d)
-        assert masked.bs_theta is d.bs_theta
+        # idle mode attaches on the angles drawn right after the radii
+        cfg = small_cfg(1)
+        _, _, ue_u, ue_theta = draws(P_LOADED, cfg, 0)
+        u, theta = eager_bs_draws(cfg, 0)
+        eager = simulator._station_loads(u, theta, ue_u, ue_theta, simulator._window_radius(P_LOADED, cfg))
+        assert np.array_equal(loads_of(P_LOADED, cfg, 0), eager)
 
     @pytest.mark.parametrize("users", [False, True])
     def test_full_load_jobs_invariance_bitwise(self, users):
@@ -572,35 +598,46 @@ def lone_path_gains(u: np.ndarray, beta: float) -> np.ndarray:
     return u ** (-beta / 2.0)
 
 
-def lone_sir(d: Deployment, p: NetworkParams, rng: np.random.Generator) -> float:
-    """One deployment's SINR on its own, in 1-D numpy and Python floats.
+def lone_sir(bs_u: np.ndarray, active: np.ndarray, radius: float, p: NetworkParams, rng: np.random.Generator) -> float:
+    """One realization's SINR on its own, in 1-D numpy and Python floats.
 
-    In the form where the path-loss constants cancel: g u_s^(-beta/2) over
-    the other active stations' u_i^(-beta/2) plus sigma_n2 kappa R^beta / p_tx.
+    active marks the stations that transmit; argmin(bs_u) serves. In the
+    form where the path-loss constants cancel: g u_s^(-beta/2) over the
+    other active stations' u_i^(-beta/2) plus sigma_n2 kappa R^beta / p_tx.
     """
-    path_gain = lone_path_gains(d.bs_u, p.beta)
+    path_gain = lone_path_gains(bs_u, p.beta)
     gain = float(rng.exponential())
-    interference = np.where(d.active_mask, path_gain, 0.0)
-    interference[d.serving_index] = 0.0
-    denom = float(np.sum(interference)) + p.sigma_n2 * p.kappa * d.window_radius**p.beta / p.p_tx
-    return math.inf if denom == 0.0 else gain * float(path_gain[d.serving_index]) / denom
+    serving = int(np.argmin(bs_u))
+    interference = np.where(active, path_gain, 0.0)
+    interference[serving] = 0.0
+    denom = float(np.sum(interference)) + p.sigma_n2 * p.kappa * radius**p.beta / p.p_tx
+    return math.inf if denom == 0.0 else gain * float(path_gain[serving]) / denom
 
 
-def per_realization_sirs(p: NetworkParams, cfg: SimConfig, idle: bool = False) -> np.ndarray:
-    """Every rid through the public calls: sample_deployment, then sample_sir on lane 1.
+def per_realization_sirs(p: NetworkParams, cfg: SimConfig, idle: bool = False) -> SirSampleSet:
+    """Every rid on its own: its own default_rng lanes, its loads, then lone_sir.
 
-    Also checks sample_sir against lone_sir bit for bit on the same draws.
+    Uses neither the block lanes nor the block kernel.
     """
-    sirs = []
+    radius = simulator._window_radius(p, cfg)
+    sirs, users, active = [], [], []
     for rid in range(cfg.n_realizations):
-        d = sample_deployment(p, cfg, rid)
-        if idle:
-            d = apply_idle_mode(d)
-        sir = sample_sir(d, p, cfg, np.random.default_rng([cfg.seed, rid, 1]))
-        want = lone_sir(d, p, np.random.default_rng([cfg.seed, rid, 1]))
-        assert np.float64(sir).view(np.uint64) == np.float64(want).view(np.uint64)
-        sirs.append(sir)
-    return np.array(sirs)
+        bs_u, bs_theta, ue_u, ue_theta = draws(p, cfg, rid)
+        on = np.ones(bs_u.size, dtype=bool)
+        n_users = 1
+        if p.lambda_ue > 0.0:
+            loads = simulator._station_loads(bs_u, bs_theta, ue_u, ue_theta, radius)
+            n_users = int(loads[np.argmin(bs_u)])
+            if idle:
+                on = loads > 0
+        sirs.append(lone_sir(bs_u, on, radius, p, np.random.default_rng([cfg.seed, rid, 1])))
+        users.append(n_users)
+        active.append(int(np.count_nonzero(on)))
+    return SirSampleSet(
+        sir_values=np.array(sirs),
+        n_users_in_cell=np.array(users, dtype=np.int64),
+        n_active_bs=np.array(active, dtype=np.int64),
+    )
 
 
 def bits(values: np.ndarray) -> np.ndarray:
@@ -616,18 +653,23 @@ class TestBlockSir:
         # the integer betas take the kernel's product route, the rest np.power
         beta=st.one_of(st.sampled_from([3.0, 4.0, 5.0]), st.floats(2.0, 5.0, exclude_min=True)),
         sigma_n2=st.sampled_from([0.0, 0.37]),
-        lambda_ue=st.sampled_from([0.0, 0.8]),
+        # idle mode needs users
+        users=st.sampled_from([(0.0, False), (0.8, False), (0.8, True)]),
         n_real=st.integers(1, 40),
         cells=st.sampled_from([simulator._SIR_CELLS, 1, 997, 4000]),
         seed=st.integers(0, 2**40),
     )
-    def test_block_matches_per_realization(self, n_bs, beta, sigma_n2, lambda_ue, n_real, cells, seed):
+    def test_block_matches_per_realization(self, n_bs, beta, sigma_n2, users, n_real, cells, seed):
+        lambda_ue, idle = users
         p = NetworkParams(lambda_bs=1.3, beta=beta, sigma_n2=sigma_n2, lambda_ue=lambda_ue)
         cfg = SimConfig(n_bs_target=n_bs, n_realizations=n_real, seed=seed)
         # cells sets the block rows, so short last blocks and one-row blocks occur
         with mock.patch.object(simulator, "_SIR_CELLS", cells):
-            s = run_simulation(p, cfg)
-        assert np.array_equal(bits(s.sir_values), bits(per_realization_sirs(p, cfg)))
+            s = run_simulation(p, cfg, idle_mode=idle)
+        want = per_realization_sirs(p, cfg, idle)
+        assert np.array_equal(bits(s.sir_values), bits(want.sir_values))
+        assert np.array_equal(s.n_users_in_cell, want.n_users_in_cell)
+        assert np.array_equal(s.n_active_bs, want.n_active_bs)
 
     @pytest.mark.parametrize(
         ("p", "three_workers"),
@@ -647,37 +689,29 @@ class TestBlockSir:
         cfg = SimConfig(n_bs_target=500, n_realizations=37, seed=77)
         split = run_simulation(p, cfg, jobs=jobs)
         assert StandInPool.max_workers == [jobs]
-        assert np.array_equal(bits(split.sir_values), bits(per_realization_sirs(p, cfg)))
+        assert np.array_equal(bits(split.sir_values), bits(per_realization_sirs(p, cfg).sir_values))
 
     def test_idle_rows_match_per_realization(self):
         cfg = SimConfig(n_bs_target=80, n_realizations=9, seed=4)
-        want = bits(per_realization_sirs(P_LOADED, cfg, idle=True))
+        want = bits(per_realization_sirs(P_LOADED, cfg, idle=True).sir_values)
         # 200 cells: two-row blocks and a short last one
         for cells in (simulator._SIR_CELLS, 200):
             with mock.patch.object(simulator, "_SIR_CELLS", cells):
                 s = run_simulation(P_LOADED, cfg, idle_mode=True)
             assert np.array_equal(bits(s.sir_values), want)
 
-    def test_sample_sir_leaves_the_deployment_unchanged(self):
-        # the kernel writes in place, so sample_sir hands it a copy
-        d = sample_deployment(P_LOADED, small_cfg(1), 3)
-        for dep in (d, apply_idle_mode(d)):
-            before = dep.bs_u.copy()
-            sample_sir(dep, P_LOADED, small_cfg(1), np.random.default_rng([0, 3, 1]))
-            assert np.array_equal(bits(dep.bs_u), bits(before))
-
     @pytest.mark.parametrize("idle", [False, True])
     def test_run_attaches_on_the_drawn_radii(self, idle):
         # each row's attachment reads its radii before the kernel overwrites the row
         seen = []
-        attach = simulator._ue_assignments
+        attach = simulator._station_loads
 
-        def spy(d):
-            seen.append(d.bs_u.copy())
-            return attach(d)
+        def spy(bs_u, *args):
+            seen.append(bs_u.copy())
+            return attach(bs_u, *args)
 
         cfg = SimConfig(n_bs_target=64, n_realizations=300, seed=9)
-        with mock.patch.object(simulator, "_ue_assignments", spy):
+        with mock.patch.object(simulator, "_station_loads", spy):
             run_simulation(P_LOADED, cfg, idle_mode=idle)
         assert len(seen) == cfg.n_realizations
         for rid, u in enumerate(seen):
@@ -718,13 +752,13 @@ class TestKernelAgainstMpmath:
         with mpmath.workdps(40):
             half = mpmath.mpf(beta) / 2
             for rid in range(cfg.n_realizations):
-                d = sample_deployment(p, cfg, rid)
-                gains = d.bs_u.copy()
+                bs_u = draws(p, cfg, rid)[0]
+                gains = bs_u.copy()
                 simulator._path_gains(gains, np.empty_like(gains), beta)
-                exact = [mpmath.mpf(u) ** -half for u in d.bs_u.tolist()]
+                exact = [mpmath.mpf(u) ** -half for u in bs_u.tolist()]
                 worst_gain = max(worst_gain, *(abs(g - e) / e for g, e in zip(gains.tolist(), exact)))
                 fading = mpmath.mpf(np.random.default_rng([cfg.seed, rid, 1]).exponential())
-                s = d.serving_index
+                s = int(np.argmin(bs_u))
                 want = fading * exact[s] / (mpmath.fsum(exact) - exact[s])
                 worst_sir = max(worst_sir, abs(float(sirs[rid]) - want) / want)
         assert worst_gain <= 1e-15
@@ -810,10 +844,11 @@ class TestInactiveFraction:
         # the gamma cell-area model at ratio 1
         cfg = SimConfig(n_bs_target=1000, n_realizations=1, seed=42)
         fracs = []
+        radius = simulator._window_radius(P_LOADED, cfg)
         for geometry, _ in simulator._lanes(cfg.seed, 0, 20):
-            d = simulator._draw_deployment(P_LOADED, cfg, geometry)
-            loads = simulator._station_loads(d)
-            fracs.append(_inactive_fraction_interior(d.bs_u, loads, d.window_radius, P_LOADED.lambda_bs))
+            drawn = simulator._draw_deployment(P_LOADED, cfg, geometry)
+            loads = simulator._station_loads(*drawn, radius)
+            fracs.append(_inactive_fraction_interior(drawn[0], loads, radius, P_LOADED.lambda_bs))
         want = load_model(1.0, 1.0).p_inactive
         assert abs(float(np.mean(fracs)) - want) < 0.02
 
