@@ -252,13 +252,13 @@ def _tail_mass(beta: float, p_active: float, w: float) -> float:
     # past the branch point (everywhere for the exact kind) the rate integrand is below
     # 1/(p_active Gamma(1-d) w^d (1+w)), so the mass beyond w >= c is below this
     d = 2.0 / beta
-    return w ** (-d) / (p_active * math.gamma(1.0 - d) * d)
+    return w ** (-d) / (p_active * math.gamma((beta - 2.0) / beta) * d)
 
 
 def _w_max(beta: float, p_active: float) -> float:
     # the W at which _tail_mass meets the budget
     d = 2.0 / beta
-    return (1.0 / (_TAIL_BUDGET * p_active * math.gamma(1.0 - d) * d)) ** (1.0 / d)
+    return (1.0 / (_TAIL_BUDGET * p_active * math.gamma((beta - 2.0) / beta) * d)) ** (1.0 / d)
 
 
 def _upper_edge(beta: float, c: float, p_active: float) -> float:

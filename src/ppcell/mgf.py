@@ -163,8 +163,7 @@ def taylor_bracket(beta: float, x: float | np.ndarray, n_terms: int) -> float | 
 
 def upper_bracket(beta: float, x: float | np.ndarray) -> float | np.ndarray:
     """Large-argument closed form of the bracket: 1 - x^(2/beta) Gamma(1-2/beta)."""
-    d = 2.0 / beta
-    return 1.0 - x**d * math.gamma(1.0 - d)
+    return 1.0 - x ** (2.0 / beta) * math.gamma((beta - 2.0) / beta)
 
 
 def bracket(beta: float, x, kind: str = "exact") -> float | np.ndarray:
@@ -193,7 +192,9 @@ def bracket(beta: float, x, kind: str = "exact") -> float | np.ndarray:
     if kind == "exact":
         from scipy.special import gammainc
 
-        return 1.0 - (np.exp(-x) + x**d * gammainc(1.0 - d, x) * math.gamma(1.0 - d))
+        # 1 - d as (beta - 2)/beta: 1 - 2/beta would lose its relative precision next to 2
+        a = (beta - 2.0) / beta
+        return 1.0 - (np.exp(-x) + x**d * gammainc(a, x) * math.gamma(a))
     if kind == "two_piece":
         c = solve_c(beta).c_exact
         # each branch only sees arguments on its own side, so the series
@@ -247,7 +248,7 @@ def _bracket_gap_slope(beta: float, c: float) -> float:
         t, q = _near_two_terms(beta, c)
         return c / (beta - 1.0) + q * (1.0 - t)
     d = 2.0 / beta
-    return -2.0 / (beta - 2.0) + c / (beta - 1.0) + d * c ** (d - 1.0) * math.gamma(1.0 - d)
+    return -2.0 / (beta - 2.0) + c / (beta - 1.0) + d * c ** (d - 1.0) * math.gamma((beta - 2.0) / beta)
 
 
 # bounded: a long-lived process that sweeps fresh betas would otherwise grow

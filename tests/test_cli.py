@@ -496,8 +496,8 @@ class TestMgfCommand:
         # both MGFs underflow to 0 at x = 100: 0/0 has no relative error
         assert captured.out == (
             "beta,c_exact,c_fit,x,mgf_exact,mgf_approx,rel_error\n"
-            "2.05,1.185888522059206,1.1836911580189515,1.0,6.385707026902129e-18,6.839551436897971e-18,"
-            "0.07107191233231586\n"
+            "2.05,1.185888522059206,1.1836911580189515,1.0,6.385707026902175e-18,6.839551436897971e-18,"
+            "0.07107191233230824\n"
             "2.05,1.185888522059206,1.1836911580189515,100.0,0.0,0.0,nan\n"
         )
         assert captured.err == ""
@@ -1112,12 +1112,12 @@ class TestCsvPins:
     """
 
     SHA256 = {
-        "coverage": "cbe244d04afab1aa7a23af5cc5a8960883336ac5bd88f1cec4d21127bde8523c",
-        "rate": "4a087adc6db461c5ed810a68b973710c50903528ecc15277b991a69c7e3f49b2",
-        "load-curves-peak": "2f0828a29c9ec48848cc05a0b42fdbfddab33e19a7ba285e2fa297bde0e643eb",
-        "load-curves-actual": "7444da18f09bbf5021057a10580806dc5cc60efb78ca23cc9f868d0ea7c4ab1b",
-        "load-curves-coverage": "c642a16cc28d0f7529b030e71e5b48ccba6fc1ec67e4da2a46f11d6d43317401",
-        "mgf": "b0729d55021528e2d78143b7933e0ab020a9a945c7ec6ada52429aabb9afbf00",
+        "coverage": "997df8f9dc8b523e8cdaebd142fb935ca2afbb8156891b4d68e5c93ec30dc837",
+        "rate": "fba4b90890446fc68fdd9d1f42097d709a2c27e4e9419784cf495258618cde8b",
+        "load-curves-peak": "a0a748eb720e9db73d37d16390c9bffe45ff20db3ac853a3379781aee4f7dd97",
+        "load-curves-actual": "08c2275d5e4c769ac95197bd635bd9caf057dda6fee0b412936dad7dda9426bd",
+        "load-curves-coverage": "1f7dd9e988737f15574745cd857ed8149675600cf613256f5510792c4a28eed0",
+        "mgf": "b3a5925c43c4131b05d9f6662e28137a6cd3d0da84dee05a25465f94bd05d535",
         "coverage-with-mc": "e47d73b6e652d3b8a035cae3de4940bd5c63be57325a5c811cac1eb53a2333f3",
         "simulate-full": "4473f2456f8e6a03afe02abda586f14f426a0c01d5cb110cfc1b0c7ab568dc1e",
         "simulate-idle": "ee0e3a168c6a30c307603cb5ca4348f2f4367fd2ee371a101a4e815e45a6d88e",
