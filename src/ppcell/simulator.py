@@ -54,9 +54,8 @@ gains, and as much sqrt scratch), or one row when a drop is larger. numpy
 sums each C-contiguous row with the same pairwise summation as the 1-D sum
 of that row, and every other step is elementwise, so each SIR is bitwise
 the one the realization gets alone in a one-row block, and the same for
-any jobs count. np.add.reduceat
-would sum ragged rows in one call, but it adds each segment sequentially,
-not pairwise, and so changes the last bits.
+any jobs count. np.add.reduceat would sum ragged rows in one call, but it
+adds each segment sequentially, not pairwise, and so changes the last bits.
 """
 
 from __future__ import annotations
