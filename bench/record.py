@@ -9,14 +9,19 @@ same kind of checkout. For every workload and seed the two sides run
 `perfbench/run.py --trace 0` back to back, alternating which goes first;
 then each side runs `--trace 1` passes per workload on the first three
 seeds, alternating in the same way. Every run lasts BENCHMARK.json's
-run_seconds. Runs are sequential, one interpreter at a time.
+run_seconds. Runs are sequential, one interpreter at a time. Last, each
+side's whole tree (`git archive` of everything) runs the tier-1 test
+command, TIER1, once, parent first.
 
 The output JSON holds every run's end-to-end metrics, the median and
 quartiles per side, the pairs the change won and the parent's quartile
 spread (the gain rule of the benchmark's method), each per-layer metric's
 traced runs with their median and range per side, the environment and code
 size lines perfbench prints, and the known limits of the harness, so a
-reader can tell a gain from a move within noise.
+reader can tell a gain from a move within noise. Each side's tier-1 run
+is recorded as its wall time, its pass and fail counts and its ten slowest
+tests; it is reported, not claimed: one run per side cannot tell a change
+from host drift.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import shutil
 import statistics
@@ -31,12 +37,15 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("curves", "mc-full", "mc-idle")
 # traced passes per side and workload, on the first seeds of the run
 TRACED_SEEDS = 3
+# the tier-1 test command, run from a tree's root with src on PYTHONPATH
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=10")
 
 # what earlier runs of identical trees showed the harness cannot resolve
 HARNESS_LIMITS = [
@@ -75,11 +84,11 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def export(ref: str, dest: Path) -> str:
-    """Write ref's src/ and perfbench/ under dest; returns the full SHA."""
+def export(ref: str, dest: Path, paths: tuple[str, ...] = ("src", "perfbench")) -> str:
+    """Write ref's paths (all of the tree when empty) under dest; returns the full SHA."""
     sha = git("rev-parse", "--verify", f"{ref}^{{commit}}")
     tar = subprocess.run(
-        ["git", "archive", "--format=tar", sha, "src", "perfbench"], cwd=ROOT, check=True, capture_output=True
+        ["git", "archive", "--format=tar", sha, *paths], cwd=ROOT, check=True, capture_output=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest, filter="data")
@@ -107,6 +116,27 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     result["env"] = [ln for ln in lines if ln.startswith("env ")]
     result["code"] = next((ln for ln in lines if ln.startswith("code ")), None)
     return result
+
+
+def run_tier1(tree: Path) -> dict:
+    """One tier-1 run in tree: wall time, pytest's counts and its ten slowest tests."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.splitlines()
+    summary = next((ln.strip("= ") for ln in reversed(lines) if re.search(r" in [\d.]+s", ln)), "")
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary.split(" in ")[0])}
+    pytest_s = re.search(r" in ([\d.]+)s", summary)
+    slowest = [ln.strip() for ln in lines if re.match(r"[\d.]+s (call|setup|teardown) ", ln)]
+    return {
+        "exit_code": proc.returncode,
+        "wall_s": wall,
+        "pytest_s": float(pytest_s[1]) if pytest_s else None,
+        "counts": counts,
+        "summary": summary,
+        "slowest": slowest[:10],
+    }
 
 
 def summarize(values: list[float]) -> dict:
@@ -180,6 +210,11 @@ def main(argv: list[str] | None = None) -> int:
             for k, seed in enumerate(seeds[:TRACED_SEEDS]):
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                     traced[side][workload].append(run_bench(trees[side], workload, seed, seconds, 1))
+        tier1 = {}
+        for side, ref in (("parent", args.base), ("change", "HEAD")):
+            export(ref, work / f"tier1-{side}", ())
+            tier1[side] = run_tier1(work / f"tier1-{side}")
+            print(f"tier-1 {side}: {tier1[side]['summary']}", file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -208,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             for side in trees
         },
+        "tier1": {"command": f"PYTHONPATH=src python {' '.join(TIER1)}", "claimed": False, **tier1},
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     bad = [(side, w) for side in trees for w in WORKLOADS
