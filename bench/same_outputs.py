@@ -15,7 +15,7 @@ subcommands and `simulate` writing to stdout; an --out file that already
 holds more bytes than the new CSV (its old tail must go); beta and linear
 gamma ranges; the rate next to beta = 2; the rate and load curves at the
 edges of their beta and ratio axes, with and without noise; configs with
-bad values, bad ranges,
+bad values, bad ranges, non-finite numbers,
 empty lists and a lone `%`; an allocation too large to make; and
 `validate --quick --seed 0`, whose
 per-check times are stripped before the comparison. Prints per case
@@ -133,6 +133,19 @@ CASES = [
     # expected to differ from a parent that reads config values outside its parse-error handler:
     # a lone "%" was a configparser traceback and exit 1, and is a config error, exit 2
     ("percent-in-value", ["rate"], "[experiment]\noutput = 100%.csv\n"),
+    # expected to differ from a parent that lets nan and inf through: a grid value is
+    # refused where the file is parsed and a network value by NetworkParams, exit 2 each;
+    # the parent wrote nan cells, ran full load or failed inside numpy
+    *((f"non-finite-{name}", [command], config) for name, command, config in (
+        ("x-values", "mgf", "[grid]\nx_values = nan\n"),
+        ("gamma-start", "coverage", "[grid]\ngamma_start = nan\n"),
+        ("gamma-step", "coverage", "[grid]\ngamma_step = inf\n"),
+        ("gamma-stop", "coverage", "[grid]\ngamma_stop = inf\n"),
+        ("ratios-nan", "load-curves", "[grid]\nratios = nan\n"),
+        ("ratios-inf", "load-curves", "[grid]\nratios = inf\n"),
+        ("lambda-ue", "simulate", "[network]\nlambda_ue = nan\n[sim]\nidle_mode = true\nn_realizations = 5\n"),
+        ("sigma-n2", "coverage", "[network]\nsigma_n2 = nan\n"),
+    )),
 ]
 
 # bytes already in the --out file before a case runs

@@ -105,19 +105,18 @@ class RateResult:
     stderr is the one error field: the standard error of a Monte Carlo
     estimate, or the achieved absolute error bound of a quadrature value
     (the coarse-vs-fine rule difference plus the truncated tail and head).
-    Closed forms leave it 0. no_interference flags the degenerate
-    vanishing-load regime where the value is a sentinel, not a rate.
+    Closed forms leave it 0. A value of inf marks the vanishing-load
+    regime, where no interferer is active and the rate diverges.
     """
 
     value: float
     method: RateMethod
     stderr: float = 0.0
-    no_interference: bool = False
 
     def __post_init__(self) -> None:
         if self.stderr < 0.0:
             raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
-        if not self.no_interference and self.value < 0.0:
+        if self.value < 0.0:
             raise ValueError(f"rate must be nonnegative, got {self.value}")
 
 
@@ -229,19 +228,17 @@ def _coverage_integral(a: np.ndarray, noise: np.ndarray, beta: float) -> np.ndar
     return fine
 
 
-def load_model(lambda_ue: float, lambda_bs: float) -> LoadModel:
-    """Idle-mode probabilities from the gamma cell-area model.
+def load_model(ratio: float) -> LoadModel:
+    """Idle-mode probabilities from the gamma cell-area model at UE/BS density ratio.
 
+    The densities enter only through their ratio lambda_ue/lambda_bs.
     p_inactive = (1 + ratio/3.5)^(-3.5); p_selection is the chance a UE owns
     a resource block, (1/ratio) * p_active, continued to 1 at ratio = 0.
     """
-    if not lambda_bs > 0.0:
-        raise ValueError(f"lambda_bs must be positive, got {lambda_bs}")
-    if lambda_ue < 0.0:
-        raise ValueError(f"lambda_ue must be nonnegative, got {lambda_ue}")
-    if lambda_ue == 0.0:
+    if not ratio >= 0.0:
+        raise ValueError(f"ratio must be nonnegative, got {ratio}")
+    if ratio == 0.0:
         return LoadModel(ratio=0.0, p_inactive=1.0, p_active=0.0, p_selection=1.0)
-    ratio = lambda_ue / lambda_bs
     p_inactive = (1.0 + ratio / _LOAD_SHAPE) ** (-_LOAD_SHAPE)
     p_active = 1.0 - p_inactive
     p_selection = p_active / ratio
@@ -336,11 +333,11 @@ def rate_quadrature(beta, p_active=1.0, kind: str = "exact") -> RateResult | lis
     kind is the coverage kind integrated, "exact" or "two_piece" as in
     pcov(); the tail cutoff is proven for those two brackets only.
     p_active may also be a sequence; the result is then a list with one
-    RateResult per entry, all from a single bracket evaluation. beta may
-    also be a sequence; the result is then a list with one entry per beta,
-    each bit for bit what the call with that beta alone returns, all from
-    one pass over every beta's nodes. stderr carries the achieved absolute
-    error bound.
+    RateResult per entry (none for an empty one), all from a single bracket
+    evaluation. beta may also be a sequence; the result is then a list
+    with one entry per beta, each bit for bit what the call with that beta
+    alone returns, all from one pass over every beta's nodes. stderr
+    carries the achieved absolute error bound.
     """
     betas = np.asarray(beta, dtype=float)
     for b in betas.ravel().tolist():
@@ -355,8 +352,8 @@ def rate_quadrature(beta, p_active=1.0, kind: str = "exact") -> RateResult | lis
         )
     if not np.all(pa <= 1.0):
         raise ValueError(f"p_active must lie in [{_MIN_P_ACTIVE}, 1], got {np.max(pa)}")
-    if not betas.size:
-        return []
+    if not (betas.size and pa.size):
+        return [[] for _ in range(betas.size)] if betas.ndim else []
     values, errs = _rate_integral(betas.ravel().tolist(), pa.ravel(), kind)
     per_beta = [
         [RateResult(value=v, method=RateMethod.QUADRATURE, stderr=e) for v, e in zip(*rows)]
@@ -400,21 +397,16 @@ def rate_closed_general(beta: float) -> RateResult:
     return RateResult(value=float(lower + tail), method=RateMethod.CLOSED_FORM_GENERAL)
 
 
-def rate_actual(beta: float, lambda_ue: float, lambda_bs: float) -> RateResult:
-    """Per-UE rate: peak rate times the resource-selection probability.
+def rate_actual(beta: float, ratio: float) -> RateResult:
+    """Per-UE rate at UE/BS density ratio: peak rate times the resource-selection probability.
 
     The vanishing-load limit would multiply a divergent peak rate by a
-    selection probability of 1; that regime is reported as an explicit
-    no-interference sentinel instead of a number.
+    selection probability of 1; that regime returns value inf.
     """
     _check_beta(beta)
-    lm = load_model(lambda_ue, lambda_bs)
+    lm = load_model(ratio)
     if lm.p_active < _MIN_P_ACTIVE:
-        return RateResult(
-            value=math.inf,
-            method=RateMethod.QUADRATURE,
-            no_interference=True,
-        )
+        return RateResult(value=math.inf, method=RateMethod.QUADRATURE)
     peak = rate_quadrature(beta, lm.p_active, "two_piece")
     return RateResult(
         value=peak.value * lm.p_selection, method=peak.method, stderr=peak.stderr * lm.p_selection

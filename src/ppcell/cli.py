@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .analytics import _LAMBDA_REF, _RATIO_GRID, LoadModel, _db_to_linear, load_model, pcov_general
+from .analytics import _LAMBDA_REF, _RATIO_GRID, _db_to_linear, load_model, pcov_general
 from .analytics import rate_closed_general, rate_quadrature
 from .mgf import NetworkParams, NonConvergenceError, SimConfig, mgf, solve_c
 
@@ -100,7 +100,7 @@ class ExperimentSpec:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be positive, got {self.jobs}")
         for ratio in self.ratios:
-            if ratio <= 0.0:
+            if not ratio > 0.0:
                 raise ConfigError(f"grid.ratios must be positive, got {ratio}")
 
 
@@ -111,8 +111,14 @@ def _bool(raw: str) -> bool:
         raise ValueError(raw)
 
 
+def _finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(raw)
+    return value
+
+
 def _floats(raw: str) -> tuple[float, ...]:
-    values = tuple(float(t) for t in raw.replace(",", " ").split())
+    values = tuple(map(_finite, raw.replace(",", " ").split()))
     if not values:
         raise ValueError(raw)
     return values
@@ -126,7 +132,7 @@ def _unit(raw: str) -> str:
 
 
 _TEXT = (str, "text")
-_NUMBER = (float, "a number")
+_NUMBER = (_finite, "a number")
 _INTEGER = (int, "an integer")
 _BOOLEAN = (_bool, "a boolean")
 _LIST = (_floats, "a list of numbers")
@@ -137,7 +143,8 @@ _KEYS = {
     "experiment": {"kind": _TEXT, "output": _TEXT},
     "sim": {"seed": _INTEGER, "n_bs_target": _INTEGER, "n_realizations": _INTEGER,
             "idle_mode": _BOOLEAN, "with_mc": _BOOLEAN},
-    "network": {key: _NUMBER for key in ("lambda_bs", "lambda_ue", "beta", "kappa", "p_tx", "sigma_n2")},
+    # NetworkParams refuses a non-finite network value itself, naming the field
+    "network": {key: (float, "a number") for key in ("lambda_bs", "lambda_ue", "beta", "kappa", "p_tx", "sigma_n2")},
     "grid": {"gamma_unit": (_unit, "'db' or 'linear'"), "gamma_start": _NUMBER, "gamma_stop": _NUMBER,
              "gamma_step": _NUMBER, "x_values": _LIST, "ratios": _LIST, "betas": _LIST,
              "beta_start": _NUMBER, "beta_stop": _NUMBER, "beta_step": _NUMBER},
@@ -343,21 +350,18 @@ def _reprs(values: Iterable) -> list[str]:
 _Table = tuple[list[str], Iterable[Sequence[str]] | None, int]
 
 
-def _mc_samples(spec: ExperimentSpec, beta: float, lambda_ue: float):
-    # fully loaded curves simulate no users, the load curves idle mode
+def _mc_samples(spec: ExperimentSpec, beta: float, ratio: float):
+    # the one place a UE/BS density ratio becomes a user density: fully loaded
+    # curves (ratio 0) simulate no users, the load curves idle mode
     from .simulator import run_simulation
 
-    p = replace(spec.params, beta=beta, lambda_ue=lambda_ue)
-    return run_simulation(p, spec.sim, idle_mode=lambda_ue > 0.0, jobs=spec.jobs)
+    p = replace(spec.params, beta=beta, lambda_ue=ratio * spec.params.lambda_bs)
+    return run_simulation(p, spec.sim, idle_mode=ratio > 0.0, jobs=spec.jobs)
 
 
 def _threshold_cells(spec: ExperimentSpec) -> list[tuple[str, str]]:
     """The gamma and gamma_db cells of each threshold (gamma = 0 is -inf dB)."""
     return [(repr(g), repr(_linear_to_db(g) if g > 0 else float("-inf"))) for g in spec.grid]
-
-
-def _load_models(spec: ExperimentSpec) -> list[LoadModel]:
-    return [load_model(ratio * spec.params.lambda_bs, spec.params.lambda_bs) for ratio in spec.ratios]
 
 
 def _coverage_rows(
@@ -366,19 +370,19 @@ def _coverage_rows(
 ) -> list[tuple[str, ...]]:
     """One row per (load, threshold): lead cells, gamma, gamma in dB, both coverage kinds[, MC].
 
-    loads holds each load's (lead cells, p_active, lambda_ue); one pcov_general call
-    per kind covers every load.
+    loads holds each load's (lead cells, p_active, density ratio; 0 for full load);
+    one pcov_general call per kind covers every load.
     """
     grid = np.asarray(spec.grid)
     p = replace(spec.params, beta=beta)
     p_active = np.array([[pa] for _, pa, _ in loads])
     curves = [pcov_general(grid, p, p_active, kind) for kind in ("exact", "two_piece")]
     rows = []
-    for (lead, _, lambda_ue), *columns in zip(loads, *curves):
+    for (lead, _, ratio), *columns in zip(loads, *curves):
         if spec.with_mc:
             from .simulator import estimate_coverage
 
-            columns += estimate_coverage(_mc_samples(spec, beta, lambda_ue), spec.grid)
+            columns += estimate_coverage(_mc_samples(spec, beta, ratio), spec.grid)
         rows += [(*lead, *g, *vals) for g, *vals in zip(thresholds, *(_reprs(c.tolist()) for c in columns))]
     return rows
 
@@ -391,12 +395,11 @@ def _run_coverage(spec: ExperimentSpec) -> _Table:
 
 def _run_coverage_partial_load(spec: ExperimentSpec) -> _Table:
     thresholds = _threshold_cells(spec)
-    loads = _load_models(spec)
+    loads = list(map(load_model, spec.ratios))
     rows = []
     for beta in spec.betas:
         rows += _coverage_rows(spec, thresholds, beta, [
-            ((repr(beta), repr(ratio), repr(lm.p_active)), lm.p_active, ratio * spec.params.lambda_bs)
-            for ratio, lm in zip(spec.ratios, loads)
+            ((repr(beta), repr(lm.ratio), repr(lm.p_active)), lm.p_active, lm.ratio) for lm in loads
         ])
     return ["beta", "ratio", "p_active", "gamma", "gamma_db", "pcov_exact", "pcov_approx"], rows, 0
 
@@ -417,9 +420,9 @@ def _run_rate_vs_beta(spec: ExperimentSpec) -> _Table:
 
 def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> _Table:
     name = "actual" if actual else "peak"
-    loads = _load_models(spec)
+    loads = list(map(load_model, spec.ratios))
     p_active = [lm.p_active for lm in loads]
-    leads = [_reprs((ratio, lm.p_active, lm.p_selection)) for ratio, lm in zip(spec.ratios, loads)]
+    leads = [_reprs((lm.ratio, lm.p_active, lm.p_selection)) for lm in loads]
     # the actual rate is the peak rate times the selection probability
     shares = [lm.p_selection if actual else 1.0 for lm in loads]
     rows = []
@@ -431,7 +434,7 @@ def _run_rate_vs_ratio(spec: ExperimentSpec, actual: bool) -> _Table:
             if spec.with_mc:
                 from .simulator import estimate_rates
 
-                mc = estimate_rates(_mc_samples(spec, beta, ratio * spec.params.lambda_bs))[1 if actual else 0]
+                mc = estimate_rates(_mc_samples(spec, beta, ratio))[1 if actual else 0]
                 row += _reprs((mc.value, mc.stderr))
             rows.append(row)
     header = ["beta", "ratio", "p_active", "p_selection", f"rate_{name}_exact", f"rate_{name}_closed"]
@@ -542,10 +545,10 @@ def _used_keys(spec: ExperimentSpec, args: argparse.Namespace, cfg: dict) -> dic
     """Whether the run of spec reads the value of each config key ("section.key").
 
     Coverage and rate are interference-limited: without noise they depend
-    on neither the transmit power nor the path-loss prefactor, and on the
-    station density only through the ratios. So a key counts as used only
-    on the branches a run takes: noise, Monte Carlo, the kind's reads and
-    betas, and the --out, --seed and --db overrides.
+    on neither the transmit power, the path-loss prefactor nor the station
+    density (the load curves take the density ratio itself). So a key
+    counts as used only on the branches a run takes: noise, Monte Carlo,
+    the kind's reads and betas, and the --out, --seed and --db overrides.
     """
     row = _KINDS[spec.kind]
     mgf, raw, gamma, ratios = (name in row.reads for name in ("x", "idle_mode", "gamma", "ratios"))
@@ -557,7 +560,7 @@ def _used_keys(spec: ExperimentSpec, args: argparse.Namespace, cfg: dict) -> dic
     return {key: on for keys, on in (
         ("experiment.kind", True),
         ("experiment.output", not args.out),
-        ("network.lambda_bs", mgf or simulates or noisy or ratios),
+        ("network.lambda_bs", mgf or simulates or noisy),
         ("network.lambda_ue sim.idle_mode", raw),
         ("network.beta", raw or own_beta),
         ("network.kappa network.p_tx", mgf or noisy),

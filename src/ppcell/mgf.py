@@ -19,7 +19,7 @@ NetworkParams, so that a config is built without loading the simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, lru_cache
 
 import numpy as np
@@ -62,7 +62,7 @@ class NonConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Physical scenario constants, all in linear units.
+    """Physical scenario constants, all finite and in linear units.
 
     beta is restricted to the open-left interval (2, 5]: the closed-form
     brackets contain 1/(beta-2) and Gamma(1-2/beta) factors that blow up at
@@ -77,6 +77,10 @@ class NetworkParams:
     sigma_n2: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if not self.lambda_bs > 0.0:
             raise ValueError(f"lambda_bs must be positive, got {self.lambda_bs}")
         _check_beta(self.beta)

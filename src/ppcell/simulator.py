@@ -512,7 +512,7 @@ def estimate_rates(samples: SirSampleSet) -> tuple[RateResult, RateResult]:
     """Mean peak and actual rate over realizations with finite SIR.
 
     Needs at least 100 samples for the standard error to mean anything. When
-    every draw is infinite the no-interference sentinel is returned.
+    every draw is infinite (no interference) both rates are inf.
     """
     n = samples.sir_values.size
     if n < _MIN_RATE_SAMPLES:
@@ -520,10 +520,8 @@ def estimate_rates(samples: SirSampleSet) -> tuple[RateResult, RateResult]:
     finite = np.isfinite(samples.sir_values)
     n_fin = int(np.count_nonzero(finite))
     if n_fin == 0:
-        sentinel = RateResult(
-            value=math.inf, method=RateMethod.MONTE_CARLO, stderr=0.0, no_interference=True
-        )
-        return sentinel, sentinel
+        unbounded = RateResult(value=math.inf, method=RateMethod.MONTE_CARLO)
+        return unbounded, unbounded
     peak, actual = (
         RateResult(
             value=float(np.mean(rates)),

@@ -230,7 +230,7 @@ def check_mc_idle_mode(seed: int = 0, jobs: int = 1, quick: bool = False) -> tup
     worst_at = ""
     for beta in (3.0, 4.0, 5.0):
         for ratio in _RATIO_GRID:
-            lm = load_model(ratio * _LAMBDA_REF, _LAMBDA_REF)
+            lm = load_model(ratio)
             p = NetworkParams(lambda_bs=_LAMBDA_REF, lambda_ue=ratio * _LAMBDA_REF, beta=beta)
             # beta=3 is the slowest interference decay in the grid, and heavy
             # idle thinning pushes the SIR up where the rate is most sensitive
@@ -257,7 +257,7 @@ def check_mc_idle_mode(seed: int = 0, jobs: int = 1, quick: bool = False) -> tup
     # the void outside the window and would bias the raw fraction high)
     frac_msgs = []
     for ratio in _RATIO_GRID:
-        lm = load_model(ratio * _LAMBDA_REF, _LAMBDA_REF)
+        lm = load_model(ratio)
         p = NetworkParams(lambda_bs=_LAMBDA_REF, lambda_ue=ratio * _LAMBDA_REF, beta=4.0)
         cfg = SimConfig(n_bs_target=500, n_realizations=1, seed=seed + 1000 + int(100 * ratio))
         radius = _window_radius(p, cfg)
@@ -273,7 +273,7 @@ def check_mc_idle_mode(seed: int = 0, jobs: int = 1, quick: bool = False) -> tup
             return False, f"inactive fraction off at {frac_msgs[-1]} (gate z<3)"
     # beyond ratio 4 the thinned network is rate-wise fully loaded (within 5%)
     for beta in (3.0, 4.0, 5.0):
-        pa4 = load_model(4.0 * _LAMBDA_REF, _LAMBDA_REF).p_active
+        pa4 = load_model(4.0).p_active
         r4 = rate_quadrature(beta, pa4, "exact").value
         r1 = rate_quadrature(beta, 1.0, "exact").value
         excess = r4 / r1 - 1.0

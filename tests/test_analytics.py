@@ -498,6 +498,15 @@ class TestRateRule:
         assert rate_quadrature([]) == []
         assert rate_quadrature(np.array([]), [0.2, 0.9], "two_piece") == []
 
+    def test_empty_p_active_sequence(self):
+        # one empty list per beta, as each p_active entry gets one result per beta
+        assert rate_quadrature(4.0, []) == []
+        assert rate_quadrature([3.0, 4.0], np.array([]), "two_piece") == [[], []]
+        assert rate_quadrature([], []) == []
+        # the domain checks still run first
+        with pytest.raises(ValueError):
+            rate_quadrature(2.0, [])
+
     def test_first_failing_beta_is_reported(self, monkeypatch):
         # wide panels make the achieved error differ by beta: at this limit 2.5 and 3
         # pass and 4.5, 4 and 3.5 fail, each with its own figure; the batch must
@@ -693,9 +702,8 @@ class TestBitwisePins:
 
 class TestRateActual:
     def test_value_is_peak_times_selection(self):
-        lam = 2.3e-6
-        r = rate_actual(4.0, lam, lam)
-        lm = load_model(lam, lam)
+        r = rate_actual(4.0, 1.0)
+        lm = load_model(1.0)
         peak = rate_quadrature(4.0, lm.p_active, "two_piece")
         assert math.isclose(r.value, peak.value * lm.p_selection, rel_tol=1e-15)
         assert r.method is peak.method
@@ -703,16 +711,17 @@ class TestRateActual:
     def test_general_beta_uses_quadrature(self):
         # beta = 3 and 4 take the same route as any other beta
         for beta in (3.0, 4.0, 4.5):
-            r = rate_actual(beta, 1.0, 1.0)
+            r = rate_actual(beta, 1.0)
             assert r.method is RateMethod.QUADRATURE, beta
 
     def test_vanishing_load_sentinel(self):
-        r = rate_actual(4.0, 1e-12, 1.0)
-        assert r.no_interference
+        # no active interferer: the rate diverges, and the value says so
+        r = rate_actual(4.0, 1e-12)
         assert math.isinf(r.value)
+        assert r.method is RateMethod.QUADRATURE and r.stderr == 0.0
 
     def test_actual_rate_decreases_with_crowding(self):
-        vals = [rate_actual(4.0, ratio, 1.0).value for ratio in (1.0, 4.0, 8.0, 12.0)]
+        vals = [rate_actual(4.0, ratio).value for ratio in (1.0, 4.0, 8.0, 12.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -732,8 +741,8 @@ class TestRateResult:
             rate_closed_general(SINGULAR_BETA),
             rate_quadrature(3.0),
             *rate_quadrature(3.0, [0.5, 1.0]),
-            rate_actual(4.0, 1.0, 1.0),
-            rate_actual(4.0, 1e-12, 1.0),
+            rate_actual(4.0, 1.0),
+            rate_actual(4.0, 1e-12),
             *estimate_rates(samples),
         ]
         assert [type(r.value) for r in results] == [float] * len(results)
@@ -760,33 +769,35 @@ class TestLoadModel:
 
     def test_reference_values(self):
         for ratio, p_in, p_act, p_sel in self.TABLE:
-            lm = load_model(ratio, 1.0)
+            lm = load_model(ratio)
             assert math.isclose(lm.p_inactive, p_in, rel_tol=1e-11), ratio
             assert math.isclose(lm.p_active, p_act, rel_tol=1e-11), ratio
             assert math.isclose(lm.p_selection, p_sel, rel_tol=1e-11), ratio
 
     def test_probabilities_sum(self):
         for ratio in (0.01, 0.5, 2.0, 20.0):
-            lm = load_model(ratio, 1.0)
+            lm = load_model(ratio)
             assert math.isclose(lm.p_inactive + lm.p_active, 1.0, rel_tol=1e-15)
             assert math.isclose(lm.p_selection, lm.p_active / lm.ratio, rel_tol=1e-15)
 
     def test_no_users_limit(self):
-        lm = load_model(0.0, 1.0)
+        lm = load_model(0.0)
         assert lm.p_inactive == 1.0
         assert lm.p_active == 0.0
         assert lm.p_selection == 1.0
 
-    def test_scale_invariance(self):
-        a = load_model(3.0, 1.0)
-        b = load_model(3.0e-6, 1.0e-6)
-        assert math.isclose(a.p_active, b.p_active, rel_tol=1e-15)
+    def test_ratio_is_kept_as_given(self):
+        # the ratio is the input itself, not a quotient of densities: at 0.1,
+        # 0.1 * 1.27e-6 / 1.27e-6 would be 0.09999999999999999
+        lm = load_model(0.1)
+        assert lm.ratio == 0.1
+        assert lm.p_selection == lm.p_active / 0.1
+        assert lm.p_inactive == (1.0 + 0.1 / 3.5) ** -3.5
 
     def test_domains(self):
-        with pytest.raises(ValueError):
-            load_model(1.0, 0.0)
-        with pytest.raises(ValueError):
-            load_model(-1.0, 1.0)
+        for ratio in (-1.0, -1e-300, math.nan):
+            with pytest.raises(ValueError, match=r"^ratio must be nonnegative, got "):
+                load_model(ratio)
 
 
 class TestPathLoss:

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcell import cli, validation
-from ppcell.analytics import pcov_general, rate_actual, rate_closed_general, rate_quadrature
+from ppcell.analytics import load_model, pcov_general, rate_actual, rate_closed_general, rate_quadrature
 from ppcell.cli import ConfigError, ExperimentKind, main, parse_config
 from ppcell.mgf import NetworkParams, NonConvergenceError
 from ppcell.simulator import SimConfig
@@ -122,10 +122,27 @@ class TestConfigParsing:
             ("rate", "[grid]\ngamma_step = abc\n", "grid.gamma_step must be a number, got 'abc'"),
             ("validate", "[grid]\nx_values = 1 x\n", "grid.x_values must be a list of numbers, got '1 x'"),
             ("rate", "[experiment]\nkind = Sideways\n[network]\nkappa = abc\n", "network.kappa must be a number, got 'abc'"),
+            # nan and inf: a grid number is refused where it is parsed (1e400 parses to inf) ...
+            ("mgf", "[grid]\nx_values = nan\n", "grid.x_values must be a list of numbers, got 'nan'"),
+            ("coverage", "[grid]\ngamma_start = nan\n", "grid.gamma_start must be a number, got 'nan'"),
+            ("coverage", "[grid]\ngamma_step = inf\n", "grid.gamma_step must be a number, got 'inf'"),
+            ("coverage", "[grid]\ngamma_stop = inf\n", "grid.gamma_stop must be a number, got 'inf'"),
+            ("load-curves", "[grid]\nratios = nan\n", "grid.ratios must be a list of numbers, got 'nan'"),
+            ("load-curves", "[grid]\nratios = 1 inf\n", "grid.ratios must be a list of numbers, got '1 inf'"),
+            ("rate", "[grid]\nbetas = 3 -Infinity\n", "grid.betas must be a list of numbers, got '3 -Infinity'"),
+            ("rate", "[grid]\nbeta_stop = 1e400\n", "grid.beta_stop must be a number, got '1e400'"),
+            # ... and a network one by NetworkParams, which names the field
+            ("simulate", "[network]\nlambda_ue = nan\n[sim]\nidle_mode = true\nn_realizations = 5\n",
+             "network: lambda_ue must be finite, got nan"),
+            ("coverage", "[network]\nsigma_n2 = nan\n", "network: sigma_n2 must be finite, got nan"),
+            ("mgf", "[network]\nkappa = inf\n", "network: kappa must be finite, got inf"),
+            ("rate", "[network]\nlambda_bs = 1e400\n", "network: lambda_bs must be finite, got inf"),
         ],
         ids=[
             "number", "integer", "boolean", "list", "gamma-step", "beta-step", "gamma-stop", "gamma-unit",
-            "unread-grid-key", "unread-list", "value-before-kind",
+            "unread-grid-key", "unread-list", "value-before-kind", "nan-x-values", "nan-gamma-start",
+            "inf-gamma-step", "inf-gamma-stop", "nan-ratios", "inf-ratios", "inf-betas", "overflow-beta-stop",
+            "nan-lambda-ue", "nan-sigma-n2", "inf-kappa", "overflow-lambda-bs",
         ],
     )
     def test_bad_value_error_line(self, tmp_path, capsys, command, text, line):
@@ -417,7 +434,7 @@ class TestLoadCurvesCommand:
             assert float(a_row[5]) == float(p_row[5]) * share
             # same route as the library call, within its error bound
             beta, ratio = float(a_row[0]), float(a_row[1])
-            lib = rate_actual(beta, ratio * 1.27e-6, 1.27e-6)
+            lib = rate_actual(beta, ratio)
             assert abs(float(a_row[5]) - lib.value) <= 2.0 * lib.stderr
             assert a_row[6] == p_row[6] == lib.method.value
 
@@ -440,6 +457,17 @@ class TestLoadCurvesCommand:
         assert rows[0][:5] == ["beta", "ratio", "p_active", "gamma", "gamma_db"]
         assert len(rows) == 2
         assert float(rows[1][5]) == pytest.approx(0.664876841666406, rel=1e-11)
+
+    @pytest.mark.parametrize("kind", ["PeakRateVsRatio", "ActualRateVsRatio"])
+    def test_ratio_cells_come_from_the_ratio_itself(self, tmp_path, capsys, kind):
+        # 0.1 * 1.27e-6 / 1.27e-6 is 0.09999999999999999; the cells must be those of 0.1
+        path = write_cfg(tmp_path, f"[experiment]\nkind = {kind}\n[grid]\nbetas = 4.0\nratios = 0.1\n")
+        assert main(["load-curves", "--config", path]) == 0
+        row = read_rows(capsys)[1]
+        lm = load_model(0.1)
+        assert row[1:4] == [repr(0.1), repr(lm.p_active), repr(lm.p_selection)]
+        if kind == "ActualRateVsRatio":
+            assert row[5] == repr(rate_actual(4.0, 0.1).value)
 
     def test_nonpositive_ratio_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "[grid]\nbetas = 4.0\nratios = 0.0 1.0\n")
@@ -611,6 +639,12 @@ class TestUnusedKeys:
                 {"network": {"kappa": "2", "p_tx": "3"}},
                 "network.kappa, network.p_tx",
             ),
+            # the load curves take the density ratio, not the densities
+            (
+                "load-curves", "ActualRateVsRatio", (), {"grid": LOAD},
+                {"network": {"lambda_bs": "1e-3"}},
+                "network.lambda_bs",
+            ),
             (
                 "load-curves", "CoveragePartialLoad", (), {"grid": {**LOAD, **GAMMA}},
                 {"network": {"beta": "3", "kappa": "2"}},
@@ -639,7 +673,7 @@ class TestUnusedKeys:
         ],
         ids=[
             "coverage", "coverage-mc", "rate", "peak", "actual", "partial", "simulate", "coverage-noiseless",
-            "rate-mc", "partial-grid-betas", "mgf-grid-betas", "simulate-noiseless", "output-and-out",
+            "rate-mc", "actual-noiseless", "partial-grid-betas", "mgf-grid-betas", "simulate-noiseless", "output-and-out",
             "seed-and-seed",
         ],
     )

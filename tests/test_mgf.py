@@ -93,6 +93,13 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             NetworkParams(lambda_bs=1.0, beta=4.0, lambda_ue=-1.0)
 
+    @pytest.mark.parametrize("field", ["lambda_bs", "beta", "kappa", "p_tx", "lambda_ue", "sigma_n2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_refused_by_name(self, field, value):
+        # NaN passes a sign check such as lambda_ue < 0; every field is checked first for finiteness
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+            NetworkParams(**{"lambda_bs": 1.0, "beta": 4.0, field: value})
+
     def test_delta(self):
         assert NetworkParams(lambda_bs=1.0, beta=4.0).delta == 0.5
         assert math.isclose(NetworkParams(lambda_bs=1.0, beta=3.0).delta, 2.0 / 3.0)

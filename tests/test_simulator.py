@@ -822,8 +822,9 @@ class TestEstimators:
             n_active_bs=np.ones(120, dtype=np.int64),
         )
         peak, actual = estimate_rates(s)
-        assert peak.no_interference and actual.no_interference
-        assert math.isinf(peak.value)
+        # no interference on any draw: both rates diverge, and the values say so
+        assert math.isinf(peak.value) and math.isinf(actual.value)
+        assert peak.method is actual.method is RateMethod.MONTE_CARLO
 
     def test_too_few_samples(self):
         s = run_simulation(P_FULL, small_cfg(10))
@@ -849,7 +850,7 @@ class TestInactiveFraction:
             drawn = simulator._draw_deployment(P_LOADED, cfg, geometry)
             loads = simulator._station_loads(*drawn, radius)
             fracs.append(_inactive_fraction_interior(drawn[0], loads, radius, P_LOADED.lambda_bs))
-        want = load_model(1.0, 1.0).p_inactive
+        want = load_model(1.0).p_inactive
         assert abs(float(np.mean(fracs)) - want) < 0.02
 
     def test_nan_when_margin_swallows_window(self):
