@@ -19,7 +19,7 @@ NetworkParams, so that a config is built without loading the simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
@@ -77,10 +77,10 @@ class NetworkParams:
     sigma_n2: float = 0.0
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+        # the instance dict holds the fields, in order
+        for name, value in vars(self).items():
             if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.lambda_bs > 0.0:
             raise ValueError(f"lambda_bs must be positive, got {self.lambda_bs}")
         _check_beta(self.beta)

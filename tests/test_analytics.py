@@ -499,7 +499,7 @@ class TestRateRule:
         assert rate_quadrature(np.array([]), [0.2, 0.9], "two_piece") == []
 
     def test_empty_p_active_sequence(self):
-        # one empty list per beta, as each p_active entry gets one result per beta
+        # no p_active entry, no result: an empty list for each beta
         assert rate_quadrature(4.0, []) == []
         assert rate_quadrature([3.0, 4.0], np.array([]), "two_piece") == [[], []]
         assert rate_quadrature([], []) == []

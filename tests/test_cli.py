@@ -673,8 +673,8 @@ class TestUnusedKeys:
         ],
         ids=[
             "coverage", "coverage-mc", "rate", "peak", "actual", "partial", "simulate", "coverage-noiseless",
-            "rate-mc", "actual-noiseless", "partial-grid-betas", "mgf-grid-betas", "simulate-noiseless", "output-and-out",
-            "seed-and-seed",
+            "rate-mc", "actual-noiseless", "partial-grid-betas", "mgf-grid-betas", "simulate-noiseless",
+            "output-and-out", "seed-and-seed",
         ],
     )
     def test_unread_keys_named_on_stderr(self, tmp_path, capsys, monkeypatch, command, kind, argv, base, extra, named):
